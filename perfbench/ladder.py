@@ -12,7 +12,6 @@ n = 24 and n = 30 stay out of the timed workloads because one operation
 on them takes tens of seconds.
 """
 
-import functools
 import json
 import platform
 import sys
@@ -22,6 +21,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
+import spans  # noqa: E402
+import workloads as wl  # noqa: E402
 from galtour import permgroup, presets  # noqa: E402
 
 LADDER = [f"radical:a=2,n={n}" for n in (6, 9, 12, 16, 20, 24, 30)] + [
@@ -46,30 +47,21 @@ def cpu_model() -> str:
 
 
 def build(selector: str) -> dict:
-    for fn in ("radical_context", "cyclo_radical_context", "selmer_serre_context"):
-        getattr(presets, fn).cache_clear()
-    lattice = []
+    wl.clear_preset_caches(presets)
+    rec = spans.Recorder()
     original = permgroup.all_subgroups
-
-    @functools.wraps(original)
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return original(*args, **kwargs)
-        finally:
-            lattice.append(time.perf_counter() - t0)
-
-    permgroup.all_subgroups = timed
+    permgroup.all_subgroups = rec.span("permgroup.all_subgroups", original)
     try:
         t0 = time.perf_counter()
         ctx = presets.load_instance(selector)
         total = time.perf_counter() - t0
     finally:
         permgroup.all_subgroups = original
+    lattice = rec.self_times()[0]["permgroup.all_subgroups"]
     row = {"instance": selector, "order": ctx.group.order,
            "subgroups": len(ctx.subgroups), "build_s": total,
-           "all_subgroups_s": sum(lattice),
-           "all_subgroups_share": sum(lattice) / total}
+           "all_subgroups_s": lattice,
+           "all_subgroups_share": lattice / total}
     base = BASELINE_S.get(selector)
     if base is not None:
         row["baseline_s"] = base

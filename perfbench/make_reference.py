@@ -13,8 +13,9 @@ any difference between the two shows up as a failed operation.
 
 A reference is written only if the oracle agreement suite reports
 agreement on every instance in it, and every session ``is_galtourable``
-and ``intourability_field`` answer agrees with the brute-force oracles.  Run it again only when outputs are meant to
-change; a change that claims a speed-up must leave these files alone.
+and ``intourability_field`` answer agrees with the brute-force oracles.
+Run it again only when outputs are meant to change; a change that claims
+a speed-up must leave these files alone.
 """
 
 import contextlib
@@ -118,6 +119,7 @@ def tower_pool(ctx, inst: str) -> list:
 
 
 def cli_towers_ops() -> list:
+    """Per (instance, verb) pair, the big ops if it has any, else all."""
     ops = []
     for inst in wl.CLI_TOWERS_INSTANCES:
         ctx = presets.load_instance(inst)
@@ -130,13 +132,13 @@ def cli_towers_ops() -> list:
                 combos = [(a, b) for a in pool for b in pool if len(a) == len(b)]
             else:
                 combos = [(a, b) for a in pool for b in pool]
-            for combo in combos:
+            big = [c for c in combos
+                   if quotient_order(ctx, verb, c) >= wl.BIG_MARCHE]
+            for combo in big or combos:
                 argv = [words[0], inst, *words[1:]]
                 for t in combo:
                     argv += ["--tower", json.dumps(names(ctx, t))]
-                big = quotient_order(ctx, verb, combo) >= wl.BIG_MARCHE
-                ops.append({"instance": inst, "verb": verb, "argv": argv,
-                            "big": big})
+                ops.append({"instance": inst, "verb": verb, "argv": argv})
     return ops
 
 

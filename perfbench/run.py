@@ -3,7 +3,7 @@
 
 Usage, from the repository root:
 
-    python3 perfbench/run.py --workload cli_lattice --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload cli_lattice --seed 1 --seconds 10 --trace 0
     python3 perfbench/run.py --selfcheck
 
 Workloads (see perfbench/README.md for why each was chosen):
@@ -16,10 +16,17 @@ Workloads (see perfbench/README.md for why each was chosen):
                        then a stream of library calls against them.
 
 Each is a closed loop with one caller and at most one child process at a
-time.  The seed draws the operations; the program receives only instance
-selectors, field names and tower JSON.  Every answer is compared with
-``perfbench/reference/<workload>.json``; a non-zero or unexpected exit,
-an exception, a timeout or a differing output counts as failed.
+time.  A session run measures for ``--seconds``; a CLI run does a fixed
+number of whole rounds set by ``--seconds`` (ROUNDS_PER_S), so that every
+run holds the same instance and verb mix.  The seed draws the operations;
+the program receives only instance selectors, field names and tower JSON.
+Every answer is compared with ``perfbench/reference/<workload>.json``; a
+non-zero or unexpected exit, an exception, a timeout or a differing
+output counts as failed.
+
+Every time is scaled to a fixed machine speed by the factor ``calib``
+measures next to it (perfbench/README.md says why); the report lines
+give the measured figures as well.
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 metrics of a traced run (spans recorded around the calls into each
@@ -39,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -46,14 +54,22 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench-out"
 
+import calib  # noqa: E402
 import spans  # noqa: E402
 import workloads as wl  # noqa: E402
 
 WORKLOADS = ("cli_lattice", "cli_towers", "session_queries")
-SETUP_REPEATS = 3        # set-ups per run; setup_s is their median
+SETUP_MIN_REPEATS = 3    # set-ups per run; setup_s is their median
+SETUP_MIN_S = 2.0        # cheap set-ups repeat until they have taken this long
 CHILD_TIMEOUT_S = 60
-OVERRUN_LIMIT_S = 60     # never start an op this long after --seconds
-MIN_CYCLE_OPS = 30       # so that p66.7 of one cycle has ten ops beyond it
+CAL_EVERY_S = 0.2        # session ops between two speed calibrations
+CLI_ELASTICITY = 0.8     # share of the speed factor a CLI child's time follows (calib)
+# CLI rounds per second of --seconds.  At --seconds 10 a run does 5 rounds
+# (one whole Latin square, 30 ops) of cli_lattice and 10 rounds (two whole
+# squares, 50 ops) of cli_towers, so every run holds each (instance, verb)
+# pair equally often.  They take 26-53 s on the reference machine
+# (perfbench/README.md); a traced run does half as many.
+ROUNDS_PER_S = {"cli_lattice": 5 / 10, "cli_towers": 10 / 10}
 TAIL_CAP = 99            # beyond p99, a few ms-long pauses per run set the session tail
 HD_POINTS = 20000        # integration points of the Harrell-Davis weights
 TRACE_BLOCK = 256        # session ops per traced or untraced block
@@ -65,6 +81,20 @@ EXPECTED_DOMINANT = {"cli_lattice": "permgroup.lattice",
 
 class BenchError(Exception):
     """The benchmark cannot run here (missing program or reference)."""
+
+
+def set_up(fn, once: bool) -> tuple:
+    """Call ``fn``, which returns (scaled seconds, measured seconds,
+    state), once or else at least SETUP_MIN_REPEATS times and for
+    SETUP_MIN_S; returns the lists of scaled and of measured set-up times
+    and the last state."""
+    setups, raw = [], []
+    while not setups or not once and (len(setups) < SETUP_MIN_REPEATS
+                                      or sum(raw) < SETUP_MIN_S):
+        scaled, dt, state = fn()
+        setups.append(scaled)
+        raw.append(dt)
+    return setups, raw, state
 
 
 def load_reference(workload: str) -> dict:
@@ -94,17 +124,17 @@ def peak_rss_mb() -> float:
 
 def tail_percentile(n: int) -> float:
     """Highest percentile with at least ten of ``n`` samples beyond it,
-    capped at TAIL_CAP."""
-    return min(TAIL_CAP, 100 * (1 - 10 / n)) if n > 10 else 50.0
+    capped at TAIL_CAP; the median when ``n`` is too small for one above
+    it."""
+    return min(TAIL_CAP, max(50.0, 100 * (1 - 10 / n)))
 
 
-def hd_quantile(values: list, q: float) -> float:
-    """Harrell-Davis estimate of quantile ``q`` (0..1) of ascending values.
-
-    A Beta((n+1)q, (n+1)(1-q))-weighted mean of every order statistic:
-    smoother than a single order statistic when op costs form steps, as
-    they do when a few instances of different sizes are mixed.
-    """
+def quantile(values, q: float) -> float:
+    """Harrell-Davis estimate of quantile ``q`` (0..1) of ascending values:
+    a Beta((n+1)q, (n+1)(1-q))-weighted mean of every order statistic.
+    CLI op costs form steps, one per instance and verb; a single order
+    statistic at or next to a step jumps with the op mix and the
+    machine's noise, and the weighted mean much less."""
     n = len(values)
     if n == 1:
         return values[0]
@@ -122,20 +152,24 @@ def hd_quantile(values: list, q: float) -> float:
 
 
 class Tally:
-    """Latencies and failures of one measured loop."""
+    """Latencies and failures of one measured loop.  Times are scaled to
+    the reference speed (``calib``) by the factor measured next to the
+    op; ``raw_busy`` is the measured time."""
 
     def __init__(self):
-        self.latencies: list = []   # seconds, successful ops only
-        self.busy = 0.0             # seconds inside all attempted ops
+        self.latencies = array("d")  # scaled seconds, successful ops only
+        self.busy = 0.0             # scaled seconds inside all attempted ops
+        self.raw_busy = 0.0         # measured seconds inside all attempted ops
         self.attempted = 0
         self.failed = 0
         self.first_failure = None
 
-    def add(self, seconds: float, ok: bool, what) -> None:
+    def add(self, seconds: float, factor: float, ok: bool, what) -> None:
         self.attempted += 1
-        self.busy += seconds
+        self.busy += seconds * factor
+        self.raw_busy += seconds
         if ok:
-            self.latencies.append(seconds)
+            self.latencies.append(seconds * factor)
         else:
             self.failed += 1
             if self.first_failure is None:
@@ -148,41 +182,62 @@ class Tally:
             self.first_failure = what
 
     def p50_ms(self) -> float:
-        return hd_quantile(sorted(self.latencies), 0.5) * 1e3 if self.latencies else 0.0
+        return quantile(sorted(self.latencies), 0.5) * 1e3 if self.latencies else 0.0
 
 
 # ---------------------------------------------------------------------------
 # CLI workloads
 
 
-def cli_cycles(ref: dict, seed: int):
-    """Endless verb cycles, each a list of rounds.
+def cli_rounds(ref: dict, seed: int):
+    """Endless rounds of CLI ops; a round runs every instance once.
 
-    A round runs every instance once.  Instance i takes verb
-    (i + r) mod #verbs in round r, a fixed Latin square, so a square of
-    #verbs rounds holds every (instance, verb) pair once and every round
-    holds every verb.  A cycle is as many squares as it takes to reach
-    MIN_CYCLE_OPS, so the cost mix of a run does not depend on the seed.
-    The seed orders the rounds and the ops within them, and draws each
-    op's field or towers (a big one where the pair has any).
+    Instance i takes verb (i + r) mod #verbs in round r, a fixed Latin
+    square: every round holds each instance once, and each square of
+    #verbs rounds holds every (instance, verb) pair once.  The seed
+    orders the rounds of each square and the ops within a round, and
+    deals each pair's ops (its fields or towers) from a shuffled deck,
+    so a pair repeats an op only after it has run all of them.
+
+    In ``cli_towers`` every other deal of a pair is its anchor, the op on
+    the towers ``["Q", "N"]`` (whose marche is the whole group, the
+    pair's dearest op by a factor of 2-3), and the deals in between come
+    from the deck of its other ops.  Every run then holds the same number
+    of anchors; drawn at random, they moved a run's median by a quarter.
     """
     rng = random.Random(f"{ref['workload']}:{seed}")
-    by_verb: dict = {}
+    pools: dict = {}
     for op in ref["ops"]:
-        by_verb.setdefault((op["instance"], op["verb"]), []).append(op)
+        pools.setdefault((op["instance"], op["verb"]), []).append(op)
+    anchors: dict = {}
+    if ref["workload"] == "cli_towers":
+        for pair, pool in pools.items():
+            anchors[pair] = next(op for op in pool if is_anchor(op))
+            pool.remove(anchors[pair])
+    dealt = dict.fromkeys(pools, 0)
+    decks: dict = {pair: [] for pair in pools}
     verbs = sorted({op["verb"] for op in ref["ops"]})
     instances = ref["instances"]
-    squares = math.ceil(MIN_CYCLE_OPS / (len(instances) * len(verbs)))
+
+    def deal(pair):
+        dealt[pair] += 1
+        if pair in anchors and dealt[pair] % 2:
+            return anchors[pair]
+        if not decks[pair]:
+            decks[pair] = rng.sample(pools[pair], len(pools[pair]))
+        return decks[pair].pop()
+
     while True:
-        cycle = []
-        for r in rng.sample(list(range(len(verbs))) * squares, len(verbs) * squares):
-            rnd = []
-            for i in rng.sample(range(len(instances)), len(instances)):
-                ops = by_verb[(instances[i], verbs[(i + r) % len(verbs)])]
-                big = [op for op in ops if op.get("big")]
-                rnd.append(rng.choice(big or ops))
-            cycle.append(rnd)
-        yield cycle
+        for r in rng.sample(range(len(verbs)), len(verbs)):
+            yield [deal((instances[i], verbs[(i + r) % len(verbs)]))
+                   for i in rng.sample(range(len(instances)), len(instances))]
+
+
+def is_anchor(op: dict) -> bool:
+    """Every tower of the op is ``["Q", "N"]``."""
+    argv = op["argv"]
+    return all(argv[i + 1] == '["Q", "N"]'
+               for i, word in enumerate(argv) if word == "--tower")
 
 
 def run_child(cmd: list, op: dict, env: dict) -> tuple:
@@ -202,6 +257,7 @@ def run_child(cmd: list, op: dict, env: dict) -> tuple:
 def cli_setup(workload: str, env: dict) -> tuple:
     """Read the reference and start the interpreter with the package
     imported once (this also leaves the byte-code cache warm)."""
+    factor = calib.speed_factor(CLI_ELASTICITY)
     t0 = time.perf_counter()
     ref = load_reference(workload)
     proc = subprocess.run([sys.executable, "-c", "import galtour.cli"], cwd=ROOT,
@@ -210,20 +266,27 @@ def cli_setup(workload: str, env: dict) -> tuple:
     if proc.returncode != 0:
         raise BenchError("cannot import galtour.cli: "
                          + proc.stderr.decode(errors="replace").strip())
-    return time.perf_counter() - t0, ref
+    dt = time.perf_counter() - t0
+    return dt * factor, dt, ref
 
 
 def run_cli(workload: str, seed: int, seconds: float, trace: bool,
             short: bool) -> dict:
-    """Whole verb cycles until ``seconds`` have passed; one round if short."""
+    """A number of whole rounds set by ``seconds``; one if short.
+
+    The number of rounds, not a deadline, ends the run, so every run and
+    every version of the program does the same work; the report gives
+    the loop's length.
+    """
     env = child_env()
-    setups = []
-    for _ in range(1 if trace else SETUP_REPEATS):
-        dt, ref = cli_setup(workload, env)
-        setups.append(dt)
-    cycles = cli_cycles(ref, seed)
+    setups, raw_setups, ref = set_up(lambda: cli_setup(workload, env), once=trace)
+    rounds = cli_rounds(ref, seed)
     plain = Tally()
-    out = {"setups": setups, "tally": plain}
+    factors = array("d")   # measured before each op and after the last
+    out = {"setups": setups, "raw_setups": raw_setups, "tally": plain,
+           "factors": factors,
+           "rounds": 1 if short else max(1, round(
+               seconds * ROUNDS_PER_S[workload] / (2 if trace else 1)))}
     if trace:
         traced = Tally()
         rec = spans.Recorder()
@@ -231,24 +294,26 @@ def run_cli(workload: str, seed: int, seconds: float, trace: bool,
         span_file = OUT / f"spans-{workload}-{os.getpid()}.json"
         startup, walls, iso = [], [], [0, 0]
         out.update(traced=traced, rec=rec, startup=startup, walls=walls, iso=iso)
+
+    def timed(cmd, op, tally):
+        """Run one child; its time is scaled by the mean of the speed
+        factors measured just before and just after it."""
+        dt, ok = run_child(cmd, op, env)
+        factors.append(calib.speed_factor(CLI_ELASTICITY))
+        tally.add(dt, (factors[-2] + factors[-1]) / 2, ok, op["argv"])
+        return dt, ok
+
     start = time.perf_counter()
-    ops = []
-    while time.perf_counter() - start < seconds and not (short and ops):
-        ops = [op for rnd in next(cycles)[:1 if short else None] for op in rnd]
-        out["tail_base"] = len(ops)
-        for op in ops:
-            if time.perf_counter() - start > seconds + OVERRUN_LIMIT_S:
-                break
-            cmd = [sys.executable, "-m", "galtour.cli", *op["argv"]]
-            dt, ok = run_child(cmd, op, env)
-            plain.add(dt, ok, op["argv"])
+    factors.append(calib.speed_factor(CLI_ELASTICITY))
+    for _ in range(out["rounds"]):
+        for op in next(rounds):
+            timed([sys.executable, "-m", "galtour.cli", *op["argv"]], op, plain)
             if not trace:
                 continue
             opid = traced.attempted
             cmd = [sys.executable, str(HERE / "trace_child.py"), str(span_file),
                    str(time.time_ns()), *op["argv"]]
-            dt, ok = run_child(cmd, op, env)
-            traced.add(dt, ok, op["argv"])
+            dt, ok = timed(cmd, op, traced)
             walls.append(dt)
             try:
                 data = json.loads(span_file.read_text(encoding="utf-8"))
@@ -261,6 +326,7 @@ def run_cli(workload: str, seed: int, seconds: float, trace: bool,
                 iso[0] += data["iso_cache"][0]
                 iso[1] += data["iso_cache"][1]
     out["elapsed"] = time.perf_counter() - start
+    out["peak_rss_mb"] = peak_rss_mb()
     return out
 
 
@@ -269,15 +335,23 @@ def run_cli(workload: str, seed: int, seconds: float, trace: bool,
 
 
 def session_setup(ref: dict) -> tuple:
-    """Build every context from scratch and resolve the operation pool."""
+    """Build every context from scratch and resolve the operation pool.
+    Each context build is scaled by its own speed factor, as is the pool
+    resolution."""
     from galtour import presets, towers
-    for fn in ("radical_context", "cyclo_radical_context", "selmer_serre_context"):
-        clear = getattr(getattr(presets, fn, None), "cache_clear", None)
-        if clear:
-            clear()
+    wl.clear_preset_caches(presets)
     gc.collect()
+    scaled = raw = 0.0
+    ctxs = {}
+    for inst in ref["instances"]:
+        factor = calib.speed_factor()
+        t0 = time.perf_counter()
+        ctxs[inst] = presets.load_instance(inst)
+        dt = time.perf_counter() - t0
+        scaled += dt * factor
+        raw += dt
+    factor = calib.speed_factor()
     t0 = time.perf_counter()
-    ctxs = {inst: presets.load_instance(inst) for inst in ref["instances"]}
     by_name = {inst: {ctx.display_name(f): f for f in ctx.all_fields()}
                for inst, ctx in ctxs.items()}
 
@@ -290,7 +364,8 @@ def session_setup(ref: dict) -> tuple:
         args = [towers.make_tower(ctxs[inst], [field(inst, n) for n in a])
                 if isinstance(a, list) else field(inst, a) for a in op["args"]]
         ops.append((ctxs[inst], op["kind"], args, op["answer"]))
-    return time.perf_counter() - t0, ops
+    dt = time.perf_counter() - t0
+    return scaled + dt * factor, raw + dt, ops
 
 
 def session_stream(n: int, seed: int):
@@ -309,13 +384,12 @@ def run_session(seed: int, seconds: float, trace: bool, short: bool) -> dict:
     except ImportError as exc:
         raise BenchError(f"cannot import galtour from {SRC}: {exc}") from exc
     ref = load_reference("session_queries")
-    setups = []
-    for _ in range(1 if trace or short else SETUP_REPEATS):
-        dt, ops = session_setup(ref)
-        setups.append(dt)
+    setups, raw_setups, ops = set_up(lambda: session_setup(ref), once=trace or short)
     plain, traced = Tally(), Tally()
     seen: dict = {}
-    out = {"setups": setups, "tally": plain}
+    factors = array("d")
+    out = {"setups": setups, "raw_setups": raw_setups, "tally": plain,
+           "factors": factors}
     if trace:
         rec = spans.Recorder()
         walls, iso = [], [0, 0]
@@ -324,9 +398,15 @@ def run_session(seed: int, seconds: float, trace: bool, short: bool) -> dict:
     tally = plain
     start = time.perf_counter()
     deadline = start + seconds
+    next_cal = start
     for k, i in enumerate(session_stream(len(ops), seed)):
-        if time.perf_counter() >= deadline:
+        now = time.perf_counter()
+        if now >= deadline:
             break
+        if now >= next_cal:
+            factor = calib.speed_factor()
+            factors.append(factor)
+            next_cal = time.perf_counter() + CAL_EVERY_S
         if trace and k % TRACE_BLOCK == 0:
             if undo is None:
                 iso_before = spans.iso_cache_info()
@@ -350,7 +430,7 @@ def run_session(seed: int, seconds: float, trace: bool, short: bool) -> dict:
             dt = time.perf_counter() - t0
             ok = False
             what = (ref["ops"][i], repr(exc))
-        tally.add(dt, ok, what)
+        tally.add(dt, factor, ok, what)
         if tally is traced:
             walls.append(dt)
         seen[i] = seen.get(i, 0) + 1
@@ -358,6 +438,7 @@ def run_session(seed: int, seconds: float, trace: bool, short: bool) -> dict:
         spans.uninstall(undo)
         _add_iso(iso, iso_before)
     out["elapsed"] = time.perf_counter() - start
+    out["peak_rss_mb"] = peak_rss_mb()
     # the brute-force cross-check runs outside the timed section
     for i, times in seen.items():
         if not oracle_agrees(*ops[i]):
@@ -394,27 +475,33 @@ def end_to_end(res: dict) -> tuple:
     t = res["tally"]
     lat = sorted(t.latencies)
     n = len(lat)
-    tail_p = tail_percentile(res.get("tail_base", n))
+    tail_p = tail_percentile(n) if n else 50.0
     metrics = {
         "setup_s": statistics.median(res["setups"]),
         "ops_per_s": n / t.busy if t.busy else 0.0,
-        "op_p50_ms": hd_quantile(lat, 0.5) * 1e3 if lat else 0.0,
-        "op_tail_ms": hd_quantile(lat, tail_p / 100) * 1e3 if lat else 0.0,
-        "peak_rss_mb": peak_rss_mb(),
+        "op_p50_ms": quantile(lat, 0.5) * 1e3 if lat else 0.0,
+        "op_tail_ms": quantile(lat, tail_p / 100) * 1e3 if lat else 0.0,
+        "peak_rss_mb": res["peak_rss_mb"],
     }
     notes = {
-        "setup_s": f"median of {len(res['setups'])} set-ups",
+        "setup_s": f"median of {len(res['setups'])} set-ups "
+                   f"(measured: {statistics.median(res['raw_setups']):.4g} s)",
         "ops_per_s": f"{n} ops completed in {t.busy:.3f} s inside ops "
-                     f"({res['elapsed']:.1f} s loop)",
+                     f"(measured: {t.raw_busy:.3f} s; {res['elapsed']:.1f} s loop"
+                     + (f", rounds: {res['rounds']})" if "rounds" in res else ")")
+                     + f"; speed factor median {statistics.median(res['factors']):.4f} "
+                       f"of {len(res['factors'])}",
         "op_p50_ms": f"p50 of n={n}",
         "op_tail_ms": f"p{tail_p:.4g} of n={n}",
-        "peak_rss_mb": "largest of this process and its children",
+        "peak_rss_mb": "largest of this process and its children, "
+                       "at the end of the measured loop",
     }
     return metrics, notes
 
 
 def per_layer(res: dict) -> tuple:
     rec, traced, plain = res["rec"], res["traced"], res["tally"]
+    rec.settle()
     n = max(1, traced.attempted)
     self_s, calls = rec.self_times()
     wall = sum(res["walls"])
@@ -571,11 +658,12 @@ def selfcheck() -> int:
                                 f"{result['failed']} of {result['attempted']} failed")
     for workload in ("cli_lattice", "cli_towers"):
         ref = load_reference(workload)
-        ra, rb = (next(cli_cycles(ref, s)) for s in (1, 2))
-        if [op["argv"] for r in ra for op in r] == [op["argv"] for r in rb for op in r]:
+        ra, rb = ([op for _, rnd in zip(range(5), cli_rounds(ref, s)) for op in rnd]
+                  for s in (1, 2))
+        if [op["argv"] for op in ra] == [op["argv"] for op in rb]:
             problems.append(f"{workload}: seeds 1 and 2 draw the same operations")
-        if {op["instance"] for r in ra for op in r} != {op["instance"] for r in rb for op in r}:
-            problems.append(f"{workload}: seeds 1 and 2 draw different instance families")
+        if sorted(op["instance"] for op in ra) != sorted(op["instance"] for op in rb):
+            problems.append(f"{workload}: seeds 1 and 2 draw different instance mixes")
     pool = len(load_reference("session_queries")["ops"])
     sa, sb = (session_stream(pool, s) for s in (1, 2))
     if [next(sa) for _ in range(100)] == [next(sb) for _ in range(100)]:

@@ -71,6 +71,7 @@ class Recorder:
         self.counts: Counter = Counter()
         self.misses: Counter = Counter()   # cache-growing calls per count name
         self.extra: Counter = Counter()    # other sums (subgroups found ...)
+        self.lattices: list = []           # (G, subgroups found) to settle
 
     def name_id(self, name: str) -> int:
         if name not in self._ids:
@@ -126,7 +127,22 @@ class Recorder:
 
     # -- export ------------------------------------------------------------
 
+    def settle(self) -> None:
+        """Add the pending lattices to ``extra``: subgroups found, and joins
+        that found a new one.  Runs outside every span.
+
+        Every subgroup that is not cyclic is first found by exactly one
+        join, so new joins = found - cyclic.
+        """
+        for G, found in self.lattices:
+            orders = _element_orders(G.table)
+            self.extra["all_subgroups.found"] += len(found)
+            self.extra["all_subgroups.new"] += sum(
+                1 for s in found if max(orders[i] for i in s.key) != s.order)
+        self.lattices.clear()
+
     def to_dict(self) -> dict:
+        self.settle()
         return {"names": self.names, "name": list(self.s_name),
                 "parent": list(self.s_parent),
                 "start": list(self.s_start), "end": list(self.s_end),
@@ -252,21 +268,14 @@ def _first_fill_span(rec: Recorder, prop: property) -> property:
 
 
 def _count_lattice(rec: Recorder, fn):
-    """Count subgroups found, and joins that found a new one.
-
-    Every subgroup that is not cyclic is first found by exactly one join,
-    so new joins = found - cyclic.  Joins counted are those made while
-    the enumeration runs.
-    """
+    """Count the joins made while the enumeration runs, and keep what it
+    found for ``Recorder.settle``, so that no counting runs inside a span."""
     @functools.wraps(fn)
     def wrapper(G, *args, **kwargs):
         joins_before = rec.counts["permgroup.join"]
         found = fn(G, *args, **kwargs)
-        rec.extra["all_subgroups.found"] += len(found)
         rec.extra["all_subgroups.joins"] += rec.counts["permgroup.join"] - joins_before
-        orders = _element_orders(G.table)
-        rec.extra["all_subgroups.new"] += sum(
-            1 for s in found if max(orders[i] for i in s.key) != s.order)
+        rec.lattices.append((G, found))
         return found
     return wrapper
 

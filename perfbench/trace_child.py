@@ -17,12 +17,13 @@ def main() -> int:
     path, spawn_ns = sys.argv[1], int(sys.argv[2])
     from galtour import cli
     rec = spans.Recorder()
-    spans.install(rec)
+    undo = spans.install(rec)
     entered_ns = time.time_ns()
     try:
         return cli.main(sys.argv[3:])
     finally:
         sys.stdout.flush()
+        spans.uninstall(undo)
         data = rec.to_dict()
         data["startup_ms"] = (entered_ns - spawn_ns) / 1e6
         data["iso_cache"] = spans.iso_cache_info()

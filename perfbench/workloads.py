@@ -23,8 +23,8 @@ CLI_TOWERS_INSTANCES = [
 CLI_TOWERS_VERBS = ["check-equiv", "refine", "refine --strict",
                     "tower-check", "elevate"]
 # A tower op is "big" when a marche group it builds has order >= BIG_MARCHE.
-# Where an (instance, verb) pair has big ops, the draw takes one of them,
-# so the share of quotient and isomorphism work is the same in every run.
+# Where an (instance, verb) pair has big ops, only those are drawable, so
+# every draw of such a pair loads the quotient and isomorphism path.
 BIG_MARCHE = 40
 
 SESSION_INSTANCES = [
@@ -36,6 +36,15 @@ SESSION_KINDS = [
     "galois_tower_witness", "composition_tower_general",
     "elevation_tower", "schreier_refine",
 ]
+
+
+def clear_preset_caches(presets) -> None:
+    """Forget every cached preset context, so the next load builds it from
+    scratch.  A preset function without a cache is left alone."""
+    for fn in ("radical_context", "cyclo_radical_context", "selmer_serre_context"):
+        clear = getattr(getattr(presets, fn, None), "cache_clear", None)
+        if clear:
+            clear()
 
 
 def render_tower(t) -> str:

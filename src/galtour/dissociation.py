@@ -28,14 +28,7 @@ from . import permgroup as pg
 from . import towers as tw
 from .galois import FieldRef, GaloisContext
 from .permgroup import Subgroup
-from .towers import Tower
-
-
-class TheoremViolation(Exception):
-    """An internal consistency check guaranteed by a theorem failed.
-
-    Seeing this is always a bug report, never a user error.
-    """
+from .towers import TheoremViolation, Tower
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +53,8 @@ def galois_tower_witness(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Tower:
     if closure != E.subgroup:
         raise gal.GaloisError(f"{E.name}/{F.name} is not galtourable")
     t = Tower(ctx, [ctx.field_of(sg) for sg in chain])
-    assert tw.is_strict(t) and tw.is_galois_tower(t)
+    if not (tw.is_strict(t) and tw.is_galois_tower(t)):
+        raise TheoremViolation("subnormal descent is not a strict Galois tower")
     return t
 
 
@@ -347,8 +341,10 @@ def galjordanholder_refine(t: Tower) -> Tower:
             chain.append(_least_maximal_normal_between(ctx, chain[-1], hi.subgroup))
         fields.extend(ctx.field_of(sg) for sg in chain[1:])
     out = Tower(ctx, fields)
-    assert tw.refinement_witness(out, t) is not None
-    assert is_composition_tower_galois(out)
+    if tw.refinement_witness(out, t) is None:
+        raise TheoremViolation("Jordan-Holder refinement does not refine its input")
+    if not is_composition_tower_galois(out):
+        raise TheoremViolation("Jordan-Holder refinement is not a composition tower")
     return out
 
 
@@ -412,7 +408,8 @@ def composition_tower_general(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> T
     """A composition tower of any finite L/K, via its galtourable quotient."""
     M = intourability_field(ctx, L, K).M
     out = tw.induced(composition_tower_galois(ctx, M, K), L)
-    assert is_composition_tower(ctx, out)
+    if not is_composition_tower(ctx, out):
+        raise TheoremViolation(f"induced tower {out!r} is not a composition tower")
     return out
 
 

@@ -48,12 +48,14 @@ class OracleReport:
         return out
 
 
+# Keyed on the group object itself (identity hash): an entry keeps its
+# group alive, so a later group cannot reuse the id and read a stale verdict.
 _literal_normal_memo: dict = {}
 
 
 def literal_is_normal(A: Subgroup, B: Subgroup) -> bool:
     """Direct conjugation scan over all of A and B (no generator shortcut)."""
-    key = (id(A.parent), A.key, B.key)
+    key = (A.parent, A.key, B.key)
     hit = _literal_normal_memo.get(key)
     if hit is None:
         tab = A.parent.table

@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -33,6 +34,21 @@ class PermGroupError(Exception):
 
 class BoundExceeded(PermGroupError):
     """A configured size bound was exceeded."""
+
+
+def factorize(n: int) -> dict:
+    """Prime factorization of |n| as {prime: exponent}; {} for 0 and 1."""
+    n = abs(n)
+    out: dict = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -146,19 +162,136 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# groups
+# table groups
 
 
-class Group:
-    """A finite permutation group with a fixed canonical element order.
+class AbstractGroup:
+    """A finite group given by its full multiplication table.
 
-    ``elements`` is sorted lexicographically by image tuple, so the
-    identity always has index 0.  A full multiplication table over element
-    indices is built lazily and cached.
+    Labels are 0..order-1 with the identity at 0.  A table handed in by a
+    caller is checked at construction for identity, inverses and the
+    Latin-square property, and for associativity when the order is within
+    ``ASSOC_CHECK_BOUND``.  Tables the program derives from a verified
+    group (quotients) are passed with ``_checked=True`` and not re-checked.
+    Equality and hashing are by table.
     """
 
-    __slots__ = ("degree", "generators", "elements", "order", "_index",
-                 "_table", "_inv", "_orders")
+    __slots__ = ("order", "_table", "_inv", "_orders")
+
+    def __init__(self, table: Sequence[Sequence[int]], _checked=False):
+        table = tuple(tuple(row) for row in table)
+        object.__setattr__(self, "order", len(table))
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_inv", None)
+        object.__setattr__(self, "_orders", None)
+        if not _checked:
+            self._validate()
+
+    def _validate(self):
+        table, n = self._table, self.order
+        full = set(range(n))
+        if any(len(row) != n for row in table):
+            raise PermGroupError("table is not square")
+        if any(table[0][j] != j or table[j][0] != j for j in range(n)):
+            raise PermGroupError("label 0 is not an identity")
+        for i in range(n):
+            if set(table[i]) != full or {table[j][i] for j in range(n)} != full:
+                raise PermGroupError("table is not a Latin square")
+        for i in range(n):
+            if not any(table[i][j] == 0 for j in range(n)):
+                raise PermGroupError(f"label {i} has no inverse")
+        if n <= ASSOC_CHECK_BOUND:
+            for a, b, c in itertools.product(range(n), repeat=3):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise PermGroupError("table is not associative")
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AbstractGroup) and self.table == other.table
+
+    def __hash__(self) -> int:
+        return hash(self.table)
+
+    def __repr__(self) -> str:
+        return f"AbstractGroup(order={self.order})"
+
+    @property
+    def table(self):
+        return self._table
+
+    @property
+    def inverses(self) -> tuple:
+        if self._inv is None:
+            object.__setattr__(self, "_inv",
+                               tuple(row.index(0) for row in self.table))
+        return self._inv
+
+    def element_orders(self) -> tuple:
+        if self._orders is None:
+            out = []
+            tab = self.table
+            for i in range(self.order):
+                n, x = 1, i
+                while x != 0:
+                    x = tab[x][i]
+                    n += 1
+                out.append(n)
+            object.__setattr__(self, "_orders", tuple(out))
+        return self._orders
+
+    def span(self, gens: Iterable[int]) -> set:
+        """Labels of the subgroup generated by ``gens``."""
+        gens = tuple(gens)
+        tab = self.table
+        closed = {0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = tab[x][g]
+                if y not in closed:
+                    closed.add(y)
+                    frontier.append(y)
+        return closed
+
+    def greedy_generators(self, labels: Iterable[int]) -> tuple:
+        """Generators of the subgroup spanned by ``labels``: each label, in
+        the order given, that the ones chosen before it do not span.
+        Small and deterministic, not always minimum."""
+        chosen: list[int] = []
+        spanned = {0}
+        for i in labels:
+            if i not in spanned:
+                chosen.append(i)
+                spanned = self.span(chosen)
+        return tuple(chosen)
+
+    def iso_invariant(self) -> tuple:
+        """(order, sorted element-order multiset): cheap isomorphism filter."""
+        return (self.order, tuple(sorted(self.element_orders())))
+
+    def is_abelian(self) -> bool:
+        t = self.table
+        return all(t[i][j] == t[j][i]
+                   for i in range(self.order) for j in range(i + 1, self.order))
+
+    def is_cyclic(self) -> bool:
+        return self.order in self.element_orders()
+
+
+class Group(AbstractGroup):
+    """A finite permutation group with a fixed canonical element order.
+
+    A table group whose labels index ``elements``, sorted lexicographically
+    by image tuple, so the identity always has index 0.  The table is
+    built lazily from the permutations and cached.  Equality and hashing
+    are by identity: subgroups, field handles and memos key on the group
+    object and never hash its table.
+    """
+
+    __slots__ = ("degree", "generators", "elements", "_index")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]):
@@ -174,8 +307,8 @@ class Group:
         if self.elements[0].images != tuple(range(degree)):
             raise PermGroupError("identity missing from element set")
 
-    def __setattr__(self, *a):
-        raise AttributeError("Group is immutable")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"Group(degree={self.degree}, order={self.order})"
@@ -202,38 +335,6 @@ class Group:
             object.__setattr__(self, "_table", tab)
         return self._table
 
-    @property
-    def inverses(self) -> list:
-        if self._inv is None:
-            inv = [0] * self.order
-            tab = self.table
-            for i in range(self.order):
-                for j in range(self.order):
-                    if tab[i][j] == 0:
-                        inv[i] = j
-                        break
-            object.__setattr__(self, "_inv", inv)
-        return self._inv
-
-    def mult(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverses[i]
-
-    def element_orders(self) -> tuple:
-        if self._orders is None:
-            out = []
-            tab = self.table
-            for i in range(self.order):
-                n, x = 1, i
-                while x != 0:
-                    x = tab[x][i]
-                    n += 1
-                out.append(n)
-            object.__setattr__(self, "_orders", tuple(out))
-        return self._orders
-
     # subgroup constructors ------------------------------------------------
 
     def subgroup(self, indices: Iterable[int]) -> "Subgroup":
@@ -241,18 +342,7 @@ class Group:
 
     def generated_subgroup(self, indices: Iterable[int]) -> "Subgroup":
         """Subgroup generated by the given element indices."""
-        gens = sorted(set(indices))
-        tab = self.table
-        closed = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = tab[x][g]
-                if y not in closed:
-                    closed.add(y)
-                    frontier.append(y)
-        return Subgroup(self, closed, _checked=True)
+        return Subgroup(self, self.span(set(indices)), _checked=True)
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,), _checked=True)
@@ -371,30 +461,8 @@ class Subgroup:
     def gens(self) -> tuple:
         """A small generating set (greedy, deterministic), as indices."""
         if self._gens is None:
-            chosen: list[int] = []
-            span = {0}
-            tab = self.parent.table
-            for i in self.key:
-                if i in span:
-                    continue
-                chosen.append(i)
-                frontier = list(span)
-                span.add(i)
-                frontier.append(i)
-                while frontier:
-                    x = frontier.pop()
-                    for g in chosen:
-                        y = tab[x][g]
-                        if y not in span:
-                            span.add(y)
-                            frontier.append(y)
-                if len(span) == self.order:
-                    break
-            object.__setattr__(self, "_gens", tuple(chosen))
+            object.__setattr__(self, "_gens", self.parent.greedy_generators(self.key))
         return self._gens
-
-    def permutations(self) -> tuple:
-        return tuple(self.parent.elements[i] for i in self.key)
 
 
 def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
@@ -481,15 +549,9 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     """
     if G.order > bound:
         raise BoundExceeded(f"|G| = {G.order} exceeds enumeration bound {bound}")
-    tab = G.table
     found: dict[tuple, Subgroup] = {}
     for i in range(G.order):
-        cyc = {0}
-        x = i
-        while x != 0:
-            cyc.add(x)
-            x = tab[x][i]
-        sg = Subgroup(G, cyc, _checked=True)
+        sg = Subgroup(G, G.span((i,)), _checked=True)
         found.setdefault(sg.key, sg)
     fresh = list(found.values())
     while fresh:
@@ -507,89 +569,7 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
 
 
 # ---------------------------------------------------------------------------
-# abstract groups (quotients) and isomorphism
-
-
-class AbstractGroup:
-    """A finite group given by its full multiplication table.
-
-    Labels are 0..order-1 with the identity at 0.  The table is checked
-    for identity, inverses and the Latin-square property at construction;
-    associativity is verified when the order is within ``assoc_bound``.
-    """
-
-    __slots__ = ("order", "table", "_inv", "_orders")
-
-    def __init__(self, table: Sequence[Sequence[int]],
-                 assoc_bound: int = ASSOC_CHECK_BOUND):
-        table = tuple(tuple(row) for row in table)
-        n = len(table)
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_inv", None)
-        object.__setattr__(self, "_orders", None)
-        full = set(range(n))
-        if any(len(row) != n for row in table):
-            raise PermGroupError("table is not square")
-        if any(table[0][j] != j or table[j][0] != j for j in range(n)):
-            raise PermGroupError("label 0 is not an identity")
-        for i in range(n):
-            if set(table[i]) != full or {table[j][i] for j in range(n)} != full:
-                raise PermGroupError("table is not a Latin square")
-        for i in range(n):
-            if not any(table[i][j] == 0 for j in range(n)):
-                raise PermGroupError(f"label {i} has no inverse")
-        if n <= assoc_bound:
-            for a, b, c in itertools.product(range(n), repeat=3):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise PermGroupError("table is not associative")
-
-    def __setattr__(self, *a):
-        raise AttributeError("AbstractGroup is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AbstractGroup) and self.table == other.table
-
-    def __hash__(self) -> int:
-        return hash(self.table)
-
-    def __repr__(self) -> str:
-        return f"AbstractGroup(order={self.order})"
-
-    def inv(self, i: int) -> int:
-        if self._inv is None:
-            inv = [0] * self.order
-            for i2 in range(self.order):
-                for j in range(self.order):
-                    if self.table[i2][j] == 0:
-                        inv[i2] = j
-                        break
-            object.__setattr__(self, "_inv", tuple(inv))
-        return self._inv[i]
-
-    def element_orders(self) -> tuple:
-        if self._orders is None:
-            out = []
-            for i in range(self.order):
-                n, x = 1, i
-                while x != 0:
-                    x = self.table[x][i]
-                    n += 1
-                out.append(n)
-            object.__setattr__(self, "_orders", tuple(out))
-        return self._orders
-
-    def iso_invariant(self) -> tuple:
-        """(order, sorted element-order multiset): cheap isomorphism filter."""
-        return (self.order, tuple(sorted(self.element_orders())))
-
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[i][j] == t[j][i]
-                   for i in range(self.order) for j in range(i + 1, self.order))
-
-    def is_cyclic(self) -> bool:
-        return self.order in self.element_orders()
+# quotients and isomorphism
 
 
 def quotient(B: Subgroup, N: Subgroup) -> AbstractGroup:
@@ -614,42 +594,20 @@ def quotient(B: Subgroup, N: Subgroup) -> AbstractGroup:
             coset_of[tab[i][n]] = rep_label
     q = len(reps)
     table = [[coset_of[tab[reps[a]][reps[b]]] for b in range(q)] for a in range(q)]
-    return AbstractGroup(table)
-
-
-def _min_generating_set(A: AbstractGroup) -> tuple:
-    """Greedy generating set by ascending label: small, not always minimum."""
-    chosen: list[int] = []
-    span = {0}
-    for i in range(A.order):
-        if i in span:
-            continue
-        chosen.append(i)
-        frontier = list(span)
-        span.add(i)
-        frontier.append(i)
-        while frontier:
-            x = frontier.pop()
-            for g in chosen:
-                for y in (A.table[x][g], A.table[g][x]):
-                    if y not in span:
-                        span.add(y)
-                        frontier.append(y)
-        if len(span) == A.order:
-            break
-    return tuple(chosen)
+    return AbstractGroup(table, _checked=True)
 
 
 def _close_homomorphism(A: AbstractGroup, B: AbstractGroup,
                         gens: Sequence[int], images: Sequence[int]) -> Optional[tuple]:
     """Extend gen |-> image to all of A; None on any inconsistency."""
+    ta, tb = A.table, B.table
     phi = {0: 0}
     frontier = [0]
     while frontier:
         x = frontier.pop()
         for g, h in zip(gens, images):
-            y = A.table[x][g]
-            w = B.table[phi[x]][h]
+            y = ta[x][g]
+            w = tb[phi[x]][h]
             if y in phi:
                 if phi[y] != w:
                     return None
@@ -664,7 +622,7 @@ def _close_homomorphism(A: AbstractGroup, B: AbstractGroup,
     # full homomorphism check; the closure above only covers a spanning tree
     for a in range(A.order):
         for b in range(A.order):
-            if out[A.table[a][b]] != B.table[out[a]][out[b]]:
+            if out[ta[a][b]] != tb[out[a]][out[b]]:
                 return None
     return out
 
@@ -681,7 +639,7 @@ def are_isomorphic(G1: AbstractGroup, G2: AbstractGroup,
         raise BoundExceeded(f"order exceeds isomorphism bound {bound}")
     if G1.iso_invariant() != G2.iso_invariant():
         return None
-    gens = _min_generating_set(G1)
+    gens = G1.greedy_generators(range(G1.order))
     if not gens:  # trivial group
         return (0,)
     ord1 = G1.element_orders()
@@ -704,20 +662,6 @@ def are_isomorphic(G1: AbstractGroup, G2: AbstractGroup,
     return backtrack(0, [])
 
 
-def _span(A: AbstractGroup, gens: Sequence[int]) -> set:
-    """Label set of the subgroup generated by ``gens`` in the table group."""
-    closed = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = A.table[x][g]
-            if y not in closed:
-                closed.add(y)
-                frontier.append(y)
-    return closed
-
-
 def is_simple(A: AbstractGroup, bound: int = ISOMORPHISM_BOUND) -> bool:
     """True iff A has no proper nontrivial normal subgroup.
 
@@ -729,27 +673,33 @@ def is_simple(A: AbstractGroup, bound: int = ISOMORPHISM_BOUND) -> bool:
     if A.order == 1:
         return False
     t = A.table
+    inv = A.inverses
     n = A.order
     for g in range(1, n):
         gens = [g]
-        sub = _span(A, gens)
+        sub = A.span(gens)
         while len(sub) < n:
             new = [c for a in range(n) for s in gens
-                   if (c := t[t[a][s]][A.inv(a)]) not in sub]
+                   if (c := t[t[a][s]][inv[a]]) not in sub]
             if not new:
                 break
             gens.extend(sorted(set(new)))
-            sub = _span(A, gens)
+            sub = A.span(gens)
         if len(sub) != n:
             return False
     return True
 
 
 @lru_cache(maxsize=4096)
-def _iso_cached(t1: tuple, t2: tuple) -> Optional[tuple]:
-    return are_isomorphic(AbstractGroup(t1), AbstractGroup(t2))
+def _iso_cached(G1: AbstractGroup, G2: AbstractGroup) -> Optional[tuple]:
+    return are_isomorphic(G1, G2, bound=math.inf)
 
 
 def isomorphism(G1: AbstractGroup, G2: AbstractGroup) -> Optional[tuple]:
-    """Memoized :func:`are_isomorphic` (tables are hashable)."""
-    return _iso_cached(G1.table, G2.table)
+    """Memoized :func:`are_isomorphic` with no order cap.
+
+    Memo keys are the groups themselves, which hash and compare by table.
+    Callers pass quotients of a context's group, and that group already
+    passed the subgroup enumeration bound the caller chose.
+    """
+    return _iso_cached(G1, G2)

@@ -48,34 +48,9 @@ def _register(names: dict, aliases: dict, sub: pg.Subgroup, name: str) -> None:
 # exact integer/rational helpers
 
 
-def _factorize(n: int) -> dict:
-    n = abs(n)
-    out: dict = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 def euler_phi(n: int) -> int:
     out = 1
-    for p, e in _factorize(n).items():
+    for p, e in pg.factorize(n).items():
         out *= (p - 1) * p ** (e - 1)
     return out
 
@@ -90,8 +65,8 @@ def is_rational_pth_power(a: Fraction, p: int) -> bool:
         return True
     if a < 0 and p % 2 == 0:
         return False
-    exps = list(_factorize(a.numerator).values()) + \
-        list(_factorize(a.denominator).values())
+    exps = list(pg.factorize(a.numerator).values()) + \
+        list(pg.factorize(a.denominator).values())
     return all(e % p == 0 for e in exps)
 
 
@@ -102,24 +77,10 @@ def in_minus_four_fourth_powers(a: Fraction) -> bool:
 
 def _unit_generators(n: int) -> list:
     """Greedy generating set of (Z/n)*, ascending."""
-    units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
-    span = {1 % n}
-    gens = []
-    for u in units:
-        if u in span:
-            continue
-        gens.append(u)
-        frontier = list(span)
-        span.add(u)
-        frontier.append(u)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = x * g % n
-                if y not in span:
-                    span.add(y)
-                    frontier.append(y)
-    return gens
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    label = {u: i for i, u in enumerate(units)}
+    group = pg.AbstractGroup([[label[u * v % n] for v in units] for u in units])
+    return [units[i] for i in group.greedy_generators(range(len(units)))]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +98,7 @@ class RadicalSpec:
             raise PresetError("radical spec requires n >= 2")
         if self.a == 0:
             raise PresetError("radical spec requires a != 0")
-        for p in _factorize(self.n):
+        for p in pg.factorize(self.n):
             if is_rational_pth_power(self.a, p):
                 raise PresetError(
                     f"hypothesis violated: a = {self.a} is a rational {p}-th power")
@@ -185,14 +146,14 @@ def radical_context(spec: RadicalSpec,
     for m in divisors(n):
         if m > 1:
             sub = G.subgroup(i for i in range(G.order) if decode(i)[0] % m == 0)
-            if gal_degree_check(G, sub) != m:
+            if G.order // sub.order != m:
                 raise PresetError(f"radical field for m={m} has wrong degree")
             _register(names, aliases, sub, _radical_name(a, m))
             if m == n:
                 distinguished = sub
         if m > 2:
             sub = G.subgroup(i for i in range(G.order) if decode(i)[1] % m == 1)
-            if gal_degree_check(G, sub) != euler_phi(m):
+            if G.order // sub.order != euler_phi(m):
                 raise PresetError(f"cyclotomic field for m={m} has wrong degree")
             _register(names, aliases, sub, f"Q(zeta{m})")
     notes = {"preset": f"radical:a={a},n={n}", "declared_order": declared}
@@ -201,10 +162,6 @@ def radical_context(spec: RadicalSpec,
     return GaloisContext(G, distinguished=distinguished, names=names,
                          aliases=aliases, notes=notes,
                          enumeration_bound=enumeration_bound)
-
-
-def gal_degree_check(G: pg.Group, sub: pg.Subgroup) -> int:
-    return G.order // sub.order
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +180,7 @@ class CycloRadicalSpec:
             raise PresetError("cyclo-radical spec requires n >= 1")
         if self.d < 3 or self.d % 2 == 0:
             raise PresetError("cyclo-radical spec requires d odd and >= 3")
-        if not _is_prime(self.l):
+        if pg.factorize(self.l) != {self.l: 1}:
             raise PresetError(f"l = {self.l} is not prime")
         if self.n % self.l == 0:
             raise PresetError("hypothesis violated: l divides n")
@@ -271,7 +228,7 @@ def cyclo_radical_context(spec: CycloRadicalSpec,
         sub = G.subgroup(i for i in range(G.order) if decode(i)[1] % m == 1 % m)
         cyclo_sub[m] = sub
         if m > 2:
-            if gal_degree_check(G, sub) != euler_phi(m):
+            if G.order // sub.order != euler_phi(m):
                 raise PresetError(f"cyclotomic field for m={m} has wrong degree")
             _register(names, aliases, sub, f"Q(zeta{m})")
     # E-side radicals E_{n^2}(rho^delta) for proper divisors delta of d

@@ -27,6 +27,13 @@ class TowerError(Exception):
     """Invalid tower or refinement input."""
 
 
+class TheoremViolation(Exception):
+    """An internal consistency check guaranteed by a theorem failed.
+
+    Seeing this is always a bug report, never a user error.
+    """
+
+
 class Tower:
     """Non-decreasing field sequence F_0 <= ... <= F_m in one context."""
 
@@ -115,13 +122,7 @@ def is_galtourable_tower(t: Tower) -> bool:
 
 def big_omega(n: int) -> int:
     """Number of prime divisors of n, counted with multiplicity."""
-    count, p = 0, 2
-    while p * p <= n:
-        while n % p == 0:
-            n //= p
-            count += 1
-        p += 1
-    return count + (1 if n > 1 else 0)
+    return sum(pg.factorize(n).values())
 
 
 def height_bound_check(t: Tower) -> bool:
@@ -225,7 +226,8 @@ def strict_associated(f: Tower) -> Tower:
         if x != kept[-1]:
             kept.append(x)
     s = Tower(f.ctx, kept)
-    assert refinement_witness(f, s) is not None and is_trivial_refinement(f, s)
+    if refinement_witness(f, s) is None or not is_trivial_refinement(f, s):
+        raise TheoremViolation("tower does not refine its strict associate trivially")
     return s
 
 
@@ -271,8 +273,10 @@ def combine(f: Tower, r: int, S: Tower, R: Tower) -> Tower:
         raise TowerError("R does not refine rat(f, r)")
     E = Tower(f.ctx, R.fields + S.fields[1:])
     q = R.height
-    assert res(E, q) == S and rat(E, q) == R
-    assert refinement_witness(E, f) is not None
+    if res(E, q) != S or rat(E, q) != R:
+        raise TheoremViolation("combined tower does not split back into S and R")
+    if refinement_witness(E, f) is None:
+        raise TheoremViolation("combined tower does not refine f")
     return E
 
 

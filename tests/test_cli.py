@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+import galtour.dissociation as dis
 import galtour.galois as gal
+import galtour.towers as tw
 from galtour import cli, presets
 
 
@@ -190,3 +192,25 @@ def test_bound_override(capsys):
     code, _, err = run(capsys, "analyze", "selmer-serre:n=5", "--bound", "100")
     assert code == 2
     assert "exceeds enumeration bound" in err
+
+
+def test_theorem_violation_exits_3_without_traceback(capsys, monkeypatch):
+    # a failed check inside towers must reach the CLI as the one
+    # TheoremViolation class the CLI catches, not as a traceback
+    assert dis.TheoremViolation is tw.TheoremViolation
+    monkeypatch.setattr(tw, "is_trivial_refinement", lambda e, f: False)
+    code, out, err = run(capsys, "refine", "radical:a=2,n=4", "--strict",
+                         "--tower", '["K","Q(sqrt2)","N"]',
+                         "--tower", '["K","Q(zeta4)","N"]')
+    assert code == 3 and out == ""
+    assert "theorem violation" in err and "Traceback" not in err
+
+
+def test_refine_large_marche_not_capped(capsys):
+    # |G| = 220: the marche groups are quotients of a context that already
+    # passed the enumeration bound, so no isomorphism cap applies
+    code, out, err = run(capsys, "refine", "radical:a=2,n=22",
+                         "--tower", '["Q","N"]', "--tower", '["Q","N"]')
+    assert code == 0, err
+    assert "sigma: 1" in out
+    assert "marche 1 ~ marche 1: order 220 (nonabelian)" in out

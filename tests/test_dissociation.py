@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import random
+import sys
+import threading
 
 import pytest
 
@@ -10,6 +14,7 @@ import galtour.dissociation as dis
 import galtour.galois as gal
 import galtour.permgroup as pg
 import galtour.towers as tw
+from galtour import presets
 from galtour.oracle import bf_composition_towers, bf_galtourable, enumerate_towers
 from conftest import get_ctx, random_galois_tower, small_contexts
 
@@ -499,3 +504,62 @@ def test_theorem_m_uniqueness_small():
             M, count = bf_intourability(ctx, L, ctx.base)
             assert count == 1
             assert M == dis.intourability_field(ctx, L, ctx.base).M, name
+
+
+def test_package_has_no_assert_statements():
+    # theorem checks must survive `python -O`, which strips assert
+    src = pathlib.Path(dis.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_fresh_context_is_safe_to_share_between_threads():
+    # Lazily filled state (Group._inv/_orders, Subgroup._gens, the
+    # normalizer and quotient caches, the isomorphism memo) starts empty on
+    # a context built from a dict; four threads then fill it concurrently.
+    spec = gal.to_instance_dict(get_ctx("selmer-serre:n=4"))
+
+    def answers(ctx, order):
+        K, N = ctx.base, ctx.top_closure
+        fields = ctx.all_fields()
+        normal = [F for F in fields if gal.is_galois(ctx, F, K)]
+        out = {}
+        for i in order:
+            F = fields[i]
+            rep = dis.intourability_field(ctx, F, K)
+            out[F.name] = (dis.is_galtourable(ctx, F, K), rep.to_dict())
+            if F in normal:
+                for F2 in normal:
+                    r1, r2, w = dis.schreier_refine(tw.Tower(ctx, [K, F, N]),
+                                                    tw.Tower(ctx, [K, F2, N]))
+                    out[(F.name, F2.name)] = (repr(r1), repr(r2), w.sigma, w.isos)
+        return out
+
+    pg._iso_cached.cache_clear()
+    serial_ctx = presets.from_dict(spec)
+    n = len(serial_ctx.subgroups)
+    expected = answers(serial_ctx, range(n))
+
+    pg._iso_cached.cache_clear()
+    shared = presets.from_dict(spec)
+    results = [None] * 4
+
+    def work(k):
+        results[k] = answers(shared, [(i + 7 * k) % n for i in range(n)])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert got == expected

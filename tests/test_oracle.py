@@ -7,7 +7,9 @@ import pytest
 import galtour.dissociation as dis
 import galtour.galois as gal
 import galtour.oracle as orc
+import galtour.permgroup as pg
 import galtour.towers as tw
+from galtour.permgroup import Permutation as P
 from conftest import get_ctx, small_contexts
 
 
@@ -114,3 +116,19 @@ def test_agreement_suite_runs():
                             "refinement_predicates", "intourability"}
         for cell in ops.values():
             assert cell["agreement"]
+
+
+def test_literal_normal_memo_ignores_freed_groups():
+    # D4 and C8 share the subgroup key (0, 4): <(1 3)> is not normal in D4,
+    # <r^4> is normal in C8.  A memo keyed by id(group) answered for a C8
+    # allocated where a freed D4 had lived with the stale D4 verdict.
+    for _ in range(50):
+        d4 = pg.generate(4, [P.from_cycles("(1 2 3 4)", 4), P.from_cycles("(1 3)", 4)])
+        refl = d4.generated_subgroup([d4.index_of(P.from_cycles("(1 3)", 4))])
+        assert refl.key == (0, 4)
+        assert not orc.literal_is_normal(refl, d4.full_subgroup())
+        del d4, refl
+        c8 = pg.generate(8, [P.from_cycles("(1 2 3 4 5 6 7 8)", 8)])
+        half = c8.generated_subgroup([4])
+        assert half.key == (0, 4)
+        assert orc.literal_is_normal(half, c8.full_subgroup())

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import galtour.permgroup as pg
 from galtour.permgroup import Permutation as P
+from conftest import get_ctx
 
 
 def S(n):
@@ -342,14 +343,22 @@ def test_quotient_requires_normal():
 
 
 def test_quotient_tables_are_groups():
-    # constructor re-checks identity, Latin square, inverses, associativity
-    d = D6()
-    subs = pg.all_subgroups(d)
-    full = d.full_subgroup()
-    for n in subs:
-        if pg.is_normal(n, full):
-            q = pg.quotient(full, n)
-            pg.AbstractGroup(q.table)  # would raise on any axiom failure
+    # quotient skips the table checks; the public constructor re-runs them
+    # (identity, Latin square, inverses, associativity) on every B/N
+    groups = [D6()] + [get_ctx(sel).group for sel in (
+        "radical:a=2,n=4", "radical:a=2,n=6", "selmer-serre:n=4",
+        "cyclo-radical:n=2,d=3,l=3")]
+    for G in groups:
+        subs = pg.all_subgroups(G)
+        checked = 0
+        for B in subs:
+            for N in subs:
+                if N <= B and pg.is_normal(N, B):
+                    q = pg.quotient(B, N)
+                    assert q.order == B.order // N.order
+                    assert pg.AbstractGroup(q.table) == q  # raises on any axiom failure
+                    checked += 1
+        assert checked > len(subs)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +425,10 @@ def test_abstract_group_rejects_bad_tables():
         pg.AbstractGroup(((0, 1), (0, 1)))  # not a Latin square
     with pytest.raises(pg.PermGroupError):
         pg.AbstractGroup(((1, 0), (0, 1)))  # label 0 not an identity
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+            (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))  # Latin square with identity
+    with pytest.raises(pg.PermGroupError, match="not associative"):
+        pg.AbstractGroup(loop)
 
 
 def test_is_simple_examples():

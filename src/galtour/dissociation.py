@@ -376,32 +376,27 @@ def elevation_tower(ctx: GaloisContext, f: Tower) -> tuple:
     return mtower, tw.induced(mtower, f.top)
 
 
+def _induced_prefix(ctx: GaloisContext, c: Tower, M: FieldRef) -> Optional[Tower]:
+    """The tower of M(L/K)/K that c is induced from, or None: c itself
+    when L = M(L/K), else c less its final marche M(L/K) < L."""
+    if c.top == M:
+        return c
+    if c.height < 1 or c.fields[-2] != M:
+        return None
+    return Tower(ctx, c.fields[:-1])
+
+
 def is_elevation_tower(ctx: GaloisContext, e: Tower) -> bool:
     """e is an elevation tower iff induced by a galtourable tower of M(L/K)/K."""
-    L, K = e.top, e.base
-    M = intourability_field(ctx, L, K).M
-    if M == L:
-        return tw.is_galtourable_tower(e)
-    if e.height < 1 or e.fields[-1] != L or e.fields[-2] != M:
-        return False
-    prefix = Tower(ctx, e.fields[:-1])
-    return tw.is_galtourable_tower(prefix)
+    prefix = _induced_prefix(ctx, e, intourability_field(ctx, e.top, e.base).M)
+    return prefix is not None and tw.is_galtourable_tower(prefix)
 
 
 def is_composition_tower(ctx: GaloisContext, c: Tower) -> bool:
-    """c is induced by a Galois composition tower of M(L/K)/K.
-
-    In the galtourable case this is exactly the Galois notion; otherwise
-    strip the final marche M(L/K) < L and test the prefix.
-    """
-    L, K = c.top, c.base
-    M = intourability_field(ctx, L, K).M
-    if M == L:
-        return tw.is_galois_tower(c) and is_composition_tower_galois(c)
-    if c.height < 1 or c.fields[-1] != L or c.fields[-2] != M:
-        return False
-    prefix = Tower(ctx, c.fields[:-1])
-    return tw.is_galois_tower(prefix) and is_composition_tower_galois(prefix)
+    """c is induced by a Galois composition tower of M(L/K)/K."""
+    prefix = _induced_prefix(ctx, c, intourability_field(ctx, c.top, c.base).M)
+    return (prefix is not None and tw.is_galois_tower(prefix)
+            and is_composition_tower_galois(prefix))
 
 
 def composition_tower_general(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Tower:
@@ -413,16 +408,6 @@ def composition_tower_general(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> T
     return out
 
 
-def _induced_prefix(ctx: GaloisContext, c: Tower, M: FieldRef) -> Tower:
-    """Strip a tower induced from M(L/K)/K back to its prefix."""
-    if c.top == M:
-        return c
-    if c.height < 1 or c.fields[-2] != M:
-        raise tw.TowerError(
-            f"not a tower induced from {M.name}: {c!r}")
-    return Tower(ctx, c.fields[:-1])
-
-
 def equivalence_general(ctx: GaloisContext, c1: Tower, c2: Tower) -> tuple:
     """Equivalence of towers induced by Galois towers of M(L/K)/K.
 
@@ -432,11 +417,14 @@ def equivalence_general(ctx: GaloisContext, c1: Tower, c2: Tower) -> tuple:
     """
     if c1.base != c2.base or c1.top != c2.top:
         raise tw.TowerError("towers must share the same extension")
-    L, K = c1.top, c1.base
-    M = intourability_field(ctx, L, K).M
-    p1 = _induced_prefix(ctx, c1, M)
-    p2 = _induced_prefix(ctx, c2, M)
-    witness = tw.equivalence_witness(p1, p2)
+    M = intourability_field(ctx, c1.top, c1.base).M
+    prefixes = []
+    for c in (c1, c2):
+        prefix = _induced_prefix(ctx, c, M)
+        if prefix is None:
+            raise tw.TowerError(f"not a tower induced from {M.name}: {c!r}")
+        prefixes.append(prefix)
+    witness = tw.equivalence_witness(*prefixes)
     return witness is not None, witness
 
 

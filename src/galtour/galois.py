@@ -269,9 +269,6 @@ class Quadrilateral:
     def ctx(self) -> GaloisContext:
         return self.J.ctx
 
-    def transpose(self) -> "Quadrilateral":
-        return Quadrilateral(self.J, self.L, self.N, self.K)
-
     def is_flat(self) -> bool:
         return self.K == self.J or self.L == self.J
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,16 +49,28 @@ class OracleReport:
         return out
 
 
-# Keyed on the group object itself (identity hash): an entry keeps its
-# group alive, so a later group cannot reuse the id and read a stale verdict.
+# Keyed on (id(group), A.key, B.key).  A group's entries are dropped by a
+# finalizer when the group is freed, before its id can be reused, so the
+# memo neither keeps groups alive nor answers for a later group at that id.
 _literal_normal_memo: dict = {}
+_memo_groups = weakref.WeakSet()  # the groups with a finalizer registered
+
+
+def _forget_group(gid: int) -> None:
+    for key in list(_literal_normal_memo):
+        if key[0] == gid:
+            _literal_normal_memo.pop(key, None)
 
 
 def literal_is_normal(A: Subgroup, B: Subgroup) -> bool:
     """Direct conjugation scan over all of A and B (no generator shortcut)."""
-    key = (A.parent, A.key, B.key)
+    gid = id(A.parent)
+    key = (gid, A.key, B.key)
     hit = _literal_normal_memo.get(key)
     if hit is None:
+        if A.parent not in _memo_groups:
+            _memo_groups.add(A.parent)
+            weakref.finalize(A.parent, _forget_group, gid)
         tab = A.parent.table
         inv = A.parent.inverses
         hit = all(tab[tab[b][a]][inv[b]] in A.indices
@@ -340,26 +353,14 @@ def quadrilateral_question_scan(ctx: GaloisContext,
 # the agreement suite
 
 
-def _agree_galtourable(ctx, instance) -> OracleReport:
+def _agree_pairwise(ctx, instance, operation, main, literal) -> OracleReport:
+    """Compare main(ctx, E, F) with literal(ctx, E, F) over every F <= E."""
     for F in ctx.all_fields():
         for E in ctx.all_fields():
-            if not F <= E:
-                continue
-            if dis.is_galtourable(ctx, E, F) != bf_galtourable(ctx, E, F):
-                return OracleReport(instance, "is_galtourable", False,
+            if F <= E and main(ctx, E, F) != literal(ctx, E, F):
+                return OracleReport(instance, operation, False,
                                     f"({E.name}, {F.name})")
-    return OracleReport(instance, "is_galtourable", True)
-
-
-def _agree_galsimple(ctx, instance) -> OracleReport:
-    for F in ctx.all_fields():
-        for E in ctx.all_fields():
-            if not F <= E:
-                continue
-            if dis.is_galsimple(ctx, E, F) != _literal_galsimple(ctx, E, F):
-                return OracleReport(instance, "is_galsimple", False,
-                                    f"({E.name}, {F.name})")
-    return OracleReport(instance, "is_galsimple", True)
+    return OracleReport(instance, operation, True)
 
 
 def _agree_intourability(ctx, instance) -> OracleReport:
@@ -386,8 +387,10 @@ def run_agreement_suite(instances: dict, max_height: int = 3,
     for name in sorted(instances):
         ctx = instances[name]
         reports = [
-            _agree_galtourable(ctx, name),
-            _agree_galsimple(ctx, name),
+            _agree_pairwise(ctx, name, "is_galtourable",
+                            dis.is_galtourable, bf_galtourable),
+            _agree_pairwise(ctx, name, "is_galsimple",
+                            dis.is_galsimple, _literal_galsimple),
             bf_refinement_predicates(ctx, max_height, sample=sample,
                                      instance=name),
             _agree_intourability(ctx, name),

@@ -77,12 +77,6 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(degree))
 
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for x, y in enumerate(self.images):
@@ -91,14 +85,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(i == x for x, i in enumerate(self.images))
-
-    def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = compose(p, self)
-            n += 1
-        return n
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -268,6 +254,24 @@ class AbstractGroup:
                 spanned = self.span(chosen)
         return tuple(chosen)
 
+    def normal_closure(self, gens: Iterable[int],
+                       conjugators: Sequence[int]) -> set:
+        """Labels of the smallest subgroup containing ``gens`` that every
+        label in ``conjugators`` normalizes.  Each pass conjugates only the
+        generators the pass before added; older ones already have theirs."""
+        tab, inv = self.table, self.inverses
+        gens = list(gens)
+        closed = self.span(gens)
+        fresh = gens
+        while True:
+            new = {c for b in conjugators for a in fresh
+                   if (c := tab[tab[b][a]][inv[b]]) not in closed}
+            if not new:
+                return closed
+            gens.extend(new)
+            closed = self.span(gens)
+            fresh = new
+
     def iso_invariant(self) -> tuple:
         """(order, sorted element-order multiset): cheap isomorphism filter."""
         return (self.order, tuple(sorted(self.element_orders())))
@@ -286,12 +290,14 @@ class Group(AbstractGroup):
 
     A table group whose labels index ``elements``, sorted lexicographically
     by image tuple, so the identity always has index 0.  The table is
-    built lazily from the permutations and cached.  Equality and hashing
-    are by identity: subgroups, field handles and memos key on the group
-    object and never hash its table.
+    built lazily from the permutations and cached, and so is the subgroup
+    lattice (see :func:`all_subgroups`).  Equality and hashing are by
+    identity: subgroups, field handles and memos key on the group object
+    and never hash its table.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_index")
+    __slots__ = ("degree", "generators", "elements", "_index", "_subgroups",
+                 "__weakref__")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]):
@@ -304,6 +310,7 @@ class Group(AbstractGroup):
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_inv", None)
         object.__setattr__(self, "_orders", None)
+        object.__setattr__(self, "_subgroups", None)
         if self.elements[0].images != tuple(range(degree)):
             raise PermGroupError("identity missing from element set")
 
@@ -501,23 +508,7 @@ def normal_closure(H: Subgroup, B: Subgroup) -> Subgroup:
     if not H <= B:
         raise PermGroupError("normal_closure requires H <= B")
     G = H.parent
-    tab = G.table
-    inv = G.inverses
-    conjugators = B.gens()
-    gens = list(H.gens()) or [0]
-    current = G.generated_subgroup(gens)
-    while True:
-        new = []
-        for b in conjugators:
-            bi = inv[b]
-            for a in gens:
-                c = tab[tab[b][a]][bi]
-                if c not in current.indices:
-                    new.append(c)
-        if not new:
-            return current
-        gens.extend(new)
-        current = G.generated_subgroup(gens)
+    return Subgroup(G, G.normal_closure(H.gens(), B.gens()), _checked=True)
 
 
 def subnormal_closure(H: Subgroup, B: Subgroup) -> tuple:
@@ -545,10 +536,13 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
 
     Bottom-up: all cyclic subgroups, then pairwise joins to a fixpoint.
     Every subgroup is the join of its cyclic subgroups, so the fixpoint
-    set is complete.
+    set is complete.  The lattice is computed once per group and kept on
+    it; the bound is checked on every call.
     """
     if G.order > bound:
         raise BoundExceeded(f"|G| = {G.order} exceeds enumeration bound {bound}")
+    if G._subgroups is not None:
+        return list(G._subgroups)
     found: dict[tuple, Subgroup] = {}
     for i in range(G.order):
         sg = Subgroup(G, G.span((i,)), _checked=True)
@@ -565,7 +559,9 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
                 if J.key not in found:
                     found[J.key] = J
                     fresh.append(J)
-    return sorted(found.values(), key=Subgroup.sort_key)
+    object.__setattr__(G, "_subgroups",
+                       tuple(sorted(found.values(), key=Subgroup.sort_key)))
+    return list(G._subgroups)
 
 
 # ---------------------------------------------------------------------------
@@ -672,22 +668,9 @@ def is_simple(A: AbstractGroup, bound: int = ISOMORPHISM_BOUND) -> bool:
         raise BoundExceeded(f"order exceeds bound {bound}")
     if A.order == 1:
         return False
-    t = A.table
-    inv = A.inverses
-    n = A.order
-    for g in range(1, n):
-        gens = [g]
-        sub = A.span(gens)
-        while len(sub) < n:
-            new = [c for a in range(n) for s in gens
-                   if (c := t[t[a][s]][inv[a]]) not in sub]
-            if not new:
-                break
-            gens.extend(sorted(set(new)))
-            sub = A.span(gens)
-        if len(sub) != n:
-            return False
-    return True
+    conjugators = A.greedy_generators(range(A.order))
+    return all(len(A.normal_closure((g,), conjugators)) == A.order
+               for g in range(1, A.order))
 
 
 @lru_cache(maxsize=4096)

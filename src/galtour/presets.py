@@ -83,6 +83,32 @@ def _unit_generators(n: int) -> list:
     return [units[i] for i in group.greedy_generators(range(len(units)))]
 
 
+def _pair_group(d: int, e: int) -> tuple:
+    """The group of pairs (t in Z/d, s in (Z/e)*) and its decoder.
+
+    A pair acts by k -> k*s + t on d radical symbols and by k -> k*s on e
+    roots of unity; ``decode`` maps an element index back to (t, s).  The
+    declared order d*phi(e) is checked against the constructed closure.
+    """
+    def pair_perm(t: int, s: int) -> Permutation:
+        images = [(k * s + t) % d for k in range(d)]
+        images += [d + (k * s) % e for k in range(e)]
+        return Permutation(images)
+
+    declared = d * euler_phi(e)
+    gens = [pair_perm(1, 1)] + [pair_perm(0, u) for u in _unit_generators(e)]
+    G = pg.generate(d + e, gens)
+    if G.order != declared:
+        raise PresetError(
+            f"constructed order {G.order} != declared degree product {declared}")
+
+    def decode(i: int) -> tuple:
+        p = G.elements[i]
+        return p.images[0] % d, (p.images[d + 1] - d) % e
+
+    return G, decode
+
+
 # ---------------------------------------------------------------------------
 # radical contexts: Q(zeta_n, a^(1/n)) / Q
 
@@ -111,35 +137,18 @@ def _radical_name(a: Fraction, m: int) -> str:
     return f"Q(sqrt{a})" if m == 2 else f"Q({m}rt{a})"
 
 
-def _pair_perm_radical(n: int, t: int, s: int) -> Permutation:
-    images = [(k * s + t) % n for k in range(n)]
-    images += [n + (k * s) % n for k in range(n)]
-    return Permutation(images)
-
-
 @lru_cache(maxsize=None)
 def radical_context(spec: RadicalSpec,
                     enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND) -> GaloisContext:
     """Closure context for Q(zeta_n, a^(1/n)) / Q.
 
     Elements are pairs (t, s) acting by a^(1/n) -> zeta^t a^(1/n),
-    zeta -> zeta^s, on 2n formal symbols.  The declared order n*phi(n)
-    is checked against the constructed closure.  Named fields: Q (base),
-    Q(a^(1/m)) and Q(zeta_m) for m | n, and the closure N.
+    zeta -> zeta^s, on 2n formal symbols: the pair group with d = e = n.
+    Named fields: Q (base), Q(a^(1/m)) and Q(zeta_m) for m | n, and the
+    closure N.
     """
     a, n = spec.a, spec.n
-    declared = n * euler_phi(n)
-    gens = [_pair_perm_radical(n, 1, 1)]
-    gens += [_pair_perm_radical(n, 0, u) for u in _unit_generators(n)]
-    G = pg.generate(2 * n, gens)
-    if G.order != declared:
-        raise PresetError(
-            f"constructed order {G.order} != declared degree product {declared}")
-
-    def decode(i: int) -> tuple:
-        p = G.elements[i]
-        return p.images[0] % n, (p.images[n + 1] - n) % n
-
+    G, decode = _pair_group(n, n)
     names = {G.full_subgroup(): "Q", G.trivial_subgroup(): "N"}
     aliases: dict = {}
     distinguished = None
@@ -156,7 +165,7 @@ def radical_context(spec: RadicalSpec,
             if G.order // sub.order != euler_phi(m):
                 raise PresetError(f"cyclotomic field for m={m} has wrong degree")
             _register(names, aliases, sub, f"Q(zeta{m})")
-    notes = {"preset": f"radical:a={a},n={n}", "declared_order": declared}
+    notes = {"preset": f"radical:a={a},n={n}", "declared_order": G.order}
     if n % 2 == 0:
         notes["hypothesis"] = "classical"  # degree rests on cyclotomic disjointness
     return GaloisContext(G, distinguished=distinguished, names=names,
@@ -188,12 +197,6 @@ class CycloRadicalSpec:
             raise PresetError("hypothesis violated: gcd(d, n) != 1")
 
 
-def _pair_perm_cyclo(d: int, e: int, t: int, s: int) -> Permutation:
-    images = [(k * (s % d) + t) % d for k in range(d)]
-    images += [d + (k * s) % e for k in range(e)]
-    return Permutation(images)
-
-
 @lru_cache(maxsize=None)
 def cyclo_radical_context(spec: CycloRadicalSpec,
                           enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND
@@ -208,18 +211,7 @@ def cyclo_radical_context(spec: CycloRadicalSpec,
     n, d, l = spec.n, spec.d, spec.l
     n2 = n * n
     e = (n2 * d) // math.gcd(n2, d)
-    declared = d * euler_phi(e)
-    gens = [_pair_perm_cyclo(d, e, 1, 1)]
-    gens += [_pair_perm_cyclo(d, e, 0, u) for u in _unit_generators(e)]
-    G = pg.generate(d + e, gens)
-    if G.order != declared:
-        raise PresetError(
-            f"constructed order {G.order} != declared degree product {declared}")
-
-    def decode(i: int) -> tuple:
-        p = G.elements[i]
-        return p.images[0] % d, (p.images[d + 1] - d) % e
-
+    G, decode = _pair_group(d, e)
     names = {G.full_subgroup(): "Q", G.trivial_subgroup(): "N"}
     aliases: dict = {}
     # cyclotomic fields for every divisor m | e
@@ -258,7 +250,7 @@ def cyclo_radical_context(spec: CycloRadicalSpec,
     if SL != G.trivial_subgroup():
         _register(names, aliases, SL, "L")
     notes = {"preset": f"cyclo-radical:n={n},d={d},l={l}",
-             "declared_order": declared, "conductor": e}
+             "declared_order": G.order, "conductor": e}
     return GaloisContext(G, distinguished=SL, names=names, aliases=aliases,
                          notes=notes, enumeration_bound=enumeration_bound)
 

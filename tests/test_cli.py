@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import galtour
 import galtour.dissociation as dis
 import galtour.galois as gal
 import galtour.towers as tw
@@ -214,3 +218,38 @@ def test_refine_large_marche_not_capped(capsys):
     assert code == 0, err
     assert "sigma: 1" in out
     assert "marche 1 ~ marche 1: order 220 (nonabelian)" in out
+
+
+def test_check_equiv_rejects_tower_not_induced_from_m(capsys):
+    # M(L/K) = Q(sqrt2) here; Q < Q(6rt2) does not end in the marche M < L
+    code, out, err = run(capsys, "check-equiv", "radical:a=2,n=6",
+                         "--tower", '["K","L"]', "--tower", '["K","Q(sqrt2)","L"]')
+    assert code == 2 and out == ""
+    assert "error: not a tower induced from Q(sqrt2)" in err
+    ctx = presets.load_instance("radical:a=2,n=6")
+    K, L = ctx.base, ctx.distinguished
+    bare = tw.make_tower(ctx, [K, L])
+    assert not dis.is_elevation_tower(ctx, bare)
+    assert not dis.is_composition_tower(ctx, bare)
+    induced = tw.make_tower(ctx, [K, ctx.field_by_name("Q(sqrt2)"), L])
+    assert dis.is_elevation_tower(ctx, induced)
+    assert dis.is_composition_tower(ctx, induced)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "radical:a=2,n=6"],
+    ["refine", "radical:a=2,n=4", "--strict",
+     "--tower", '["K","Q(sqrt2)","N"]', "--tower", '["K","Q(zeta4)","N"]'],
+    ["oracle", "selmer-serre:n=3"],
+])
+def test_optimized_mode_prints_the_same(argv):
+    # python -O strips assert statements; no verdict may depend on them
+    src = os.path.dirname(os.path.dirname(galtour.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "galtour.cli", *argv],
+                       capture_output=True, text=True, env=env)
+        for flags in ([], ["-O"]))
+    assert plain.returncode == 0, plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (0, plain.stdout)

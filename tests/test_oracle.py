@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import galtour.dissociation as dis
@@ -9,6 +12,7 @@ import galtour.galois as gal
 import galtour.oracle as orc
 import galtour.permgroup as pg
 import galtour.towers as tw
+from galtour import presets
 from galtour.permgroup import Permutation as P
 from conftest import get_ctx, small_contexts
 
@@ -132,3 +136,42 @@ def test_literal_normal_memo_ignores_freed_groups():
         half = c8.generated_subgroup([4])
         assert half.key == (0, 4)
         assert orc.literal_is_normal(half, c8.full_subgroup())
+
+
+def test_literal_normal_memo_drops_entries_of_freed_groups():
+    # the memo must not keep a group alive, nor its entries once it is freed
+    sources = ["klein", "zeta15", "radical:a=2,n=4", "radical:a=2,n=6",
+               "selmer-serre:n=3"]
+    refs, gids = [], set()
+    for name in sources:
+        ctx = presets.from_dict(gal.to_instance_dict(get_ctx(name)))
+        assert orc.run_agreement_suite({name: ctx}, sample=50)["all_agree"]
+        assert any(key[0] == id(ctx.group) for key in orc._literal_normal_memo)
+        refs.append(weakref.ref(ctx.group))
+        gids.add(id(ctx.group))
+        del ctx
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+    assert [key for key in orc._literal_normal_memo if key[0] in gids] == []
+
+
+def test_normal_closure_is_least_literally_normal_overgroup():
+    for name, ctx in small_contexts().items():
+        for B in ctx.subgroups:
+            # canonical order is by order first, so the first hit is least
+            normal = [N for N in ctx.subgroups
+                      if N <= B and orc.literal_is_normal(N, B)]
+            for H in ctx.subgroups:
+                if H <= B:
+                    least = next(N for N in normal if H <= N)
+                    assert pg.normal_closure(H, B) == least, (name, H.key, B.key)
+
+
+def test_is_simple_agrees_with_literal_galsimple():
+    for name, ctx in small_contexts().items():
+        for B in ctx.subgroups:
+            for N in ctx.subgroups:
+                if N <= B and orc.literal_is_normal(N, B):
+                    E, F = ctx.field_of(N), ctx.field_of(B)
+                    assert pg.is_simple(pg.quotient(B, N)) == \
+                        orc._literal_galsimple(ctx, E, F), (name, E.name, F.name)

@@ -237,3 +237,21 @@ def test_eside_radical_tourability_degree(cy233):
     rep = dis.intourability_field(cy233, E_rho, cy233.base)
     assert rep.M == cy233.field_by_name("Q(zeta4)")
     assert rep.degrees.as_pair() == (2, 3)
+
+
+def test_cyclo_radical_build_enumerates_the_lattice_once(monkeypatch):
+    # the preset picks F_n from the lattice; the context must reuse it
+    joins = []
+    join = pg.join
+
+    def counting_join(A, B):
+        joins.append(1)
+        return join(A, B)
+
+    monkeypatch.setattr(pg, "join", counting_join)
+    presets.cyclo_radical_context.cache_clear()
+    ctx = presets.load_instance("cyclo-radical:n=1,d=9,l=2")
+    build_joins = len(joins)
+    joins.clear()
+    pg.all_subgroups(pg.generate(ctx.group.degree, ctx.group.generators))
+    assert build_joins == len(joins) > 0

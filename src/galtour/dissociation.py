@@ -421,7 +421,7 @@ def equivalence_general(ctx: GaloisContext, c1: Tower, c2: Tower) -> tuple:
     prefixes = []
     for c in (c1, c2):
         prefix = _induced_prefix(ctx, c, M)
-        if prefix is None:
+        if prefix is None or not tw.is_galois_tower(prefix):
             raise tw.TowerError(f"not a tower induced from {M.name}: {c!r}")
         prefixes.append(prefix)
     witness = tw.equivalence_witness(*prefixes)

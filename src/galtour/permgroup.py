@@ -227,19 +227,22 @@ class AbstractGroup:
             object.__setattr__(self, "_orders", tuple(out))
         return self._orders
 
-    def span(self, gens: Iterable[int]) -> set:
-        """Labels of the subgroup generated by ``gens``."""
-        gens = tuple(gens)
+    def span(self, gens: Iterable[int], base: Sequence[int] = (0,)) -> set:
+        """Labels of the subgroup generated by ``gens``, grown from the
+        subgroup ``base`` one coset r*base at a time (Dimino).  ``gens``
+        must generate ``base`` too, or the result is no subgroup."""
         tab = self.table
-        closed = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = tab[x][g]
-                if y not in closed:
-                    closed.add(y)
-                    frontier.append(y)
+        gen_rows = [tab[g] for g in gens]
+        closed = set(base)
+        reps = [0]
+        for x in reps:
+            for gen_row in gen_rows:
+                r = gen_row[x]
+                if r not in closed:
+                    reps.append(r)
+                    row = tab[r]
+                    for h in base:
+                        closed.add(row[h])
         return closed
 
     def greedy_generators(self, labels: Iterable[int]) -> tuple:
@@ -251,7 +254,7 @@ class AbstractGroup:
         for i in labels:
             if i not in spanned:
                 chosen.append(i)
-                spanned = self.span(chosen)
+                spanned = self.span(chosen, tuple(spanned))
         return tuple(chosen)
 
     def normal_closure(self, gens: Iterable[int],
@@ -269,7 +272,7 @@ class AbstractGroup:
             if not new:
                 return closed
             gens.extend(new)
-            closed = self.span(gens)
+            closed = self.span(gens, tuple(closed))
             fresh = new
 
     def iso_invariant(self) -> tuple:
@@ -484,7 +487,10 @@ def join(A: Subgroup, B: Subgroup) -> Subgroup:
         return B
     if B <= A:
         return A
-    return A.parent.generated_subgroup(A.gens() + B.gens())
+    if A.order < B.order:
+        A, B = B, A
+    G = A.parent
+    return Subgroup(G, G.span(A.gens() + B.gens(), A.key), _checked=True)
 
 
 def is_normal(A: Subgroup, B: Subgroup) -> bool:
@@ -534,31 +540,31 @@ def subnormal_closure(H: Subgroup, B: Subgroup) -> tuple:
 def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     """Every subgroup of G, canonically sorted.
 
-    Bottom-up: all cyclic subgroups, then pairwise joins to a fixpoint.
-    Every subgroup is the join of its cyclic subgroups, so the fixpoint
-    set is complete.  The lattice is computed once per group and kept on
-    it; the bound is checked on every call.
+    Cyclic extension (Neubüser): from the trivial subgroup, extend each
+    found subgroup A by every cyclic subgroup <c> of prime-power order
+    not inside A, to a fixpoint.  Every subgroup is generated by such
+    cyclic subgroups of itself, so the fixpoint set is complete.  The
+    lattice is computed once per group and kept on it; the bound is
+    checked on every call.
     """
     if G.order > bound:
         raise BoundExceeded(f"|G| = {G.order} exceeds enumeration bound {bound}")
     if G._subgroups is not None:
         return list(G._subgroups)
-    found: dict[tuple, Subgroup] = {}
-    for i in range(G.order):
-        sg = Subgroup(G, G.span((i,)), _checked=True)
-        found.setdefault(sg.key, sg)
-    fresh = list(found.values())
-    while fresh:
-        batch, fresh = fresh, []
-        pool = list(found.values())
-        for A in batch:
-            for B in pool:
-                if A.mask & B.mask in (A.mask, B.mask):
-                    continue  # nested: join is the bigger one, already present
-                J = join(A, B)
-                if J.key not in found:
-                    found[J.key] = J
-                    fresh.append(J)
+    cyclic = {}  # mask of each cyclic subgroup of prime-power order -> a generator
+    for c, n in enumerate(G.element_orders()):
+        if len(factorize(n)) == 1:
+            cyclic.setdefault(sum(1 << i for i in G.span((c,))), c)
+    trivial = G.trivial_subgroup()
+    found = {trivial.key: trivial}
+    fresh = [trivial]
+    for A in fresh:
+        for mask, c in cyclic.items():
+            if A.mask & mask != mask:
+                key = tuple(sorted(G.span(A.gens() + (c,), A.key)))
+                if key not in found:
+                    found[key] = Subgroup(G, key, _checked=True)
+                    fresh.append(found[key])
     object.__setattr__(G, "_subgroups",
                        tuple(sorted(found.values(), key=Subgroup.sort_key)))
     return list(G._subgroups)

@@ -236,6 +236,15 @@ def test_check_equiv_rejects_tower_not_induced_from_m(capsys):
     assert dis.is_composition_tower(ctx, induced)
 
 
+def test_check_equiv_rejects_non_galois_tower_of_galtourable_extension(capsys):
+    # M(L/K) = L here, so the tower is its own prefix, and Q < Q(4rt2) is
+    # not Galois: the same error as a tower not ending in M < L
+    code, out, err = run(capsys, "check-equiv", "radical:a=2,n=4",
+                         "--tower", '["Q","L"]', "--tower", '["Q","L"]')
+    assert code == 2 and out == ""
+    assert err == "error: not a tower induced from Q(4rt2): Tower[Q <= Q(4rt2)]\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "radical:a=2,n=6"],
     ["refine", "radical:a=2,n=4", "--strict",

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -194,6 +196,118 @@ def test_all_subgroups_s4_against_layered_oracle():
 def test_all_subgroups_bound():
     with pytest.raises(pg.BoundExceeded):
         pg.all_subgroups(S(4), bound=10)
+
+
+def bfs_closure(g, gens):
+    # oracle: every product of generators, breadth first from the identity
+    tab = g.table
+    closed, frontier = {0}, [0]
+    while frontier:
+        row = tab[frontier.pop()]
+        for s in gens:
+            y = row[s]
+            if y not in closed:
+                closed.add(y)
+                frontier.append(y)
+    return closed
+
+
+def pairwise_join_keys(g):
+    # oracle: every cyclic subgroup, then the join of every pair of found
+    # subgroups, to a fixpoint; each join is the closure of the union of
+    # the generators its two sides were found with
+    found = {frozenset(bfs_closure(g, (i,))): (i,) for i in range(g.order)}
+    fresh = dict(found)
+    while fresh:
+        new = {}
+        for a, gens_a in fresh.items():
+            for b, gens_b in list(found.items()):
+                if a <= b or b <= a:
+                    continue
+                gens = gens_a + gens_b
+                j = frozenset(bfs_closure(g, gens))
+                if j not in found and j not in new:
+                    new[j] = gens
+        found.update(new)
+        fresh = new
+    return sorted(tuple(sorted(k)) for k in found)
+
+
+def random_groups(seed, count, max_order=120):
+    # seeded permutation groups of degree 3..7, each generator a random
+    # permutation of a random set of points; the first group drawn of
+    # each order from 4 to max_order
+    rng = random.Random(seed)
+    out = {}
+    while len(out) < count:
+        n = rng.randint(3, 7)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            pts = rng.sample(range(n), rng.randint(2, n))
+            images = list(range(n))
+            for a, b in zip(pts, rng.sample(pts, len(pts))):
+                images[a] = b
+            gens.append(P(images))
+        try:
+            g = pg.generate(n, gens, bound=max_order)
+        except pg.BoundExceeded:
+            continue
+        if g.order >= 4:
+            out.setdefault(g.order, g)
+    return list(out.values())
+
+
+def test_all_subgroups_agrees_with_pairwise_joins_on_random_groups():
+    for g in random_groups(seed=2009, count=14):
+        got = [sg.key for sg in pg.all_subgroups(g)]
+        assert sorted(got) == pairwise_join_keys(g), g.generators
+
+
+# SHA-256 of repr([s.key for s in all_subgroups(G)]), as returned by the
+# pairwise-join enumeration this package used before cyclic extension
+LATTICE_DIGESTS = {
+    "radical:a=2,n=12":
+        "c84009755afdc33ab759cef917b11644e1a07154a0bd824e5aabdfc476404066",
+    "radical:a=2,n=16":
+        "9694e88e8b6a1bf8d779d50ac13cb67501e80e5dbe7b94daacaa9652d24213b1",
+    "radical:a=2,n=20":
+        "76001cd7da84057fcdc826ae4b7ef7e29c4019b354b7c798141f343dff2adb58",
+    "radical:a=2,n=24":
+        "42471d1407c3b8fad3e1135cfef2505c7f722fcc697d8df9252081e3bd3a6a46",
+    "radical:a=2,n=30":
+        "4549582057014aed9ce43d709e4f40d3c38ed7673c8dabc7f5de41772678663e",
+    "selmer-serre:n=5":
+        "a47da0ba8a11a73b4653e06497e9f54c5a6604bf92a8ee87ce36cdc1e9fec131",
+    "cyclo-radical:n=1,d=13,l=2":
+        "b67ae66c12e63ffa61de3151184f0b6fd5950e680e67319202fbcf47ed6eb884",
+}
+
+
+@pytest.mark.parametrize("selector", sorted(LATTICE_DIGESTS))
+def test_all_subgroups_keys_match_recorded_digests(selector):
+    keys = [sg.key for sg in pg.all_subgroups(get_ctx(selector).group)]
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest == LATTICE_DIGESTS[selector]
+
+
+@pytest.mark.parametrize("make", [lambda: S(4), D6,
+                                  lambda: get_ctx("radical:a=2,n=12").group])
+def test_span_from_a_base_is_the_closure(make):
+    g = make()
+    rng = random.Random(g.order)
+
+    def random_subgroup():
+        return g.subgroup(bfs_closure(g, rng.sample(range(g.order), rng.randint(1, 2))))
+
+    bases = [g.trivial_subgroup(), g.full_subgroup()]
+    bases += [random_subgroup() for _ in range(12)]
+    for H in bases:
+        for _ in range(6):
+            extra = tuple(rng.randrange(g.order) for _ in range(rng.randint(0, 3)))
+            gens = H.gens() + extra
+            assert g.span(gens, H.key) == bfs_closure(g, gens)
+        K = random_subgroup()
+        assert pg.join(H, K).indices == bfs_closure(g, H.gens() + K.gens())
 
 
 # ---------------------------------------------------------------------------

@@ -241,17 +241,19 @@ def test_eside_radical_tourability_degree(cy233):
 
 def test_cyclo_radical_build_enumerates_the_lattice_once(monkeypatch):
     # the preset picks F_n from the lattice; the context must reuse it
-    joins = []
-    join = pg.join
+    fills = []
+    all_subgroups = pg.all_subgroups
 
-    def counting_join(A, B):
-        joins.append(1)
-        return join(A, B)
+    def counting_all_subgroups(G, *args, **kwargs):
+        lattice = G._subgroups
+        out = all_subgroups(G, *args, **kwargs)
+        fills.append(G._subgroups is not lattice)  # this call (re)filled it
+        return out
 
-    monkeypatch.setattr(pg, "join", counting_join)
+    monkeypatch.setattr(pg, "all_subgroups", counting_all_subgroups)
     presets.cyclo_radical_context.cache_clear()
     ctx = presets.load_instance("cyclo-radical:n=1,d=9,l=2")
-    build_joins = len(joins)
-    joins.clear()
+    assert fills.count(True) == 1 < len(fills)
+    fills.clear()
     pg.all_subgroups(pg.generate(ctx.group.degree, ctx.group.generators))
-    assert build_joins == len(joins) > 0
+    assert fills == [True]

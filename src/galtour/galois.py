@@ -116,7 +116,6 @@ class GaloisContext:
         else:
             self.distinguished = self.field_of(distinguished)
         self.notes = dict(notes or {})
-        self._normalizer_mask: dict = {}
         self._quotient_cache: dict = {}
         self._frozen = True
 
@@ -163,33 +162,20 @@ class GaloisContext:
                 return ref
         raise GaloisError(f"unknown field name {name!r}")
 
+    def between(self, lo: Subgroup, hi: Subgroup) -> list:
+        """Lattice subgroups S with lo <= S <= hi, in canonical order."""
+        return [sg for sg in self.subgroups
+                if sg.mask & lo.mask == lo.mask and sg.mask & hi.mask == sg.mask]
+
     def interval_fields(self, F: FieldRef, E: FieldRef) -> list:
         """Fields M with F <= M <= E, canonical order; requires F <= E."""
         if not F <= E:
             raise GaloisError("interval requires F <= E as fields")
-        lo, hi = E.subgroup.mask, F.subgroup.mask
-        return [self._by_key[sg.key] for sg in self.subgroups
-                if sg.mask & lo == lo and sg.mask & hi == sg.mask]
-
-    # cached group-theoretic predicates --------------------------------------
-
-    def _normalizer(self, sg: Subgroup) -> int:
-        mask = self._normalizer_mask.get(sg.key)
-        if mask is None:
-            G = self.group
-            tab, inv = G.table, G.inverses
-            gens = sg.gens()
-            mask = 0
-            for g in range(G.order):
-                gi = inv[g]
-                if all(tab[tab[g][a]][gi] in sg.indices for a in gens):
-                    mask |= 1 << g
-            self._normalizer_mask[sg.key] = mask
-        return mask
+        return [self._by_key[sg.key] for sg in self.between(E.subgroup, F.subgroup)]
 
     def normal_in(self, A: Subgroup, B: Subgroup) -> bool:
-        """A normal in B (A <= B assumed checked by callers)."""
-        return B.mask & self._normalizer(A) == B.mask
+        """A normal in B; requires A <= B."""
+        return pg.is_normal(A, B)
 
     def quotient_group(self, B: Subgroup, N: Subgroup) -> AbstractGroup:
         key = (B.key, N.key)
@@ -206,7 +192,6 @@ class GaloisContext:
 
 def degree(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> int:
     """[E:F] = index of Subgroup(E) in Subgroup(F); requires F <= E."""
-    _same_ctx(E, F)
     if not F <= E:
         raise GaloisError("degree requires F <= E as fields")
     return F.subgroup.order // E.subgroup.order
@@ -224,7 +209,6 @@ def intersect_fields(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> FieldRef:
 
 def is_galois(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """E/F Galois iff Subgroup(E) is normal in Subgroup(F); requires F <= E."""
-    _same_ctx(E, F)
     if not F <= E:
         raise GaloisError("is_galois requires F <= E as fields")
     return ctx.normal_in(E.subgroup, F.subgroup)
@@ -413,12 +397,11 @@ def to_dot(ctx: GaloisContext) -> str:
         d = degree(ctx, ref, ctx.base)
         lines.append(f'  "{ref.name}" [label="{ref.name} [deg {d} over base]"];')
     for lower in fields:
-        uppers = [u for u in fields if lower < u]
-        for upper in uppers:
-            if any(lower < m < upper for m in uppers):
-                continue  # not a covering step
-            attr = ' [color="black:black"]' if is_galois(ctx, upper, lower) else ""
-            lines.append(f'  "{lower.name}" -> "{upper.name}"{attr};')
+        for upper in fields:
+            # a covering step: nothing strictly between lower and upper
+            if lower < upper and len(ctx.between(upper.subgroup, lower.subgroup)) == 2:
+                attr = ' [color="black:black"]' if is_galois(ctx, upper, lower) else ""
+                lines.append(f'  "{lower.name}" -> "{upper.name}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -5,8 +5,8 @@ here: galtourability by depth-first search over normal-step chains,
 intourability by checking both defining conditions over every
 intermediate field, composition towers by exhaustive chain enumeration,
 and the refinement predicates by direct quantifier evaluation.  The
-oracles share only permgroup primitives with the main path, never the
-decision logic under test.
+oracles share only permgroup primitives and the context's interval
+enumeration with the main path, never the decision logic under test.
 
 Oracles favour clarity over speed and may be exponential; the agreement
 suite aggregates their verdicts into a machine-readable matrix.
@@ -95,10 +95,8 @@ def bf_galtourable(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
             return True
         if A.key in dead:
             return False
-        for B in ctx.subgroups:
-            if (target.mask & B.mask == target.mask
-                    and B.mask & A.mask == B.mask and B.key != A.key
-                    and pg.is_normal(B, A) and reachable(B)):
+        for B in ctx.between(target, A):
+            if B.key != A.key and pg.is_normal(B, A) and reachable(B):
                 return True
         dead.add(A.key)
         return False
@@ -147,11 +145,8 @@ def _literal_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     if E == F:
         return False
     SE, SF = E.subgroup, F.subgroup
-    for sg in ctx.subgroups:
-        if (SE.mask & sg.mask == SE.mask and sg.mask & SF.mask == sg.mask
-                and sg.key not in (SE.key, SF.key) and literal_is_normal(sg, SF)):
-            return False
-    return True
+    return not any(sg.key not in (SE.key, SF.key) and literal_is_normal(sg, SF)
+                   for sg in ctx.between(SE, SF))
 
 
 def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
@@ -191,18 +186,15 @@ def bf_composition_towers(ctx: GaloisContext, L: FieldRef, K: FieldRef,
         raise pg.BoundExceeded(
             f"interval has {len(interval)} subgroups > {max_interval}")
     SL = L.subgroup
-    subs = [f.subgroup for f in interval]
 
     def steps(A: Subgroup) -> list:
-        cands = [B for B in subs
-                 if B.mask & A.mask == B.mask and B.key != A.key
-                 and SL.mask & B.mask == SL.mask and literal_is_normal(B, A)]
+        cands = [B for B in ctx.between(SL, A)
+                 if B.key != A.key and literal_is_normal(B, A)]
         # galsimple marche: no strictly intermediate C normal in A
         out = []
         for B in cands:
-            if not any(B.mask & C.mask == B.mask and C.mask & A.mask == C.mask
-                       and C.key not in (A.key, B.key) and literal_is_normal(C, A)
-                       for C in subs):
+            if not any(C.key not in (A.key, B.key) and literal_is_normal(C, A)
+                       for C in ctx.between(B, A)):
                 out.append(B)
         return out
 

@@ -297,12 +297,8 @@ def from_dict(data: dict, enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND,
     G = pg.generate(degree, gens or [Permutation.identity(degree)])
     names: dict = {}
     aliases: dict = {}
-    seen = set()
     field_subs = {}
     for name, gen_list in field_map.items():
-        if name in seen:
-            raise PresetError(f"{source}: duplicate field name {name!r}")
-        seen.add(name)
         idxs = []
         for txt in gen_list:
             p = Permutation.from_cycles(txt, degree)

@@ -506,6 +506,17 @@ def test_theorem_m_uniqueness_small():
             assert M == dis.intourability_field(ctx, L, ctx.base).M, name
 
 
+@pytest.mark.parametrize("fn", [
+    gal.degree, gal.is_galois, dis.is_galtourable, dis.galois_tower_witness,
+    dis.is_simple_ext, dis.is_galsimple, dis.intourability_field,
+], ids=lambda fn: fn.__name__)
+def test_fields_of_two_contexts_are_rejected(fn):
+    spec = gal.to_instance_dict(get_ctx("radical:a=2,n=4"))
+    ctx1, ctx2 = presets.from_dict(spec), presets.from_dict(spec)
+    with pytest.raises(gal.GaloisError, match="different contexts"):
+        fn(ctx1, ctx1.distinguished, ctx2.base)
+
+
 def test_package_has_no_assert_statements():
     # theorem checks must survive `python -O`, which strips assert
     src = pathlib.Path(dis.__file__).parent
@@ -518,8 +529,8 @@ def test_package_has_no_assert_statements():
 
 def test_fresh_context_is_safe_to_share_between_threads():
     # Lazily filled state (Group._inv/_orders, Subgroup._gens, the
-    # normalizer and quotient caches, the isomorphism memo) starts empty on
-    # a context built from a dict; four threads then fill it concurrently.
+    # quotient cache, the isomorphism memo) starts empty on a context
+    # built from a dict; four threads then fill it concurrently.
     spec = gal.to_instance_dict(get_ctx("selmer-serre:n=4"))
 
     def answers(ctx, order):

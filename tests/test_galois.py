@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -284,6 +285,28 @@ def test_dot_export(klein):
     # Galois covering steps are drawn doubled
     assert '"Q" -> "Q(sqrt2)" [color="black:black"];' in dot
     assert dot == gal.to_dot(klein)  # byte-stable
+
+
+# SHA-256 of to_dot output, recorded when covering steps were found by
+# comparing every pair of field refs
+DOT_DIGESTS = {
+    "radical:a=2,n=12":
+        "aa598f8f76717113aefbe91fd368cb7c4954c82c774186856621fb8b161d71cd",
+    "radical:a=2,n=16":
+        "0535551ddefb428050f2b192683e4d390d7884a9addb908d8f4eb23280da5f79",
+    "radical:a=2,n=20":
+        "6846d5e2f9adf7eeefab04b4f88be024b76a408fc1ab0971bb84d083a81e2199",
+    "selmer-serre:n=5":
+        "22c67b74eb69fd09e6737f99ea095fe082900f72e3dc220acd5d37308aeecdcf",
+    "cyclo-radical:n=1,d=13,l=2":
+        "b6a1799164a1a3e68d739349fd5acbe7fb5cecd59e702ad51844ab575c9c3c3b",
+}
+
+
+@pytest.mark.parametrize("selector", sorted(DOT_DIGESTS))
+def test_dot_export_matches_recorded_digests(selector):
+    dot = gal.to_dot(get_ctx(selector))
+    assert hashlib.sha256(dot.encode()).hexdigest() == DOT_DIGESTS[selector]
 
 
 def test_instance_json_round_trip(klein):

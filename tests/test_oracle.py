@@ -175,3 +175,15 @@ def test_is_simple_agrees_with_literal_galsimple():
                     E, F = ctx.field_of(N), ctx.field_of(B)
                     assert pg.is_simple(pg.quotient(B, N)) == \
                         orc._literal_galsimple(ctx, E, F), (name, E.name, F.name)
+
+
+def test_between_and_normal_in_agree_with_literal_scans():
+    for name in ("klein", "radical:a=2,n=12", "selmer-serre:n=4"):
+        ctx = get_ctx(name)
+        for lo in ctx.subgroups:
+            for hi in ctx.subgroups:
+                if lo <= hi:
+                    assert ctx.between(lo, hi) == \
+                        [S for S in ctx.subgroups if lo <= S <= hi], (name, lo.key, hi.key)
+                    assert ctx.normal_in(lo, hi) == \
+                        orc.literal_is_normal(lo, hi), (name, lo.key, hi.key)

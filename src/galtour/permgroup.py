@@ -287,14 +287,43 @@ class AbstractGroup:
     def is_cyclic(self) -> bool:
         return self.order in self.element_orders()
 
+    def is_isomorphism(self, other: "AbstractGroup", phi: Sequence[int]) -> bool:
+        """True iff the label map x |-> phi[x] is an isomorphism onto
+        ``other``: a bijection with phi[0] = 0 and phi[x*g] = phi[x]*phi[g]
+        for every label x and greedy generator g.  By induction on word
+        length the edge equations hold for every product of generators,
+        so n*k checks decide what the n*n products would."""
+        n = self.order
+        if other.order != n or sorted(phi) != list(range(n)) or phi[0] != 0:
+            return False
+        ta, tb = self.table, other.table
+        return all(phi[ta[x][g]] == tb[phi[x]][phi[g]]
+                   for g in self.greedy_generators(range(n)) for x in range(n))
+
+    def is_solvable(self) -> bool:
+        """True iff the derived series reaches the trivial group.  Each
+        term is the normal closure, in the term before, of the
+        commutators of that term's generators."""
+        tab, inv = self.table, self.inverses
+        term = range(self.order)
+        while len(term) > 1:
+            gens = self.greedy_generators(term)
+            derived = self.normal_closure(
+                {tab[tab[inv[a]][inv[b]]][tab[a][b]] for a in gens for b in gens},
+                gens)
+            if len(derived) == len(term):
+                return False
+            term = sorted(derived)
+        return True
+
 
 class Group(AbstractGroup):
     """A finite permutation group with a fixed canonical element order.
 
     A table group whose labels index ``elements``, sorted lexicographically
     by image tuple, so the identity always has index 0.  The table is
-    built lazily from the permutations and cached, and so is the subgroup
-    lattice (see :func:`all_subgroups`).  Equality and hashing are by
+    built lazily from the generators and cached (see :attr:`table`), and so
+    is the subgroup lattice (see :func:`all_subgroups`).  Equality and hashing are by
     identity: subgroups, field handles and memos key on the group object
     and never hash its table.
     """
@@ -334,14 +363,31 @@ class Group(AbstractGroup):
 
     @property
     def table(self) -> list:
+        """Row x lists the labels of x*y for every label y.
+
+        Only the generator rows compose permutations (k*n compositions for
+        k generators).  Every other row is one index pass over a row
+        already filled, row(x*g)[y] = row(x)[row(g)[y]], breadth first
+        over the Cayley graph from the identity row.
+        """
         if self._table is None:
-            elems = self.elements
             idx = self._index
-            tab = [
-                [idx[tuple(p.images[q.images[x]] for x in range(self.degree))]
-                 for q in elems]
-                for p in elems
-            ]
+            gen_rows = [(idx[g.images],
+                         [idx[tuple(map(g.images.__getitem__, q.images))]
+                          for q in self.elements])
+                        for g in self.generators]
+            tab = [None] * self.order
+            tab[0] = list(range(self.order))
+            filled = [0]
+            for x in filled:
+                row = tab[x]
+                for g, gen_row in gen_rows:
+                    y = row[g]
+                    if tab[y] is None:
+                        tab[y] = list(map(row.__getitem__, gen_row))
+                        filled.append(y)
+            if len(filled) != self.order:
+                raise PermGroupError("generators do not generate the elements")
             object.__setattr__(self, "_table", tab)
         return self._table
 
@@ -540,31 +586,63 @@ def subnormal_closure(H: Subgroup, B: Subgroup) -> tuple:
 def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     """Every subgroup of G, canonically sorted.
 
-    Cyclic extension (Neubüser): from the trivial subgroup, extend each
-    found subgroup A by every cyclic subgroup <c> of prime-power order
-    not inside A, to a fixpoint.  Every subgroup is generated by such
-    cyclic subgroups of itself, so the fixpoint set is complete.  The
-    lattice is computed once per group and kept on it; the bound is
-    checked on every call.
+    Layered cyclic extension (Neubüser; Holt-Eick-O'Brien, *Handbook of
+    Computational Group Theory*, 8.1): from the trivial subgroup, extend
+    each found subgroup A by each cyclic subgroup <c> of prime-power
+    order p^k not inside A, to a fixpoint.  When c normalizes A and c^p
+    lies in A, the extension is the union of the cosets c^i A for
+    0 <= i < p, one row pass each.  In a solvable G only those
+    extensions are made: every subgroup H > 1 has a normal subgroup A of
+    prime index p, and the p-part of any element of H outside A is such
+    a c.  When G is not solvable (its derived series stops above 1, as
+    for S5 and A5), every other <c> is also tried, by closing A and c
+    under products.  The lattice is computed once per group and kept on
+    it; the bound is checked on every call.
     """
     if G.order > bound:
         raise BoundExceeded(f"|G| = {G.order} exceeds enumeration bound {bound}")
     if G._subgroups is not None:
         return list(G._subgroups)
-    cyclic = {}  # mask of each cyclic subgroup of prime-power order -> a generator
+    tab, inv = G.table, G.inverses
+    # one entry per cyclic subgroup <c> of prime-power order p^k, c its least
+    # generator: (c, c^p, conjugation by c, the rows of c .. c^(p-1))
+    extensions = []
+    listed = set()  # the generators of every <c> listed so far
     for c, n in enumerate(G.element_orders()):
-        if len(factorize(n)) == 1:
-            cyclic.setdefault(sum(1 << i for i in G.span((c,))), c)
+        primes = factorize(n)
+        if c in listed or len(primes) != 1:
+            continue
+        (p,) = primes
+        powers = [0, c]
+        while len(powers) < n:
+            powers.append(tab[powers[-1]][c])
+        listed.update(x for j, x in enumerate(powers) if j % p)
+        extensions.append((c, powers[p % n], [tab[x][inv[c]] for x in tab[c]],
+                           [tab[x] for x in powers[1:p]]))
+    solvable = G.is_solvable()
     trivial = G.trivial_subgroup()
     found = {trivial.key: trivial}
     fresh = [trivial]
     for A in fresh:
-        for mask, c in cyclic.items():
-            if A.mask & mask != mask:
-                key = tuple(sorted(G.span(A.gens() + (c,), A.key)))
-                if key not in found:
-                    found[key] = Subgroup(G, key, _checked=True)
-                    fresh.append(found[key])
+        members, gens = A.indices, A.gens()
+        # A and the coset unions made from it: a prime-power element of such
+        # a union H outside A has its p-th power in A, so it extends A to H
+        covered = set(members)
+        for c, c_p, conj, rows in extensions:
+            if c in covered:
+                continue
+            if c_p in members and members.issuperset(map(conj.__getitem__, gens)):
+                key = A.key + tuple(itertools.chain.from_iterable(
+                    map(row.__getitem__, A.key) for row in rows))
+                covered.update(key)
+            elif solvable:
+                continue
+            else:
+                key = G.span(gens + (c,), A.key)
+            key = tuple(sorted(key))
+            if key not in found:
+                found[key] = Subgroup(G, key, _checked=True)
+                fresh.append(found[key])
     object.__setattr__(G, "_subgroups",
                        tuple(sorted(found.values(), key=Subgroup.sort_key)))
     return list(G._subgroups)
@@ -601,7 +679,12 @@ def quotient(B: Subgroup, N: Subgroup) -> AbstractGroup:
 
 def _close_homomorphism(A: AbstractGroup, B: AbstractGroup,
                         gens: Sequence[int], images: Sequence[int]) -> Optional[tuple]:
-    """Extend gen |-> image to all of A; None on any inconsistency."""
+    """Extend gen |-> image to all of A; None on any inconsistency.
+
+    The walk checks phi[x*g] = phi[x]*image(g) on every Cayley-graph edge
+    x -> x*g, so a bijective result is an isomorphism, by the argument of
+    :meth:`AbstractGroup.is_isomorphism`.
+    """
     ta, tb = A.table, B.table
     phi = {0: 0}
     frontier = [0]
@@ -621,11 +704,6 @@ def _close_homomorphism(A: AbstractGroup, B: AbstractGroup,
     out = tuple(phi[i] for i in range(A.order))
     if len(set(out)) != A.order:
         return None
-    # full homomorphism check; the closure above only covers a spanning tree
-    for a in range(A.order):
-        for b in range(A.order):
-            if out[ta[a][b]] != tb[out[a]][out[b]]:
-                return None
     return out
 
 

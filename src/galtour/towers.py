@@ -317,13 +317,8 @@ class EquivalenceWitness:
         q2 = marche_groups(t2)
         for i in range(m):
             a, b = q1[i], q2[sigma[i] - 1]
-            phi = isos[i]
-            if sorted(phi) != list(range(a.order)) or b.order != a.order:
-                raise TowerError(f"iso {i + 1} is not a bijection")
-            for x in range(a.order):
-                for y in range(a.order):
-                    if phi[a.table[x][y]] != b.table[phi[x]][phi[y]]:
-                        raise TowerError(f"iso {i + 1} is not a homomorphism")
+            if not a.is_isomorphism(b, isos[i]):
+                raise TowerError(f"iso {i + 1} is not an isomorphism")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "isos", isos)
 

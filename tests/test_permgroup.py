@@ -139,6 +139,43 @@ def test_closure_idempotence(img_lists):
     assert [p.images for p in g1.elements] == [p.images for p in g2.elements]
 
 
+def literal_table(g):
+    # oracle: one permutation composition per pair of elements
+    return [[g.index_of(pg.compose(p, q)) for q in g.elements] for p in g.elements]
+
+
+C4_GEN, FLIP = P.from_cycles("(1 2 3 4)", 4), P.from_cycles("(1 3)", 4)
+TABLE_GROUPS = {
+    "trivial": lambda: pg.generate(3, [P.identity(3)]),
+    "no generators": lambda: pg.generate(3, []),
+    "identity and repeats": lambda: pg.generate(
+        4, [P.identity(4), C4_GEN, FLIP, C4_GEN, P.identity(4)]),
+    "radical:a=2,n=12": lambda: get_ctx("radical:a=2,n=12").group,
+    "radical:a=2,n=24": lambda: get_ctx("radical:a=2,n=24").group,
+    "selmer-serre:n=5": lambda: get_ctx("selmer-serre:n=5").group,
+    "cyclo-radical:n=1,d=13,l=2":
+        lambda: get_ctx("cyclo-radical:n=1,d=13,l=2").group,
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_GROUPS))
+def test_table_agrees_with_compose_on_every_pair(name):
+    g = TABLE_GROUPS[name]()
+    assert g.table == literal_table(g)
+
+
+def test_table_agrees_with_compose_on_random_groups():
+    for g in random_groups(seed=77, count=10):
+        assert g.table == literal_table(g), g.generators
+
+
+def test_table_rejects_generators_that_miss_elements():
+    s3 = S(3)
+    g = pg.Group(3, [P.from_cycles("(1 2 3)", 3)], s3.elements)
+    with pytest.raises(pg.PermGroupError, match="do not generate"):
+        g.table
+
+
 def test_group_text_format_round_trip():
     g = D6()
     text = pg.group_to_text(g)
@@ -288,6 +325,33 @@ def test_all_subgroups_keys_match_recorded_digests(selector):
     keys = [sg.key for sg in pg.all_subgroups(get_ctx(selector).group)]
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == LATTICE_DIGESTS[selector]
+
+
+def literal_is_solvable(g):
+    # oracle: each derived term is generated by the commutators of every
+    # pair of its elements; solvable iff the series reaches {identity}
+    tab, inv = g.table, g.inverses
+    term = set(range(g.order))
+    while len(term) > 1:
+        derived = bfs_closure(g, {tab[tab[inv[a]][inv[b]]][tab[a][b]]
+                                  for a in term for b in term})
+        if derived == term:
+            return False
+        term = derived
+    return True
+
+
+def test_is_solvable_agrees_with_literal_derived_series():
+    a5 = pg.generate(5, [P.from_cycles("(1 2 3)", 5), P.from_cycles("(3 4 5)", 5)])
+    named = [S(4), a5, S(5), abstract(S(4)), abstract(a5)]
+    radicals = [get_ctx(f"radical:a=2,n={n}").group
+                for n in (4, 6, 9, 12, 16, 20, 24, 30)]
+    groups = named + radicals + random_groups(seed=2009, count=14)
+    verdicts = [g.is_solvable() for g in groups]
+    assert verdicts == [literal_is_solvable(g) for g in groups]
+    assert verdicts[:5] == [True, False, False, True, False]
+    assert all(verdicts[5:5 + len(radicals)])
+    assert not all(verdicts[5 + len(radicals):])  # a non-solvable random group
 
 
 @pytest.mark.parametrize("make", [lambda: S(4), D6,
@@ -512,6 +576,46 @@ def test_are_isomorphic_is_explicit_isomorphism():
     for x in range(a.order):
         for y in range(a.order):
             assert phi[a.table[x][y]] == d3.table[phi[x]][phi[y]]
+
+
+def literal_is_isomorphism(a, b, phi):
+    # oracle: a bijection that preserves every one of the n*n products
+    n = a.order
+    return (b.order == n and sorted(phi) == list(range(n))
+            and all(phi[a.table[x][y]] == b.table[phi[x]][phi[y]]
+                    for x in range(n) for y in range(n)))
+
+
+def test_is_isomorphism_agrees_with_literal_products():
+    rng = random.Random(6)
+    quotients = set()
+    for G in (S(4), D6(), get_ctx("radical:a=2,n=6").group):
+        subs = pg.all_subgroups(G)
+        quotients.update(pg.quotient(B, N) for B in subs for N in subs
+                         if N <= B and pg.is_normal(N, B))
+    quotients = sorted(quotients, key=lambda q: q.table)
+    seen = {True: 0, False: 0}
+    for a in quotients:
+        n = a.order
+        for b in quotients:
+            maps = []
+            if a.iso_invariant() == b.iso_invariant():
+                true_iso = pg.are_isomorphic(a, b)
+                if true_iso is not None:
+                    maps.append(true_iso)
+            for _ in range(3):
+                rest = list(range(1, n))
+                rng.shuffle(rest)
+                maps.append([0] + rest)              # a random bijection fixing 0
+                if n > 1:
+                    moved = [rest[0], 0] + rest[1:]  # a bijection with phi(0) != 0
+                    maps.append(moved)
+                    maps.append([0] * n)             # not a bijection
+            for phi in maps:
+                verdict = a.is_isomorphism(b, phi)
+                assert verdict == literal_is_isomorphism(a, b, phi), (a, b, phi)
+                seen[verdict] += 1
+    assert seen[True] > len(quotients) and seen[False] > len(quotients)
 
 
 @given(st.sampled_from(sorted(_named_small_groups())),

@@ -355,3 +355,20 @@ def test_equivalence_witness_validation(klein):
         tw.EquivalenceWitness(t1, t1, (1, 1), ((0, 1), (0, 1)))  # not a bijection
     with pytest.raises(tw.TowerError):
         tw.EquivalenceWitness(t1, t1, (1, 2), ((1, 0), (0, 1)))  # not a hom
+
+
+def test_equivalence_witness_rejects_a_bijection_that_is_no_hom(r24):
+    t = tw.make_tower(r24, [r24.base, r24.top_closure])
+    good = tw.equivalence_witness(t, t)
+    q = tw.marche_groups(t)[0]
+    assert q.order == 8 and not q.is_abelian()
+    rejected = 0
+    for x, y in itertools.combinations(range(1, q.order), 2):
+        bad = list(good.isos[0])
+        bad[x], bad[y] = bad[y], bad[x]  # a bijection fixing the identity
+        if any(bad[q.table[a][b]] != q.table[bad[a]][bad[b]]
+               for a in range(q.order) for b in range(q.order)):
+            with pytest.raises(tw.TowerError, match="not an isomorphism"):
+                tw.EquivalenceWitness(t, t, good.sigma, (tuple(bad),))
+            rejected += 1
+    assert rejected > 0

@@ -303,8 +303,7 @@ def _least_maximal_normal_between(ctx: GaloisContext, top: Subgroup,
     candidates = [sg for sg in ctx.between(bottom, top)
                   if sg.key != top.key and ctx.normal_in(sg, top)]
     maximal = [b for b in candidates
-               if not any(b.mask & c.mask == b.mask and b.key != c.key
-                          for c in candidates)]
+               if not any(b <= c and b != c for c in candidates)]
     if not maximal:
         raise TheoremViolation("no proper normal subgroup in a non-simple step")
     return min(maximal, key=Subgroup.sort_key)

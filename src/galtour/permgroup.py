@@ -320,31 +320,56 @@ class AbstractGroup:
 class Group(AbstractGroup):
     """A finite permutation group with a fixed canonical element order.
 
-    A table group whose labels index ``elements``, sorted lexicographically
-    by image tuple, so the identity always has index 0.  The table is
-    built lazily from the generators and cached (see :attr:`table`), and so
-    is the subgroup lattice (see :func:`all_subgroups`).  Equality and hashing are by
-    identity: subgroups, field handles and memos key on the group object
-    and never hash its table.
+    ``Group(degree, generators, bound)`` closes the generators under
+    composition, so its elements are exactly what they reach
+    (:class:`BoundExceeded` past ``bound``).  Labels index ``elements``,
+    sorted by image tuple, so the identity has index 0.  The table and the
+    subgroup lattice (:func:`all_subgroups`) are built lazily and cached.
+    Equality and hashing are by identity: subgroups, field handles and
+    memos key on the group object and never hash its table.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_index", "_subgroups",
-                 "__weakref__")
+    __slots__ = ("degree", "generators", "elements", "_index", "_gen_rows",
+                 "_subgroups", "__weakref__")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 elements: Sequence[Permutation]):
+                 bound: int = CLOSURE_BOUND):
+        generators = tuple(generators)
+        for g in generators:
+            if g.degree != degree:
+                raise PermGroupError(f"generator degree {g.degree} != {degree}")
+        # closure on image tuples, multiplying on the left: products[k][x] is
+        # the discovery label of g_k*x for the element with discovery label x
+        gen_images = [g.images for g in generators]
+        label = {tuple(range(degree)): 0}
+        found = list(label)
+        products = [[] for _ in gen_images]
+        for x in found:
+            for g, prods in zip(gen_images, products):
+                y = tuple(map(g.__getitem__, x))
+                j = label.get(y)
+                if j is None:
+                    if len(found) >= bound:
+                        raise BoundExceeded(
+                            f"closure exceeds bound {bound} (degree {degree})")
+                    j = label[y] = len(found)
+                    found.append(y)
+                prods.append(j)
+        order = sorted(range(len(found)), key=found.__getitem__)
+        index = {found[x]: i for i, x in enumerate(order)}
+        rank = list(map(index.__getitem__, found))  # discovery -> canonical
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "elements", tuple(sorted(elements)))
-        object.__setattr__(self, "order", len(self.elements))
-        object.__setattr__(self, "_index",
-                           {p.images: i for i, p in enumerate(self.elements)})
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "elements",
+                           tuple(Permutation(found[x]) for x in order))
+        object.__setattr__(self, "order", len(order))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_gen_rows",
+                           [[rank[prods[x]] for x in order] for prods in products])
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_inv", None)
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_subgroups", None)
-        if self.elements[0].images != tuple(range(degree)):
-            raise PermGroupError("identity missing from element set")
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -365,69 +390,57 @@ class Group(AbstractGroup):
     def table(self) -> list:
         """Row x lists the labels of x*y for every label y.
 
-        Only the generator rows compose permutations (k*n compositions for
-        k generators).  Every other row is one index pass over a row
-        already filled, row(x*g)[y] = row(x)[row(g)[y]], breadth first
-        over the Cayley graph from the identity row.
+        Composes no permutations: each generator's row g*y comes from the
+        closure, and every other row is one index pass over a row already
+        filled, row(x*g)[y] = row(x)[row(g)[y]], breadth first from row 0.
         """
         if self._table is None:
-            idx = self._index
-            gen_rows = [(idx[g.images],
-                         [idx[tuple(map(g.images.__getitem__, q.images))]
-                          for q in self.elements])
-                        for g in self.generators]
             tab = [None] * self.order
             tab[0] = list(range(self.order))
             filled = [0]
             for x in filled:
                 row = tab[x]
-                for g, gen_row in gen_rows:
-                    y = row[g]
+                for gen_row in self._gen_rows:
+                    y = row[gen_row[0]]  # gen_row[0] = g*e = g
                     if tab[y] is None:
                         tab[y] = list(map(row.__getitem__, gen_row))
                         filled.append(y)
-            if len(filled) != self.order:
-                raise PermGroupError("generators do not generate the elements")
             object.__setattr__(self, "_table", tab)
         return self._table
 
     # subgroup constructors ------------------------------------------------
 
     def subgroup(self, indices: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, indices)
+        """The subgroup on a caller's element indices, the one constructor
+        that checks its set: :class:`PermGroupError` unless it holds the
+        identity, lies in 0..order-1 and is closed under composition (its
+        greedy generators span nothing beyond it)."""
+        indices = set(indices)
+        if 0 not in indices:
+            raise PermGroupError("subgroup must contain the identity (index 0)")
+        if min(indices) < 0 or max(indices) >= self.order:
+            raise PermGroupError("element index out of range")
+        sub = Subgroup(self, indices)
+        if len(self.span(sub.gens())) != sub.order:
+            raise PermGroupError("element set not closed under composition")
+        return sub
 
     def generated_subgroup(self, indices: Iterable[int]) -> "Subgroup":
         """Subgroup generated by the given element indices."""
-        return Subgroup(self, self.span(set(indices)), _checked=True)
+        return Subgroup(self, self.span(set(indices)))
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (0,), _checked=True)
+        return Subgroup(self, (0,))
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, range(self.order), _checked=True)
+        return Subgroup(self, range(self.order))
 
 
 def generate(degree: int, generators: Sequence[Permutation],
              bound: int = CLOSURE_BOUND) -> Group:
-    """Close a generator set under composition; error beyond ``bound``."""
-    for g in generators:
-        if g.degree != degree:
-            raise PermGroupError(f"generator degree {g.degree} != {degree}")
-    ident = Permutation.identity(degree)
-    elements = {ident.images: ident}
-    frontier = [ident]
-    gens = list(generators)
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = compose(p, g)
-            if q.images not in elements:
-                if len(elements) >= bound:
-                    raise BoundExceeded(
-                        f"closure exceeds bound {bound} (degree {degree})")
-                elements[q.images] = q
-                frontier.append(q)
-    return Group(degree, generators, list(elements.values()))
+    """``Group(degree, generators, bound)``, whose closure checks the
+    generator degrees and raises ``BoundExceeded`` past ``bound``."""
+    return Group(degree, generators, bound)
 
 
 def group_to_text(G: Group) -> str:
@@ -459,12 +472,13 @@ class Subgroup:
     The canonical key is the sorted tuple of element indices into the
     parent's canonical element order; equality and hashing are bit-exact
     on it.  ``mask`` is the same set as a bitmask, for O(1) inclusion
-    tests.
+    tests.  The constructor trusts its caller: the library passes only
+    sets it has closed, and :meth:`Group.subgroup` checks any other set.
     """
 
     __slots__ = ("parent", "key", "indices", "mask", "order", "_gens")
 
-    def __init__(self, parent: Group, indices: Iterable[int], _checked=False):
+    def __init__(self, parent: Group, indices: Iterable[int]):
         key = tuple(sorted(set(indices)))
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "key", key)
@@ -472,19 +486,6 @@ class Subgroup:
         object.__setattr__(self, "mask", sum(1 << i for i in key))
         object.__setattr__(self, "order", len(key))
         object.__setattr__(self, "_gens", None)
-        if not _checked:
-            self._validate()
-
-    def _validate(self):
-        if not self.key or self.key[0] != 0:
-            raise PermGroupError("subgroup must contain the identity (index 0)")
-        if any(i < 0 or i >= self.parent.order for i in self.key):
-            raise PermGroupError("element index out of range")
-        tab = self.parent.table
-        for i in self.key:
-            for j in self.key:
-                if tab[i][j] not in self.indices:
-                    raise PermGroupError("element set not closed under composition")
 
     def __setattr__(self, *a):
         raise AttributeError("Subgroup is immutable")
@@ -523,7 +524,7 @@ class Subgroup:
 
 def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
     A._same_parent(B)
-    return Subgroup(A.parent, A.indices & B.indices, _checked=True)
+    return Subgroup(A.parent, A.indices & B.indices)
 
 
 def join(A: Subgroup, B: Subgroup) -> Subgroup:
@@ -536,7 +537,7 @@ def join(A: Subgroup, B: Subgroup) -> Subgroup:
     if A.order < B.order:
         A, B = B, A
     G = A.parent
-    return Subgroup(G, G.span(A.gens() + B.gens(), A.key), _checked=True)
+    return Subgroup(G, G.span(A.gens() + B.gens(), A.key))
 
 
 def is_normal(A: Subgroup, B: Subgroup) -> bool:
@@ -560,7 +561,7 @@ def normal_closure(H: Subgroup, B: Subgroup) -> Subgroup:
     if not H <= B:
         raise PermGroupError("normal_closure requires H <= B")
     G = H.parent
-    return Subgroup(G, G.normal_closure(H.gens(), B.gens()), _checked=True)
+    return Subgroup(G, G.normal_closure(H.gens(), B.gens()))
 
 
 def subnormal_closure(H: Subgroup, B: Subgroup) -> tuple:
@@ -641,7 +642,7 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
                 key = G.span(gens + (c,), A.key)
             key = tuple(sorted(key))
             if key not in found:
-                found[key] = Subgroup(G, key, _checked=True)
+                found[key] = Subgroup(G, key)
                 fresh.append(found[key])
     object.__setattr__(G, "_subgroups",
                        tuple(sorted(found.values(), key=Subgroup.sort_key)))

@@ -239,7 +239,7 @@ def cyclo_radical_context(spec: CycloRadicalSpec,
     q = euler_phi(n2) // n
     target = E.order * q
     candidates = [sg for sg in pg.all_subgroups(G, bound=enumeration_bound)
-                  if E.mask & sg.mask == E.mask and sg.order == target]
+                  if E <= sg and sg.order == target]
     if not candidates:
         raise PresetError("no subgroup H of the required order exists")
     X = min(candidates, key=pg.Subgroup.sort_key)

@@ -169,13 +169,6 @@ def test_table_agrees_with_compose_on_random_groups():
         assert g.table == literal_table(g), g.generators
 
 
-def test_table_rejects_generators_that_miss_elements():
-    s3 = S(3)
-    g = pg.Group(3, [P.from_cycles("(1 2 3)", 3)], s3.elements)
-    with pytest.raises(pg.PermGroupError, match="do not generate"):
-        g.table
-
-
 def test_group_text_format_round_trip():
     g = D6()
     text = pg.group_to_text(g)
@@ -372,6 +365,49 @@ def test_span_from_a_base_is_the_closure(make):
             assert g.span(gens, H.key) == bfs_closure(g, gens)
         K = random_subgroup()
         assert pg.join(H, K).indices == bfs_closure(g, H.gens() + K.gens())
+
+
+def test_subgroup_rejects_each_bad_set_with_its_reason():
+    g = S(3)
+    c3 = g.index_of(P.from_cycles("(1 2 3)", 3))
+    for indices, message in [([1, 2], "must contain the identity"),
+                             ([0, 6], "index out of range"),
+                             ([0, -1], "index out of range"),
+                             ([0, c3], "not closed under composition")]:
+        with pytest.raises(pg.PermGroupError, match=message):
+            g.subgroup(indices)
+
+
+def literal_is_closed(g, indices):
+    # oracle: every pairwise product, looked up in the table
+    tab = g.table
+    return all(tab[i][j] in indices for i in indices for j in indices)
+
+
+@pytest.mark.parametrize("make", [lambda: S(4), D6,
+                                  lambda: get_ctx("radical:a=2,n=12").group],
+                         ids=["S4", "D6", "radical:a=2,n=12"])
+def test_subgroup_check_agrees_with_pairwise_closure(make):
+    g = make()
+    lattice = pg.all_subgroups(g)
+    for sg in lattice:
+        assert g.subgroup(sg.key) == sg
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(300):
+        if rng.random() < 0.3:  # a random set
+            indices = {0, *rng.sample(range(g.order), rng.randint(1, g.order - 1))}
+        else:  # a lattice subgroup with up to two non-identity labels toggled
+            indices = set(rng.choice(lattice).key)
+            indices ^= set(rng.sample(range(1, g.order), rng.randint(0, 2)))
+        closed = literal_is_closed(g, indices)
+        verdicts.add(closed)
+        if closed:
+            assert g.subgroup(indices).indices == indices
+        else:
+            with pytest.raises(pg.PermGroupError, match="not closed"):
+                g.subgroup(indices)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,10 @@ def galois_tower_witness(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Tower:
 
 
 def is_simple_ext(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
-    """No proper intermediate field: the interval has exactly 2 members."""
+    """No proper intermediate field: Subgroup(E) is maximal in Subgroup(F)."""
     if not F <= E:
         raise gal.GaloisError("is_simple_ext requires F <= E")
-    return len(ctx.interval_fields(F, E)) == 2
+    return E.subgroup in ctx.maximal_subgroups(F.subgroup)
 
 
 def is_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
@@ -299,14 +299,16 @@ def is_composition_tower_galois(t: Tower) -> bool:
 
 def _least_maximal_normal_between(ctx: GaloisContext, top: Subgroup,
                                   bottom: Subgroup) -> Subgroup:
-    """Least (canonical order) maximal B with bottom <= B < top, B normal in top."""
+    """Least (canonical order) maximal B with bottom <= B < top, B normal in top.
+
+    Maximal among the normal candidates, not a cover: S5's A5 > 1 is not one.
+    """
     candidates = [sg for sg in ctx.between(bottom, top)
                   if sg.key != top.key and ctx.normal_in(sg, top)]
-    maximal = [b for b in candidates
-               if not any(b <= c and b != c for c in candidates)]
+    maximal = ctx.maximal_among(candidates)
     if not maximal:
         raise TheoremViolation("no proper normal subgroup in a non-simple step")
-    return min(maximal, key=Subgroup.sort_key)
+    return maximal[0]
 
 
 def galjordanholder_refine(t: Tower) -> Tower:
@@ -435,20 +437,19 @@ def galsimple_laws_check(ctx: GaloisContext) -> GalsimpleLawsReport:
     non-Galois.  Law 2: galsimple non-Galois extensions stack: F1/F0 and
     F2/F1 galsimple non-Galois imply F2/F0 galsimple non-Galois.
     """
-    fields = ctx.all_fields()
+    fields, N = ctx.all_fields(), ctx.top_closure
     gns: dict = {}  # (lo, hi) -> galsimple-and-non-Galois
     gs: dict = {}
     for lo in fields:
-        for hi in fields:
-            if lo <= hi:
-                g = is_galsimple(ctx, hi, lo)
-                gs[(lo, hi)] = g
-                gns[(lo, hi)] = g and not gal.is_galois(ctx, hi, lo)
+        for hi in ctx.interval_fields(lo, N):
+            g = is_galsimple(ctx, hi, lo)
+            gs[(lo, hi)] = g
+            gns[(lo, hi)] = g and not gal.is_galois(ctx, hi, lo)
     violations = []
     quotient_checks = 0
     for lo in fields:
-        for hi in fields:
-            if not (lo <= hi and gs[(lo, hi)]):
+        for hi in ctx.interval_fields(lo, N):
+            if not gs[(lo, hi)]:
                 continue
             for mid in ctx.interval_fields(lo, hi):
                 if mid in (lo, hi):
@@ -459,11 +460,11 @@ def galsimple_laws_check(ctx: GaloisContext) -> GalsimpleLawsReport:
                         ("quotient", lo.name, mid.name, hi.name))
     transitivity_checks = 0
     for f0 in fields:
-        for f1 in fields:
-            if not (f0 <= f1 and gns[(f0, f1)]):
+        for f1 in ctx.interval_fields(f0, N):
+            if not gns[(f0, f1)]:
                 continue
-            for f2 in fields:
-                if not (f1 <= f2 and gns[(f1, f2)]):
+            for f2 in ctx.interval_fields(f1, N):
+                if not gns[(f1, f2)]:
                     continue
                 transitivity_checks += 1
                 if not gns[(f0, f2)]:

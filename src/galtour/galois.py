@@ -88,6 +88,11 @@ class GaloisContext:
     at construction; construction fails if |G| exceeds the enumeration
     bound.  ``base`` is K (subgroup G), ``top_closure`` is N (trivial
     subgroup), ``distinguished`` is the studied extension's summit L.
+
+    Lazily filled state: the quotient cache, and the poset index over
+    positions in ``subgroups`` (up-set, down-set and maximal-subgroup
+    bitmasks per position).  Concurrent filling is safe: each entry is a
+    deterministic value, written once (a race at most rewrites it).
     """
 
     def __init__(self, group: Group, *, distinguished: Optional[Subgroup] = None,
@@ -96,9 +101,10 @@ class GaloisContext:
                  enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND):
         self.group = group
         self.subgroups = pg.all_subgroups(group, bound=enumeration_bound)
-        self._by_key = {sg.key: FieldRef(self, sg) for sg in self.subgroups}
-        self.base = self._by_key[group.full_subgroup().key]
-        self.top_closure = self._by_key[group.trivial_subgroup().key]
+        self._fields = [FieldRef(self, sg) for sg in self.subgroups]
+        self._pos = {sg.key: i for i, sg in enumerate(self.subgroups)}
+        self.base = self.field_of(group.full_subgroup())
+        self.top_closure = self.field_of(group.trivial_subgroup())
         self.names: dict = {}
         self._name_to_field: dict = {}
         for sg, name in (names or {}).items():
@@ -117,6 +123,9 @@ class GaloisContext:
             self.distinguished = self.field_of(distinguished)
         self.notes = dict(notes or {})
         self._quotient_cache: dict = {}
+        self._up: dict = {}
+        self._down: dict = {}
+        self._maximal: dict = {}
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -130,17 +139,20 @@ class GaloisContext:
 
     # registry lookups -------------------------------------------------------
 
-    def field_of(self, sg: Subgroup) -> FieldRef:
+    def _position(self, sg: Subgroup) -> int:
         if sg.parent is not self.group:
             raise GaloisError("subgroup does not belong to this context's group")
         try:
-            return self._by_key[sg.key]
+            return self._pos[sg.key]
         except KeyError:  # cannot happen: registry covers every subgroup
             raise GaloisError("subgroup missing from registry") from None
 
+    def field_of(self, sg: Subgroup) -> FieldRef:
+        return self._fields[self._position(sg)]
+
     def all_fields(self) -> list:
         """Every intermediate field, in canonical subgroup order."""
-        return [self._by_key[sg.key] for sg in self.subgroups]
+        return list(self._fields)
 
     def display_name(self, ref: FieldRef) -> str:
         if ref in self.names:
@@ -162,16 +174,52 @@ class GaloisContext:
                 return ref
         raise GaloisError(f"unknown field name {name!r}")
 
+    def _up_bits(self, i: int) -> int:
+        """Positions of the subgroups containing subgroup i (all at positions >= i)."""
+        if i not in self._up:
+            m = self.subgroups[i].mask
+            self._up[i] = sum(1 << j for j, sg in enumerate(self.subgroups[i:], i)
+                              if sg.mask & m == m)
+        return self._up[i]
+
+    def _down_bits(self, i: int) -> int:
+        """Positions of the subgroups contained in subgroup i (all at positions <= i)."""
+        if i not in self._down:
+            m = self.subgroups[i].mask
+            self._down[i] = sum(1 << j for j, sg in enumerate(self.subgroups[:i + 1])
+                                if sg.mask & m == sg.mask)
+        return self._down[i]
+
+    def _maximal_bits(self, i: int) -> int:
+        """Positions j of the maximal subgroups of subgroup i: down & up = {i, j}."""
+        if i not in self._maximal:
+            down = self._down_bits(i)
+            self._maximal[i] = sum(1 << j for j in _pick(range(i), down & ~(1 << i))
+                                   if down & self._up_bits(j) == 1 << i | 1 << j)
+        return self._maximal[i]
+
+    def _interval_bits(self, lo: Subgroup, hi: Subgroup) -> int:
+        return self._up_bits(self._position(lo)) & self._down_bits(self._position(hi))
+
     def between(self, lo: Subgroup, hi: Subgroup) -> list:
         """Lattice subgroups S with lo <= S <= hi, in canonical order."""
-        return [sg for sg in self.subgroups
-                if sg.mask & lo.mask == lo.mask and sg.mask & hi.mask == sg.mask]
+        return _pick(self.subgroups, self._interval_bits(lo, hi))
 
     def interval_fields(self, F: FieldRef, E: FieldRef) -> list:
         """Fields M with F <= M <= E, canonical order; requires F <= E."""
         if not F <= E:
             raise GaloisError("interval requires F <= E as fields")
-        return [self._by_key[sg.key] for sg in self.between(E.subgroup, F.subgroup)]
+        return _pick(self._fields, self._interval_bits(E.subgroup, F.subgroup))
+
+    def maximal_subgroups(self, S: Subgroup) -> list:
+        """The maximal proper subgroups of S (its lower covers), canonical order."""
+        return _pick(self.subgroups, self._maximal_bits(self._position(S)))
+
+    def maximal_among(self, sgs: Sequence[Subgroup]) -> list:
+        """The members of sgs contained in no other member, in the given order."""
+        pos = [self._position(sg) for sg in sgs]
+        bits = sum(1 << i for i in pos)
+        return [sg for sg, i in zip(sgs, pos) if self._up_bits(i) & bits == 1 << i]
 
     def normal_in(self, A: Subgroup, B: Subgroup) -> bool:
         """A normal in B; requires A <= B."""
@@ -184,6 +232,17 @@ class GaloisContext:
             q = pg.quotient(B, N)
             self._quotient_cache[key] = q
         return q
+
+
+def _pick(seq: Sequence, bits: int) -> list:
+    """The items of seq at the set bits of ``bits``, in ascending order."""
+    s = bin(bits)[:1:-1]
+    out = []
+    i = s.find("1")
+    while i >= 0:
+        out.append(seq[i])
+        i = s.find("1", i + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +456,11 @@ def to_dot(ctx: GaloisContext) -> str:
         d = degree(ctx, ref, ctx.base)
         lines.append(f'  "{ref.name}" [label="{ref.name} [deg {d} over base]"];')
     for lower in fields:
-        for upper in fields:
-            # a covering step: nothing strictly between lower and upper
-            if lower < upper and len(ctx.between(upper.subgroup, lower.subgroup)) == 2:
-                attr = ' [color="black:black"]' if is_galois(ctx, upper, lower) else ""
-                lines.append(f'  "{lower.name}" -> "{upper.name}"{attr};')
+        # covering steps: Subgroup(upper) is maximal in Subgroup(lower)
+        for sg in ctx.maximal_subgroups(lower.subgroup):
+            upper = ctx.field_of(sg)
+            attr = ' [color="black:black"]' if is_galois(ctx, upper, lower) else ""
+            lines.append(f'  "{lower.name}" -> "{upper.name}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -348,8 +348,8 @@ def quadrilateral_question_scan(ctx: GaloisContext,
 def _agree_pairwise(ctx, instance, operation, main, literal) -> OracleReport:
     """Compare main(ctx, E, F) with literal(ctx, E, F) over every F <= E."""
     for F in ctx.all_fields():
-        for E in ctx.all_fields():
-            if F <= E and main(ctx, E, F) != literal(ctx, E, F):
+        for E in ctx.interval_fields(F, ctx.top_closure):
+            if main(ctx, E, F) != literal(ctx, E, F):
                 return OracleReport(instance, operation, False,
                                     f"({E.name}, {F.name})")
     return OracleReport(instance, operation, True)

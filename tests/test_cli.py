@@ -124,6 +124,16 @@ def test_compose(capsys):
     assert json.loads(out)["tower"] == ["Q", "Q(sqrt2)", "Q(6rt2)"]
 
 
+def test_compose_s5_steps_through_a5_which_is_not_a_cover(capsys):
+    # a composition step is maximal among the normal subgroups, not a
+    # lattice cover: in S5 the step A5 > 1 passes many subgroups
+    code, out, _ = run(capsys, "compose", "selmer-serre:n=5", "--field", "splitting")
+    assert (code, out) == (0, "Q ⊴[2] H60.2aa7c6 ⊴[60] splitting\n")
+    ctx = presets.load_instance("selmer-serre:n=5")
+    a5 = ctx.field_by_name("H60.2aa7c6").subgroup
+    assert ctx.group.trivial_subgroup() not in ctx.maximal_subgroups(a5)
+
+
 def test_elevate(capsys):
     code, out, _ = run(capsys, "elevate", "radical:a=2,n=6",
                        "--tower", '["K","Q(3rt2)","Q(6rt2)"]', "--json")

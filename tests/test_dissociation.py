@@ -529,8 +529,9 @@ def test_package_has_no_assert_statements():
 
 def test_fresh_context_is_safe_to_share_between_threads():
     # Lazily filled state (Group._inv/_orders, Subgroup._gens, the
-    # quotient cache, the isomorphism memo) starts empty on a context
-    # built from a dict; four threads then fill it concurrently.
+    # quotient cache, the up/down/cover dicts of the poset index, the
+    # isomorphism memo) starts empty on a context built from a dict;
+    # four threads then fill it concurrently.
     spec = gal.to_instance_dict(get_ctx("selmer-serre:n=4"))
 
     def answers(ctx, order):
@@ -541,12 +542,14 @@ def test_fresh_context_is_safe_to_share_between_threads():
         for i in order:
             F = fields[i]
             rep = dis.intourability_field(ctx, F, K)
-            out[F.name] = (dis.is_galtourable(ctx, F, K), rep.to_dict())
+            out[F.name] = (dis.is_galtourable(ctx, F, K), rep.to_dict(),
+                           dis.is_simple_ext(ctx, F, K), dis.is_simple_ext(ctx, N, F))
             if F in normal:
                 for F2 in normal:
                     r1, r2, w = dis.schreier_refine(tw.Tower(ctx, [K, F, N]),
                                                     tw.Tower(ctx, [K, F2, N]))
                     out[(F.name, F2.name)] = (repr(r1), repr(r2), w.sigma, w.isos)
+        out["dot"] = gal.to_dot(ctx)
         return out
 
     pg._iso_cached.cache_clear()

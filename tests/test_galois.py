@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import galtour.dissociation as dis
 import galtour.galois as gal
 import galtour.permgroup as pg
 from galtour import presets
 from conftest import get_ctx, small_contexts
+from test_permgroup import random_groups
 
 
 def fields_of(name):
@@ -307,6 +310,64 @@ DOT_DIGESTS = {
 def test_dot_export_matches_recorded_digests(selector):
     dot = gal.to_dot(get_ctx(selector))
     assert hashlib.sha256(dot.encode()).hexdigest() == DOT_DIGESTS[selector]
+
+
+# ---------------------------------------------------------------------------
+# the poset index: intervals and covers
+
+
+@functools.lru_cache(maxsize=None)
+def _random_lattice_groups():
+    # the seeded random groups of orders 72, 48, 36 and 60 (A5)
+    groups = random_groups(seed=2009, count=14)
+    return [groups[i] for i in (1, 7, 11, 12)]
+
+
+def _index_ctx(name):
+    if name.startswith("random:"):
+        return gal.GaloisContext(_random_lattice_groups()[int(name[len("random:"):])])
+    return get_ctx(name)
+
+
+@pytest.mark.parametrize("name", [
+    "klein", "radical:a=2,n=12", "selmer-serre:n=4", "selmer-serre:n=5",
+    "random:0", "random:1", "random:2", "random:3"])
+def test_poset_index_agrees_with_literal_scans(name):
+    ctx = _index_ctx(name)
+    subs = ctx.subgroups
+    n = len(subs)
+    le = {(a, b) for a in range(n) for b in range(n) if subs[a] <= subs[b]}
+    lt = {(a, b) for a, b in le if a != b}
+    for s in range(n):
+        below = [t for t in range(n) if (t, s) in lt]
+        literal = [subs[t] for t in below
+                   if not any((t, u) in lt for u in below)]
+        assert ctx.maximal_subgroups(subs[s]) == literal, (name, s)
+    fields = ctx.all_fields()
+    for lo in range(n):
+        for hi in range(n):
+            literal = [subs[m] for m in range(n) if (lo, m) in le and (m, hi) in le]
+            assert ctx.between(subs[lo], subs[hi]) == literal, (name, lo, hi)
+            if (lo, hi) in le:  # F = fields[hi] <= E = fields[lo]
+                E, F = fields[lo], fields[hi]
+                assert ctx.interval_fields(F, E) == [fields[subs.index(sg)]
+                                                     for sg in literal]
+                assert dis.is_simple_ext(ctx, E, F) == (len(literal) == 2)
+
+
+def test_index_rejects_subgroups_of_another_group():
+    ctx = get_ctx("radical:a=2,n=12")
+    G6 = get_ctx("radical:a=2,n=6").group
+    own, foreign = ctx.group.full_subgroup(), G6.full_subgroup()
+    calls = [lambda: ctx.between(G6.trivial_subgroup(), foreign),
+             lambda: ctx.between(ctx.group.trivial_subgroup(), foreign),
+             lambda: ctx.between(G6.trivial_subgroup(), own),
+             lambda: ctx.maximal_subgroups(foreign),
+             lambda: ctx.maximal_among([own, foreign])]
+    for call in calls:
+        with pytest.raises(gal.GaloisError,
+                           match="does not belong to this context's group"):
+            call()
 
 
 def test_instance_json_round_trip(klein):

@@ -41,14 +41,19 @@ def test_perfbench_spans_install_and_uninstall():
     assert all(owner.__dict__[attr] is original for owner, attr, original in undo)
 
 
+SLOW_ORACLE = ("radical:a=2,n=16", "radical:a=2,n=20")
+
+
 def _one_reference_op_per_pair():
     # the first op of each (instance, verb) pair of the two CLI workloads;
-    # `oracle` is left out, it takes seconds per op on the larger instances
+    # `oracle` on radical n=16 and n=20, the two largest lattices (196 and
+    # 332 subgroups), is left out: in process on a 2-vCPU machine each takes
+    # 0.3-0.6 s, the other oracle ops 0.1-0.2 s
     ops = {}
     for workload in ("cli_towers", "cli_lattice"):
         ref = json.loads((PERFBENCH / "reference" / f"{workload}.json").read_text())
         for op in ref["ops"]:
-            if op["verb"] != "oracle":
+            if op["verb"] != "oracle" or op["instance"] not in SLOW_ORACLE:
                 ops.setdefault((op["instance"], op["verb"]), op)
     return list(ops.values())
 

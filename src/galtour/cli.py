@@ -69,7 +69,7 @@ def _field_report(ctx, F) -> dict:
         "field": F.name,
         "degree": gal.degree(ctx, F, K),
         "galois": gal.is_galois(ctx, F, K),
-        "galtourable": dis.is_galtourable(ctx, F, K),
+        "galtourable": rep.M == F,
         "simple": dis.is_simple_ext(ctx, F, K),
         "galsimple": dis.is_galsimple(ctx, F, K),
         "M": rep.M.name,

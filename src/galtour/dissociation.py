@@ -166,25 +166,13 @@ def tower_from_series(ctx: GaloisContext, chain: Sequence[Subgroup]) -> Tower:
 # Galschreier refinement
 
 
-def _schreier_towers(t1: Tower, t2: Tower) -> tuple:
-    """The two interleaved towers of the refinement formulas."""
-    ctx = t1.ctx
-    T1, T2 = t1.fields, t2.fields
-    m, n = t1.height, t2.height
-    L = t1.top
-    out1 = []
-    for l in range(m * n):
-        q1, r1 = divmod(l, n)
-        out1.append(gal.intersect_fields(
-            ctx, T1[q1 + 1], gal.compositum(ctx, T1[q1], T2[r1])))
-    out1.append(L)
-    out2 = []
-    for l in range(m * n):
-        q2, r2 = divmod(l, m)
-        out2.append(gal.intersect_fields(
-            ctx, T2[q2 + 1], gal.compositum(ctx, T1[r2], T2[q2])))
-    out2.append(L)
-    return Tower(ctx, out1), Tower(ctx, out2)
+def _schreier_tower(t1: Tower, t2: Tower) -> Tower:
+    """The refinement of t1 by t2: field l = q*n + r (0 <= r < n, n the
+    height of t2) is T1[q+1] cap T1[q]T2[r], then the common top."""
+    ctx, T1, T2, n = t1.ctx, t1.fields, t2.fields, t2.height
+    out = [gal.intersect_fields(ctx, T1[q + 1], gal.compositum(ctx, T1[q], T2[r]))
+           for q, r in (divmod(l, n) for l in range(t1.height * n))]
+    return Tower(ctx, out + [t1.top])
 
 
 def schreier_sigma(m: int, n: int) -> tuple:
@@ -220,7 +208,7 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
     m, n = t1.height, t2.height
     if m < 1 or n < 1:
         raise tw.TowerError("schreier_refine requires heights >= 1")
-    r1, r2 = _schreier_towers(t1, t2)
+    r1, r2 = _schreier_tower(t1, t2), _schreier_tower(t2, t1)
     w1 = tw.refinement_witness(r1, t1)
     w2 = tw.refinement_witness(r2, t2)
     if w1 is None or w2 is None:

@@ -27,8 +27,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import permgroup as pg
 from .permgroup import AbstractGroup, Group, Subgroup
 
-BUILTIN_ALIASES = ("K", "L", "N")
-
 
 class GaloisError(Exception):
     """Invalid input to a Galois-correspondence operation."""
@@ -37,7 +35,8 @@ class GaloisError(Exception):
 class FieldRef:
     """Handle for an intermediate field of the context's closure.
 
-    Two refs are equal iff their subgroups' canonical forms are equal.
+    Refs are made only by :class:`GaloisContext`, one per lattice
+    position, so two refs are equal iff they are the same object.
     Field containment E <= F holds iff Subgroup(F) <= Subgroup(E).
     """
 
@@ -49,13 +48,6 @@ class FieldRef:
 
     def __setattr__(self, *a):
         raise AttributeError("FieldRef is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldRef) and other.ctx is self.ctx
-                and other.subgroup.key == self.subgroup.key)
-
-    def __hash__(self) -> int:
-        return hash((id(self.ctx), self.subgroup.key))
 
     def __le__(self, other: "FieldRef") -> bool:
         """self is a subfield of other."""
@@ -105,22 +97,18 @@ class GaloisContext:
         self._pos = {sg.key: i for i, sg in enumerate(self.subgroups)}
         self.base = self.field_of(group.full_subgroup())
         self.top_closure = self.field_of(group.trivial_subgroup())
-        self.names: dict = {}
-        self._name_to_field: dict = {}
-        for sg, name in (names or {}).items():
-            ref = self.field_of(sg)
-            if name in self._name_to_field:
+        self.distinguished = (self.top_closure if distinguished is None
+                              else self.field_of(distinguished))
+        self.names = {self.field_of(sg): name for sg, name in (names or {}).items()}
+        # the reserved names; a caller may bind them only to the same fields
+        self._name_to_field: dict = {"K": self.base, "L": self.distinguished,
+                                     "N": self.top_closure,
+                                     "closure": self.top_closure}
+        bindings = [(name, ref) for ref, name in self.names.items()]
+        bindings += [(name, self.field_of(sg)) for name, sg in (aliases or {}).items()]
+        for name, ref in bindings:
+            if self._name_to_field.setdefault(name, ref) is not ref:
                 raise GaloisError(f"duplicate field name {name!r}")
-            self.names[ref] = name
-            self._name_to_field[name] = ref
-        for name, sg in (aliases or {}).items():
-            if name in self._name_to_field:
-                raise GaloisError(f"duplicate field name {name!r}")
-            self._name_to_field[name] = self.field_of(sg)
-        if distinguished is None:
-            self.distinguished = self.top_closure
-        else:
-            self.distinguished = self.field_of(distinguished)
         self.notes = dict(notes or {})
         self._quotient_cache: dict = {}
         self._up: dict = {}
@@ -163,12 +151,6 @@ class GaloisContext:
     def field_by_name(self, name: str) -> FieldRef:
         if name in self._name_to_field:
             return self._name_to_field[name]
-        if name == "K":
-            return self.base
-        if name == "L":
-            return self.distinguished
-        if name in ("N", "closure"):
-            return self.top_closure
         for ref in self.all_fields():
             if self.display_name(ref) == name:
                 return ref

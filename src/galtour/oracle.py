@@ -1,12 +1,22 @@
 """Independent brute-force reference implementations.
 
 Every decision procedure in the main path has a literal counterpart
-here: galtourability by depth-first search over normal-step chains,
+here: galtourability by a search for a chain of normal steps,
 intourability by checking both defining conditions over every
 intermediate field, composition towers by exhaustive chain enumeration,
 and the refinement predicates by direct quantifier evaluation.  The
-oracles share only permgroup primitives and the context's interval
-enumeration with the main path, never the decision logic under test.
+oracles share only the group's table and inverses and the context's
+interval enumeration with the main path, never the decision logic under
+test: normality is the conjugation scan ``literal_is_normal`` and
+subnormality the chain search ``literal_is_subnormal`` over it.  (The
+quadrilateral scan is empirical output, not an oracle, and calls the
+main path.)
+
+Both keep their verdicts in a module memo (``_literal_normal_memo``,
+``_literal_subnormal_memo``) keyed on ``(id(group), A.key, B.key)``.  A
+finalizer drops a group's entries from both when the group is freed, so
+the memos neither keep groups alive nor answer for a later group created
+at the same id.
 
 Oracles favour clarity over speed and may be exponential; the agreement
 suite aggregates their verdicts into a machine-readable matrix.
@@ -18,7 +28,7 @@ import itertools
 import random
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import dissociation as dis
 from . import galois as gal
@@ -49,28 +59,31 @@ class OracleReport:
         return out
 
 
-# Keyed on (id(group), A.key, B.key).  A group's entries are dropped by a
-# finalizer when the group is freed, before its id can be reused, so the
-# memo neither keeps groups alive nor answers for a later group at that id.
 _literal_normal_memo: dict = {}
+_literal_subnormal_memo: dict = {}
 _memo_groups = weakref.WeakSet()  # the groups with a finalizer registered
 
 
 def _forget_group(gid: int) -> None:
-    for key in list(_literal_normal_memo):
-        if key[0] == gid:
-            _literal_normal_memo.pop(key, None)
+    for memo in (_literal_normal_memo, _literal_subnormal_memo):
+        for key in list(memo):
+            if key[0] == gid:
+                memo.pop(key, None)
+
+
+def _track(group) -> None:
+    """Register, once per group, the finalizer that drops its memo entries."""
+    if group not in _memo_groups:
+        _memo_groups.add(group)
+        weakref.finalize(group, _forget_group, id(group))
 
 
 def literal_is_normal(A: Subgroup, B: Subgroup) -> bool:
     """Direct conjugation scan over all of A and B (no generator shortcut)."""
-    gid = id(A.parent)
-    key = (gid, A.key, B.key)
+    key = (id(A.parent), A.key, B.key)
     hit = _literal_normal_memo.get(key)
     if hit is None:
-        if A.parent not in _memo_groups:
-            _memo_groups.add(A.parent)
-            weakref.finalize(A.parent, _forget_group, gid)
+        _track(A.parent)
         tab = A.parent.table
         inv = A.parent.inverses
         hit = all(tab[tab[b][a]][inv[b]] in A.indices
@@ -79,74 +92,51 @@ def literal_is_normal(A: Subgroup, B: Subgroup) -> bool:
     return hit
 
 
+def literal_is_subnormal(ctx: GaloisContext, A: Subgroup, B: Subgroup) -> bool:
+    """A is reached from B by literal normal steps: A == B, or some C with
+    A <= C < B is literally normal in B and A is subnormal in C."""
+    if A == B:
+        return True
+    key = (id(A.parent), A.key, B.key)
+    hit = _literal_subnormal_memo.get(key)
+    if hit is None:
+        _track(A.parent)
+        hit = any(C.key != B.key and literal_is_normal(C, B)
+                  and literal_is_subnormal(ctx, A, C)
+                  for C in ctx.between(A, B))
+        _literal_subnormal_memo[key] = hit
+    return hit
+
+
 # ---------------------------------------------------------------------------
 # galtourability by literal chain search
 
 
 def bf_galtourable(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
-    """Search for a strictly descending normal-step chain Gal(N/F) -> Gal(N/E)."""
+    """A chain of normal steps from Gal(N/F) down to Gal(N/E)."""
     if not F <= E:
         raise gal.GaloisError("bf_galtourable requires F <= E")
-    target = E.subgroup
-    dead: set = set()
-
-    def reachable(A: Subgroup) -> bool:
-        if A == target:
-            return True
-        if A.key in dead:
-            return False
-        for B in ctx.between(target, A):
-            if B.key != A.key and pg.is_normal(B, A) and reachable(B):
-                return True
-        dead.add(A.key)
-        return False
-
-    return reachable(F.subgroup)
+    return literal_is_subnormal(ctx, E.subgroup, F.subgroup)
 
 
-def bf_smallest_subnormal(H: Subgroup, B: Subgroup) -> Subgroup:
+def bf_smallest_subnormal(ctx: GaloisContext, H: Subgroup, B: Subgroup) -> Subgroup:
     """Smallest subgroup of B containing H that is subnormal in B.
 
-    Exhaustive: tests every candidate by chain search, smallest order
-    first.  Exists because B itself is subnormal in B.
+    The first member of ``ctx.between(H, B)`` (canonical order, so
+    smallest order first) that passes the chain search; B itself passes.
     """
-    G = H.parent
-    subs = pg.all_subgroups(G)
-    candidates = sorted(
-        (sg for sg in subs
-         if H.mask & sg.mask == H.mask and sg.mask & B.mask == sg.mask),
-        key=Subgroup.sort_key)
-    memo: dict = {}
-
-    def subnormal_in(A: Subgroup, top: Subgroup) -> bool:
-        if A == top:
-            return True
-        key = (A.key, top.key)
-        if key not in memo:
-            memo[key] = False  # breaks cycles; chains strictly descend anyway
-            memo[key] = any(sg.key != top.key
-                            and A.mask & sg.mask == A.mask
-                            and sg.mask & top.mask == sg.mask
-                            and literal_is_normal(sg, top) and subnormal_in(A, sg)
-                            for sg in subs)
-        return memo[key]
-
-    for cand in candidates:
-        if subnormal_in(cand, B):
-            return cand
-    raise AssertionError("unreachable: B is subnormal in itself")
+    return next(C for C in ctx.between(H, B) if literal_is_subnormal(ctx, C, B))
 
 
 # ---------------------------------------------------------------------------
 # intourability by literal double condition
 
 
-def _literal_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
-    if E == F:
-        return False
-    SE, SF = E.subgroup, F.subgroup
-    return not any(sg.key not in (SE.key, SF.key) and literal_is_normal(sg, SF)
-                   for sg in ctx.between(SE, SF))
+def _literal_galsimple(ctx: GaloisContext, A: Subgroup, B: Subgroup) -> bool:
+    """E/F galsimple for A = Gal(N/E), B = Gal(N/F): A != B and no subgroup
+    strictly between them is literally normal in B."""
+    return A != B and not any(C.key not in (A.key, B.key) and literal_is_normal(C, B)
+                              for C in ctx.between(A, B))
 
 
 def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
@@ -161,7 +151,7 @@ def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
     for M in ctx.interval_fields(K, L):
         if not bf_galtourable(ctx, M, K):
             continue
-        sub_ok = (L == M) or (_literal_galsimple(ctx, L, M)
+        sub_ok = (L == M) or (_literal_galsimple(ctx, L.subgroup, M.subgroup)
                               and not literal_is_normal(L.subgroup, M.subgroup))
         if sub_ok:
             hits.append(M)
@@ -188,15 +178,8 @@ def bf_composition_towers(ctx: GaloisContext, L: FieldRef, K: FieldRef,
     SL = L.subgroup
 
     def steps(A: Subgroup) -> list:
-        cands = [B for B in ctx.between(SL, A)
-                 if B.key != A.key and literal_is_normal(B, A)]
-        # galsimple marche: no strictly intermediate C normal in A
-        out = []
-        for B in cands:
-            if not any(C.key not in (A.key, B.key) and literal_is_normal(C, A)
-                       for C in ctx.between(B, A)):
-                out.append(B)
-        return out
+        return [B for B in ctx.between(SL, A)
+                if literal_is_normal(B, A) and _literal_galsimple(ctx, B, A)]
 
     towers: list = []
 
@@ -231,7 +214,7 @@ def _literal_proper(e: Tower, f: Tower) -> bool:
 def _literal_galois_refinement(e: Tower, f: Tower) -> bool:
     for j in range(1, len(e.fields) - 1):
         if all(e.fields[j] != fi for fi in f.fields):
-            if not gal.is_galois(e.ctx, e.fields[j], e.fields[j - 1]):
+            if not literal_is_normal(e.fields[j].subgroup, e.fields[j - 1].subgroup):
                 return False
     return True
 
@@ -346,10 +329,11 @@ def quadrilateral_question_scan(ctx: GaloisContext,
 
 
 def _agree_pairwise(ctx, instance, operation, main, literal) -> OracleReport:
-    """Compare main(ctx, E, F) with literal(ctx, E, F) over every F <= E."""
+    """Compare main(ctx, E, F) with literal(ctx, Gal(N/E), Gal(N/F)) over
+    every F <= E."""
     for F in ctx.all_fields():
         for E in ctx.interval_fields(F, ctx.top_closure):
-            if main(ctx, E, F) != literal(ctx, E, F):
+            if main(ctx, E, F) != literal(ctx, E.subgroup, F.subgroup):
                 return OracleReport(instance, operation, False,
                                     f"({E.name}, {F.name})")
     return OracleReport(instance, operation, True)
@@ -380,7 +364,7 @@ def run_agreement_suite(instances: dict, max_height: int = 3,
         ctx = instances[name]
         reports = [
             _agree_pairwise(ctx, name, "is_galtourable",
-                            dis.is_galtourable, bf_galtourable),
+                            dis.is_galtourable, literal_is_subnormal),
             _agree_pairwise(ctx, name, "is_galsimple",
                             dis.is_galsimple, _literal_galsimple),
             bf_refinement_predicates(ctx, max_height, sample=sample,

@@ -289,16 +289,17 @@ class AbstractGroup:
 
     def is_isomorphism(self, other: "AbstractGroup", phi: Sequence[int]) -> bool:
         """True iff the label map x |-> phi[x] is an isomorphism onto
-        ``other``: a bijection with phi[0] = 0 and phi[x*g] = phi[x]*phi[g]
-        for every label x and greedy generator g.  By induction on word
-        length the edge equations hold for every product of generators,
-        so n*k checks decide what the n*n products would."""
+        ``other``: a bijection that :func:`_close_homomorphism` rebuilds
+        from its values on the greedy generators.  The walk checks
+        phi[x*g] = phi[x]*phi[g] on every Cayley-graph edge; by induction
+        on word length these n*k equations decide what the n*n products
+        would."""
         n = self.order
-        if other.order != n or sorted(phi) != list(range(n)) or phi[0] != 0:
+        if other.order != n or sorted(phi) != list(range(n)):
             return False
-        ta, tb = self.table, other.table
-        return all(phi[ta[x][g]] == tb[phi[x]][phi[g]]
-                   for g in self.greedy_generators(range(n)) for x in range(n))
+        gens = self.greedy_generators(range(n))
+        images = [phi[g] for g in gens]
+        return _close_homomorphism(self, other, gens, images) == tuple(phi)
 
     def is_solvable(self) -> bool:
         """True iff the derived series reaches the trivial group.  Each

@@ -181,6 +181,30 @@ def test_instance_file(capsys, tmp_path):
     assert "galtourable: yes" in out
 
 
+def test_reserved_field_names(capsys, tmp_path):
+    # K, L, N and closure name the base, the distinguished field and the
+    # closure; an instance may bind them to those fields only
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({
+        "degree": 4, "generators": ["(1 2)", "(3 4)"],
+        "fields": {"K": ["(1 2)"], "E": ["(3 4)"]}}))
+    code, out, err = run(capsys, "tower-check", f"file:{path}",
+                         "--tower", '["K","N"]')
+    assert (code, out) == (2, "") and "duplicate field name 'K'" in err
+    path.write_text(json.dumps({
+        "degree": 4, "generators": ["(1 2)", "(3 4)"],
+        "fields": {"E": ["(3 4)"], "L": ["(3 4)"], "N": ["()"]},
+        "distinguished": "E"}))
+    ctx = presets.load_instance(f"file:{path}")
+    assert ctx.field_by_name("L") == ctx.field_by_name("E") == ctx.distinguished
+    assert ctx.field_by_name("N") == ctx.field_by_name("closure") == ctx.top_closure
+    assert ctx.field_by_name("K") == ctx.base
+    for sel in ("radical:a=2,n=6", "cyclo-radical:n=2,d=3,l=3"):
+        ctx = presets.load_instance(sel)
+        assert ctx.field_by_name("N") == ctx.top_closure, sel
+        assert ctx.field_by_name("L") == ctx.distinguished, sel
+
+
 def test_exit_code_2_on_bad_input(capsys):
     code, _, err = run(capsys, "analyze", "radical:a=4,n=2")
     assert code == 2 and "hypothesis violated" in err

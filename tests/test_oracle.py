@@ -122,6 +122,28 @@ def test_agreement_suite_runs():
             assert cell["agreement"]
 
 
+def test_oracles_do_not_call_the_main_path(monkeypatch):
+    # the oracles decide normality and subnormality by their own literal
+    # scans; only the contexts (built before patching) come from permgroup
+    contexts = small_contexts()
+
+    def banned(*args, **kwargs):
+        raise AssertionError("oracle called the main path")
+    for fn in ("is_normal", "normal_closure", "subnormal_closure", "all_subgroups"):
+        monkeypatch.setattr(pg, fn, banned)
+    monkeypatch.setattr(orc, "_literal_normal_memo", {})
+    monkeypatch.setattr(orc, "_literal_subnormal_memo", {})
+    for name, ctx in contexts.items():
+        K, L = ctx.base, ctx.distinguished
+        assert isinstance(orc.bf_galtourable(ctx, L, K), bool), name
+        assert orc.bf_intourability(ctx, L, K)[1] == 1, name
+        full = ctx.group.full_subgroup()
+        for H in ctx.subgroups:
+            assert H <= orc.bf_smallest_subnormal(ctx, H, full), (name, H.key)
+            assert isinstance(orc._literal_galsimple(ctx, H, full), bool), name
+        assert orc.bf_composition_towers(ctx, ctx.top_closure, K), name
+
+
 def test_literal_normal_memo_ignores_freed_groups():
     # D4 and C8 share the subgroup key (0, 4): <(1 3)> is not normal in D4,
     # <r^4> is normal in C8.  A memo keyed by id(group) answered for a C8
@@ -147,12 +169,14 @@ def test_literal_normal_memo_drops_entries_of_freed_groups():
         ctx = presets.from_dict(gal.to_instance_dict(get_ctx(name)))
         assert orc.run_agreement_suite({name: ctx}, sample=50)["all_agree"]
         assert any(key[0] == id(ctx.group) for key in orc._literal_normal_memo)
+        assert any(key[0] == id(ctx.group) for key in orc._literal_subnormal_memo)
         refs.append(weakref.ref(ctx.group))
         gids.add(id(ctx.group))
         del ctx
     gc.collect()
     assert [r for r in refs if r() is not None] == []
     assert [key for key in orc._literal_normal_memo if key[0] in gids] == []
+    assert [key for key in orc._literal_subnormal_memo if key[0] in gids] == []
 
 
 def test_normal_closure_is_least_literally_normal_overgroup():
@@ -174,7 +198,7 @@ def test_is_simple_agrees_with_literal_galsimple():
                 if N <= B and orc.literal_is_normal(N, B):
                     E, F = ctx.field_of(N), ctx.field_of(B)
                     assert pg.is_simple(pg.quotient(B, N)) == \
-                        orc._literal_galsimple(ctx, E, F), (name, E.name, F.name)
+                        orc._literal_galsimple(ctx, N, B), (name, E.name, F.name)
 
 
 def test_between_and_normal_in_agree_with_literal_scans():

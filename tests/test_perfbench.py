@@ -10,7 +10,9 @@ import pathlib
 
 import pytest
 
+import galtour.dissociation as dis
 import galtour.galois as gal
+import galtour.towers as tw
 from galtour import cli, presets
 from conftest import get_ctx
 
@@ -66,3 +68,26 @@ def test_cli_matches_benchmark_reference(op, capsys):
     code = cli.main(op["argv"])
     out = capsys.readouterr().out.encode("utf-8")
     assert (code, hashlib.sha256(out).hexdigest()) == (op["exit"], op["stdout_sha256"])
+
+
+def test_session_answers_match_benchmark_reference():
+    # every session_queries op in one process, its names resolved as the
+    # benchmark's set-up does: display names first, then field_by_name
+    ref = json.loads((PERFBENCH / "reference" / "session_queries.json").read_text())
+    ctxs = {inst: presets.load_instance(inst) for inst in ref["instances"]}
+    by_name = {inst: {ctx.display_name(f): f for f in ctx.all_fields()}
+               for inst, ctx in ctxs.items()}
+
+    def field(inst, name):
+        return by_name[inst].get(name) or ctxs[inst].field_by_name(name)
+
+    wrong = []
+    for op in ref["ops"]:
+        inst, kind = op["instance"], op["kind"]
+        args = [tw.make_tower(ctxs[inst], [field(inst, n) for n in a])
+                if isinstance(a, list) else field(inst, a) for a in op["args"]]
+        got = WORKLOADS.render_answer(
+            kind, WORKLOADS.call_session_op(dis, ctxs[inst], kind, args))
+        if got != op["answer"]:
+            wrong.append((inst, kind, op["args"], got))
+    assert ref["ops"] and wrong == []

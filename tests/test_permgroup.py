@@ -504,6 +504,7 @@ def test_subnormal_closure_examples():
 
 
 def test_subnormal_closure_chain_is_subnormal_and_minimal():
+    from galtour.galois import GaloisContext
     from galtour.oracle import bf_smallest_subnormal
     for g in (S(3), D6(), S(4)):
         subs = pg.all_subgroups(g)
@@ -513,7 +514,7 @@ def test_subnormal_closure_chain_is_subnormal_and_minimal():
             assert chain[0] == full and chain[-1] == got
             for a, b in zip(chain, chain[1:]):
                 assert b.mask & a.mask == b.mask and literal_normal(b, a)
-            assert bf_smallest_subnormal(H, full) == got
+            assert bf_smallest_subnormal(GaloisContext(g), H, full) == got
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +648,7 @@ def test_is_isomorphism_agrees_with_literal_products():
                     moved = [rest[0], 0] + rest[1:]  # a bijection with phi(0) != 0
                     maps.append(moved)
                     maps.append([0] * n)             # not a bijection
+            maps.append(list(range(1, n + 1)))       # a label out of range
             for phi in maps:
                 verdict = a.is_isomorphism(b, phi)
                 assert verdict == literal_is_isomorphism(a, b, phi), (a, b, phi)

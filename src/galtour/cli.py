@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import dissociation as dis
 from . import galois as gal
-from . import oracle as orc
 from . import permgroup as pg
 from . import presets
 from . import towers as tw
@@ -208,6 +206,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle as orc  # only this verb needs it
     ctx = _load(args)
     matrix = orc.run_agreement_suite({args.instance: ctx})
     if args.json:
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     nt = getattr(args, "nt", None)

@@ -20,8 +20,8 @@ Everything is a pure function over immutable contexts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import galois as gal
 from . import permgroup as pg
@@ -78,23 +78,19 @@ def is_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
 # the intourability field M(L/K)
 
 
-@dataclass(frozen=True)
-class TourabilityDegree:
+class TourabilityDegree(namedtuple("TourabilityDegree", "gal int")):
     """([M(L/K):K], [L:M(L/K)]); the product is [L:K]."""
-    gal: int
-    int: int
+    __slots__ = ()
 
     def as_pair(self) -> tuple:
         return (self.gal, self.int)
 
 
-@dataclass(frozen=True)
-class DissociationReport:
-    M: FieldRef
-    degrees: TourabilityDegree
-    quotient_is_galtourable: bool
-    sub_kind: str  # "trivial" | "galsimple_non_galois"
-    witness_tower: Tower
+class DissociationReport(namedtuple(
+        "DissociationReport",
+        "M degrees quotient_is_galtourable sub_kind witness_tower")):
+    """M(L/K) with its degrees; sub_kind is "trivial" or "galsimple_non_galois"."""
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -351,7 +347,7 @@ def elevation_tower(ctx: GaloisContext, f: Tower) -> tuple:
     return mtower, tw.induced(mtower, f.top)
 
 
-def _induced_prefix(ctx: GaloisContext, c: Tower, M: FieldRef) -> Optional[Tower]:
+def _induced_prefix(ctx: GaloisContext, c: Tower, M: FieldRef) -> Tower | None:
     """The tower of M(L/K)/K that c is induced from, or None: c itself
     when L = M(L/K), else c less its final marche M(L/K) < L."""
     if c.top == M:
@@ -407,11 +403,9 @@ def equivalence_general(ctx: GaloisContext, c1: Tower, c2: Tower) -> tuple:
 # exhaustive law checks
 
 
-@dataclass(frozen=True)
-class GalsimpleLawsReport:
-    quotient_checks: int
-    transitivity_checks: int
-    violations: tuple
+class GalsimpleLawsReport(namedtuple(
+        "GalsimpleLawsReport", "quotient_checks transitivity_checks violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -27,8 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 import weakref
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from . import dissociation as dis
 from . import galois as gal
@@ -40,16 +39,16 @@ from .permgroup import Subgroup
 from .towers import Tower
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    instance: str
-    operation: str
-    agreement: bool
-    counterexample: Optional[str] = None
+class OracleReport(namedtuple(
+        "OracleReport", "instance operation agreement counterexample")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.agreement == (self.counterexample is not None):
+    def __new__(cls, instance: str, operation: str, agreement: bool,
+                counterexample: str | None = None):
+        if agreement == (counterexample is not None):
             raise ValueError("counterexample present iff agreement is false")
+        return super().__new__(cls, instance, operation, agreement,
+                               counterexample)
 
     def to_dict(self) -> dict:
         out = {"instance": self.instance, "operation": self.operation,
@@ -244,9 +243,9 @@ def enumerate_towers(ctx: GaloisContext, K: FieldRef, L: FieldRef,
 
 
 def bf_refinement_predicates(ctx: GaloisContext, max_height: int,
-                             base: Optional[FieldRef] = None,
-                             top: Optional[FieldRef] = None,
-                             sample: Optional[int] = 1000,
+                             base: FieldRef | None = None,
+                             top: FieldRef | None = None,
+                             sample: int | None = 1000,
                              seed: int = 1729,
                              instance: str = "?") -> OracleReport:
     """Compare literal RAF evaluation with the towers-module predicates."""

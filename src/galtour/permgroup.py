@@ -19,8 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
 
 CLOSURE_BOUND = 10_000
 SUBGROUP_ENUM_BOUND = 384
@@ -680,7 +680,7 @@ def quotient(B: Subgroup, N: Subgroup) -> AbstractGroup:
 
 
 def _close_homomorphism(A: AbstractGroup, B: AbstractGroup,
-                        gens: Sequence[int], images: Sequence[int]) -> Optional[tuple]:
+                        gens: Sequence[int], images: Sequence[int]) -> tuple | None:
     """Extend gen |-> image to all of A; None on any inconsistency.
 
     The walk checks phi[x*g] = phi[x]*image(g) on every Cayley-graph edge
@@ -710,7 +710,7 @@ def _close_homomorphism(A: AbstractGroup, B: AbstractGroup,
 
 
 def are_isomorphic(G1: AbstractGroup, G2: AbstractGroup,
-                   bound: int = ISOMORPHISM_BOUND) -> Optional[tuple]:
+                   bound: int = ISOMORPHISM_BOUND) -> tuple | None:
     """An explicit isomorphism as a label map G1 -> G2, or None.
 
     Backtracking on images of a greedy generating set of G1, pruned by
@@ -730,7 +730,7 @@ def are_isomorphic(G1: AbstractGroup, G2: AbstractGroup,
         tuple(j for j in range(G2.order) if ord2[j] == ord1[g]) for g in gens
     ]
 
-    def backtrack(k: int, images: list) -> Optional[tuple]:
+    def backtrack(k: int, images: list) -> tuple | None:
         if k == len(gens):
             return _close_homomorphism(G1, G2, gens, images)
         for j in candidates[k]:
@@ -760,11 +760,11 @@ def is_simple(A: AbstractGroup, bound: int = ISOMORPHISM_BOUND) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _iso_cached(G1: AbstractGroup, G2: AbstractGroup) -> Optional[tuple]:
+def _iso_cached(G1: AbstractGroup, G2: AbstractGroup) -> tuple | None:
     return are_isomorphic(G1, G2, bound=math.inf)
 
 
-def isomorphism(G1: AbstractGroup, G2: AbstractGroup) -> Optional[tuple]:
+def isomorphism(G1: AbstractGroup, G2: AbstractGroup) -> tuple | None:
     """Memoized :func:`are_isomorphic` with no order cap.
 
     Memo keys are the groups themselves, which hash and compare by table.

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from . import galois as gal
 from . import permgroup as pg
@@ -113,24 +112,23 @@ def _pair_group(d: int, e: int) -> tuple:
 # radical contexts: Q(zeta_n, a^(1/n)) / Q
 
 
-@dataclass(frozen=True)
-class RadicalSpec:
+class RadicalSpec(namedtuple("RadicalSpec", "a n")):
     """a^(1/n) with the hypotheses that make X^n - a irreducible over Q."""
-    a: Fraction
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, a: Fraction, n: int):
+        if n < 2:
             raise PresetError("radical spec requires n >= 2")
-        if self.a == 0:
+        if a == 0:
             raise PresetError("radical spec requires a != 0")
-        for p in pg.factorize(self.n):
-            if is_rational_pth_power(self.a, p):
+        for p in pg.factorize(n):
+            if is_rational_pth_power(a, p):
                 raise PresetError(
-                    f"hypothesis violated: a = {self.a} is a rational {p}-th power")
-        if self.n % 4 == 0 and in_minus_four_fourth_powers(self.a):
+                    f"hypothesis violated: a = {a} is a rational {p}-th power")
+        if n % 4 == 0 and in_minus_four_fourth_powers(a):
             raise PresetError(
-                f"hypothesis violated: a = {self.a} lies in -4*Q^4 while 4 | n")
+                f"hypothesis violated: a = {a} lies in -4*Q^4 while 4 | n")
+        return super().__new__(cls, a, n)
 
 
 def _radical_name(a: Fraction, m: int) -> str:
@@ -177,24 +175,22 @@ def radical_context(spec: RadicalSpec,
 # cyclo-radical contexts: Q(zeta_e, l^(1/d)) / Q with e = lcm(n^2, d)
 
 
-@dataclass(frozen=True)
-class CycloRadicalSpec:
+class CycloRadicalSpec(namedtuple("CycloRadicalSpec", "n d l")):
     """(n, d) as a tourability degree: F_n(rho)/Q with rho^d = l prime."""
-    n: int
-    d: int
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, d: int, l: int):
+        if n < 1:
             raise PresetError("cyclo-radical spec requires n >= 1")
-        if self.d < 3 or self.d % 2 == 0:
+        if d < 3 or d % 2 == 0:
             raise PresetError("cyclo-radical spec requires d odd and >= 3")
-        if pg.factorize(self.l) != {self.l: 1}:
-            raise PresetError(f"l = {self.l} is not prime")
-        if self.n % self.l == 0:
+        if pg.factorize(l) != {l: 1}:
+            raise PresetError(f"l = {l} is not prime")
+        if n % l == 0:
             raise PresetError("hypothesis violated: l divides n")
-        if math.gcd(self.d, self.n) != 1:
+        if math.gcd(d, n) != 1:
             raise PresetError("hypothesis violated: gcd(d, n) != 1")
+        return super().__new__(cls, n, d, l)
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +353,7 @@ def _parse_params(text: str) -> dict:
 
 
 def load_instance(selector: str,
-                  enumeration_bound: Optional[int] = None) -> GaloisContext:
+                  enumeration_bound: int | None = None) -> GaloisContext:
     """Resolve a CLI instance selector to a context.
 
     Forms: ``radical:a=2,n=6``, ``cyclo-radical:n=2,d=3,l=3``,

@@ -16,7 +16,7 @@ here is pure.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import galois as gal
 from . import permgroup as pg
@@ -96,8 +96,8 @@ class Tower:
 
 
 def make_tower(ctx: GaloisContext, fields: Sequence[FieldRef],
-               base: Optional[FieldRef] = None,
-               top: Optional[FieldRef] = None) -> Tower:
+               base: FieldRef | None = None,
+               top: FieldRef | None = None) -> Tower:
     """Validated tower; endpoints checked against ``base``/``top`` if given."""
     t = Tower(ctx, fields)
     if base is not None and t.base != base:
@@ -157,7 +157,7 @@ class RefinementWitness:
         return f"RefinementWitness{self.indices}"
 
 
-def refinement_witness(e: Tower, f: Tower) -> Optional[RefinementWitness]:
+def refinement_witness(e: Tower, f: Tower) -> RefinementWitness | None:
     """The lexicographically smallest witness that e refines f, else None.
 
     Greedy earliest-match: map F_i to the smallest admissible index.  If
@@ -341,7 +341,7 @@ def marche_groups(t: Tower) -> list:
 
 def equivalence_witness(t1: Tower, t2: Tower,
                         height_cap: int = EQUIVALENCE_HEIGHT_CAP
-                        ) -> Optional[EquivalenceWitness]:
+                        ) -> EquivalenceWitness | None:
     """Match marches into isomorphism classes; None when impossible.
 
     Marches are bucketed by (order, element-order multiset) first;

@@ -16,6 +16,14 @@ import galtour.towers as tw
 from galtour import cli, presets
 
 
+def _python(*args):
+    """Run a fresh interpreter that imports this source tree of galtour."""
+    src = os.path.dirname(os.path.dirname(galtour.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -287,12 +295,28 @@ def test_check_equiv_rejects_non_galois_tower_of_galtourable_extension(capsys):
 ])
 def test_optimized_mode_prints_the_same(argv):
     # python -O strips assert statements; no verdict may depend on them
-    src = os.path.dirname(os.path.dirname(galtour.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    plain, optimized = (
-        subprocess.run([sys.executable, *flags, "-m", "galtour.cli", *argv],
-                       capture_output=True, text=True, env=env)
-        for flags in ([], ["-O"]))
+    plain, optimized = (_python(*flags, "-m", "galtour.cli", *argv)
+                        for flags in ([], ["-O"]))
     assert plain.returncode == 0, plain.stderr
     assert (optimized.returncode, optimized.stdout) == (0, plain.stdout)
+
+
+def test_cli_import_loads_only_what_every_verb_runs():
+    # -S keeps modules that site-packages .pth files load out of the check
+    heavy = ["dataclasses", "inspect", "typing", "hashlib", "random",
+             "galtour.oracle"]
+    proc = _python("-S", "-c", "import sys, galtour.cli; "
+                   "print(*[m for m in sys.argv[1:] if m in sys.modules])", *heavy)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("code", [
+    "import galtour; print(galtour.oracle.run_agreement_suite.__module__)",
+    "from galtour import *; print(oracle.run_agreement_suite.__module__)",
+])
+def test_oracle_loads_on_first_access(code):
+    proc = _python("-S", "-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "galtour.oracle\n"), proc.stderr
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        getattr(galtour, "nope")

@@ -155,6 +155,24 @@ def test_intourability_degenerate(r26):
     assert rep.witness_tower.height == 0
 
 
+def test_report_records_are_immutable_values(r24):
+    rep = dis.intourability_field(r24, r24.distinguished, r24.base)
+    assert repr(rep) == (
+        "DissociationReport(M=FieldRef(Q(4rt2)), "
+        "degrees=TourabilityDegree(gal=4, int=1), quotient_is_galtourable=True, "
+        "sub_kind='trivial', witness_tower=Tower[Q <= Q(sqrt2) <= Q(4rt2)])")
+    assert rep == dis.intourability_field(r24, r24.distinguished, r24.base)
+    laws = dis.galsimple_laws_check(r24)
+    assert repr(dis.GalsimpleLawsReport(3, 4, ())) == (
+        "GalsimpleLawsReport(quotient_checks=3, transitivity_checks=4, violations=())")
+    assert hash(laws) == hash(dis.galsimple_laws_check(r24))
+    for record, name in [(rep, "M"), (rep.degrees, "gal"), (laws, "violations")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
 def test_intourability_galtourable_case(r24):
     # galtourable extensions are their own M; M(M(L/K)/K) = M(L/K)
     rep = dis.intourability_field(r24, r24.distinguished, r24.base)

@@ -18,8 +18,13 @@ from conftest import get_ctx, small_contexts
 
 
 def test_oracle_report_invariant():
-    orc.OracleReport("x", "op", True)
-    orc.OracleReport("x", "op", False, "boom")
+    ok = orc.OracleReport("x", "op", True)
+    assert repr(ok) == ("OracleReport(instance='x', operation='op', "
+                        "agreement=True, counterexample=None)")
+    assert ok == orc.OracleReport("x", "op", True)
+    assert ok != orc.OracleReport("x", "op", False, "boom")
+    with pytest.raises(AttributeError):
+        ok.agreement = False
     with pytest.raises(ValueError):
         orc.OracleReport("x", "op", True, "boom")
     with pytest.raises(ValueError):

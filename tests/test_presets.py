@@ -59,6 +59,22 @@ def test_cyclo_spec_validation():
         CycloRadicalSpec(3, 9, 2)
 
 
+@pytest.mark.parametrize("spec, build, text", [
+    (lambda: RadicalSpec(Fraction(2), 12), presets.radical_context,
+     "RadicalSpec(a=Fraction(2, 1), n=12)"),
+    (lambda: CycloRadicalSpec(2, 3, 3), presets.cyclo_radical_context,
+     "CycloRadicalSpec(n=2, d=3, l=3)"),
+])
+def test_specs_are_immutable_cache_keys(spec, build, text):
+    a, b = spec(), spec()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert build(a) is build(b)  # the lru_cache key is the spec's value
+    assert repr(a) == text
+    for name in ("n", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 3)
+
+
 # ---------------------------------------------------------------------------
 # declared orders and named fields
 

@@ -22,7 +22,7 @@ print("oracle agrees:", orc.bf_galtourable(ctx, L, K))
 
 rep = dis.intourability_field(ctx, L, K)
 print("\nintourability field M(L/K):", rep.M.name)
-print("tourability degree:", rep.degrees.as_pair())
+print("tourability degree:", tuple(rep.degrees))
 print("sub-extension kind:", rep.sub_kind)
 print("witness tower for M/K:", rep.witness_tower.pretty())
 M_bf, count = orc.bf_intourability(ctx, L, K)
@@ -50,7 +50,7 @@ print("composition:", dis.composition_tower_galois(ctx4, L4, ctx4.base).pretty()
 # a simple non-Galois family: the splitting of X^5 - X - 1
 ss5 = presets.load_instance("selmer-serre:n=5")
 rep5 = dis.intourability_field(ss5, ss5.distinguished, ss5.base)
-print("\nSelmer-Serre n=5: degrees", rep5.degrees.as_pair(),
+print("\nSelmer-Serre n=5: degrees", tuple(rep5.degrees),
       "M =", rep5.M.name)
 
 # the exhaustive agreement matrix over this instance

@@ -71,7 +71,7 @@ def _field_report(ctx, F) -> dict:
         "simple": dis.is_simple_ext(ctx, F, K),
         "galsimple": dis.is_galsimple(ctx, F, K),
         "M": rep.M.name,
-        "tour_degree": list(rep.degrees.as_pair()),
+        "tour_degree": list(rep.degrees),
     }
 
 

@@ -82,9 +82,6 @@ class TourabilityDegree(namedtuple("TourabilityDegree", "gal int")):
     """([M(L/K):K], [L:M(L/K)]); the product is [L:K]."""
     __slots__ = ()
 
-    def as_pair(self) -> tuple:
-        return (self.gal, self.int)
-
 
 class DissociationReport(namedtuple(
         "DissociationReport",

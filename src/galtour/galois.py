@@ -80,12 +80,10 @@ class GaloisContext:
     bound.  ``base`` is K (subgroup G), ``top_closure`` is N (trivial
     subgroup), ``distinguished`` is the studied extension's summit L.
 
-    Lazily filled state: the quotient cache, the display name -> field
-    map (filled whole on the first name that is not registered), and the
-    poset index over positions in ``subgroups`` (up-set, down-set and
-    maximal-subgroup bitmasks per position).  Concurrent filling is safe:
-    each entry is a deterministic value, written once (a race at most
-    rewrites it).
+    Lazily filled state: the quotient cache, and the poset index over
+    positions in ``subgroups`` (up-set, down-set and maximal-subgroup
+    bitmasks per position).  Concurrent filling is safe: each entry is a
+    deterministic value, written once (a race at most rewrites it).
     """
 
     def __init__(self, group: Group, *, distinguished: Subgroup | None = None,
@@ -112,7 +110,6 @@ class GaloisContext:
                 raise GaloisError(f"duplicate field name {name!r}")
         self.notes = dict(notes or {})
         self._quotient_cache: dict = {}
-        self._by_display_name: dict = {}
         self._up: dict = {}
         self._down: dict = {}
         self._maximal: dict = {}
@@ -147,24 +144,17 @@ class GaloisContext:
     def display_name(self, ref: FieldRef) -> str:
         if ref in self.names:
             return self.names[ref]
-        import hashlib  # imported here: most CLI calls show no digest name
+        import hashlib  # on first use: a CLI call that shows no digest name skips it
         digest = hashlib.md5(repr(ref.subgroup.key).encode()).hexdigest()[:6]
         return f"H{ref.subgroup.order}.{digest}"
 
     def field_by_name(self, name: str) -> FieldRef:
-        ref = self._name_to_field.get(name)
-        if ref is None:
-            if not self._by_display_name:
-                # first in canonical order wins a shared name; one update, so
-                # a concurrent reader sees every name or none
-                by_name: dict = {}
-                for f in self._fields:
-                    by_name.setdefault(self.display_name(f), f)
-                self._by_display_name.update(by_name)
-            ref = self._by_display_name.get(name)
-        if ref is None:
-            raise GaloisError(f"unknown field name {name!r}")
-        return ref
+        if name in self._name_to_field:
+            return self._name_to_field[name]
+        for ref in self.all_fields():
+            if self.display_name(ref) == name:
+                return ref
+        raise GaloisError(f"unknown field name {name!r}")
 
     def _up_bits(self, i: int) -> int:
         """Positions of the subgroups containing subgroup i (all at positions >= i)."""

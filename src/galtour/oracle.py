@@ -50,6 +50,11 @@ class OracleReport(namedtuple(
         return super().__new__(cls, instance, operation, agreement,
                                counterexample)
 
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so _make and _replace run the checks too
+        return cls(*iterable)
+
     def to_dict(self) -> dict:
         out = {"instance": self.instance, "operation": self.operation,
                "agreement": self.agreement}

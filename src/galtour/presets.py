@@ -113,7 +113,10 @@ def _pair_group(d: int, e: int) -> tuple:
 
 
 class RadicalSpec(namedtuple("RadicalSpec", "a n")):
-    """a^(1/n) with the hypotheses that make X^n - a irreducible over Q."""
+    """a^(1/n) with the hypotheses that make X^n - a irreducible over Q.
+
+    A named tuple (a, n): it compares and hashes as that tuple does.
+    """
     __slots__ = ()
 
     def __new__(cls, a: Fraction, n: int):
@@ -129,6 +132,11 @@ class RadicalSpec(namedtuple("RadicalSpec", "a n")):
             raise PresetError(
                 f"hypothesis violated: a = {a} lies in -4*Q^4 while 4 | n")
         return super().__new__(cls, a, n)
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so _make and _replace run the checks too
+        return cls(*iterable)
 
 
 def _radical_name(a: Fraction, m: int) -> str:
@@ -176,7 +184,10 @@ def radical_context(spec: RadicalSpec,
 
 
 class CycloRadicalSpec(namedtuple("CycloRadicalSpec", "n d l")):
-    """(n, d) as a tourability degree: F_n(rho)/Q with rho^d = l prime."""
+    """(n, d) as a tourability degree: F_n(rho)/Q with rho^d = l prime.
+
+    A named tuple (n, d, l): it compares and hashes as that tuple does.
+    """
     __slots__ = ()
 
     def __new__(cls, n: int, d: int, l: int):
@@ -191,6 +202,11 @@ class CycloRadicalSpec(namedtuple("CycloRadicalSpec", "n d l")):
         if math.gcd(d, n) != 1:
             raise PresetError("hypothesis violated: gcd(d, n) != 1")
         return super().__new__(cls, n, d, l)
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so _make and _replace run the checks too
+        return cls(*iterable)
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,7 @@ def test_criterion_01_sixth_root_of_two():
     assert not dis.is_galtourable(ctx, L, K)
     rep = dis.intourability_field(ctx, L, K)
     assert rep.M.name == "Q(sqrt2)"
-    assert rep.degrees.as_pair() == (2, 3)
+    assert rep.degrees == (2, 3)
     M_bf, count = orc.bf_intourability(ctx, L, K)
     assert count == 1 and M_bf == rep.M
     _report(1, "Q(6rt2)/Q not galtourable; M = Q(sqrt2), degrees (2,3); "
@@ -56,7 +56,7 @@ def test_criterion_03_ninth_root_of_two():
     assert not dis.is_simple_ext(ctx, L, K)
     assert not gal.is_galois(ctx, L, K)
     rep = dis.intourability_field(ctx, L, K)
-    assert rep.M == K and rep.degrees.as_pair() == (1, 9)
+    assert rep.M == K and rep.degrees == (1, 9)
     _report(3, "Q(9rt2)/Q galsimple, not simple, not Galois; M = Q, "
                "degrees (1,9)")
 
@@ -67,7 +67,7 @@ def test_criterion_04_selmer_serre():
         L, K = ctx.distinguished, ctx.base
         assert dis.is_simple_ext(ctx, L, K)
         assert not gal.is_galois(ctx, L, K)
-        assert dis.intourability_field(ctx, L, K).degrees.as_pair() == (1, n)
+        assert dis.intourability_field(ctx, L, K).degrees == (1, n)
     ss5 = get_ctx("selmer-serre:n=5")
     stab = ss5.distinguished
     assert len(ss5.interval_fields(ss5.base, stab)) == 2
@@ -82,7 +82,7 @@ def test_criterion_05_cyclo_radical_2_3():
     ctx = get_ctx("cyclo-radical:n=2,d=3,l=3")
     L, K = ctx.distinguished, ctx.base
     rep = dis.intourability_field(ctx, L, K)
-    assert rep.degrees.as_pair() == (2, 3)
+    assert rep.degrees == (2, 3)
     M_bf, count = orc.bf_intourability(ctx, L, K)
     assert count == 1 and M_bf == rep.M
     _report(5, "cyclo-radical (n=2,d=3,l=3) has tourability degree (2,3), "

@@ -140,17 +140,17 @@ def test_galsimple_laws_check(r26, r29):
 def test_intourability_examples(r26, r29):
     rep = dis.intourability_field(r26, r26.distinguished, r26.base)
     assert rep.M.name == "Q(sqrt2)"
-    assert rep.degrees.as_pair() == (2, 3)
+    assert rep.degrees == (2, 3)
     assert rep.sub_kind == "galsimple_non_galois"
     assert rep.quotient_is_galtourable
     rep9 = dis.intourability_field(r29, r29.distinguished, r29.base)
-    assert rep9.M == r29.base and rep9.degrees.as_pair() == (1, 9)
+    assert rep9.M == r29.base and rep9.degrees == (1, 9)
 
 
 def test_intourability_degenerate(r26):
     rep = dis.intourability_field(r26, r26.base, r26.base)
     assert rep.M == r26.base
-    assert rep.degrees.as_pair() == (1, 1)
+    assert rep.degrees == (1, 1)
     assert rep.sub_kind == "trivial"
     assert rep.witness_tower.height == 0
 

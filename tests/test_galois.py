@@ -355,35 +355,6 @@ def test_poset_index_agrees_with_literal_scans(name):
                 assert dis.is_simple_ext(ctx, E, F) == (len(literal) == 2)
 
 
-def _literal_field_by_name(ctx, name):
-    if name in ctx._name_to_field:
-        return ctx._name_to_field[name]
-    for ref in ctx.all_fields():
-        if ctx.display_name(ref) == name:
-            return ref
-    raise gal.GaloisError(f"unknown field name {name!r}")
-
-
-@pytest.mark.parametrize("name", ["klein", "selmer-serre:n=4", "radical:a=2,n=24"])
-def test_field_by_name_agrees_with_literal_scan(name):
-    ctx = get_ctx(name)
-    for ref in ctx.all_fields():
-        shown = ctx.display_name(ref)
-        assert ctx.field_by_name(shown) is _literal_field_by_name(ctx, shown) is ref
-    with pytest.raises(gal.GaloisError, match="unknown field name"):
-        ctx.field_by_name("H1.000000x")
-
-
-def test_field_by_name_shared_name_resolves_to_first(monkeypatch):
-    # names that many fields share: the first in canonical order wins
-    monkeypatch.setattr(gal.GaloisContext, "display_name",
-                        lambda self, ref: f"H{ref.subgroup.order}")
-    ctx = gal.GaloisContext(get_ctx("radical:a=2,n=12").group)
-    for order in {sg.order for sg in ctx.subgroups}:
-        name = f"H{order}"
-        assert ctx.field_by_name(name) is _literal_field_by_name(ctx, name)
-
-
 def test_index_rejects_subgroups_of_another_group():
     ctx = get_ctx("radical:a=2,n=12")
     G6 = get_ctx("radical:a=2,n=6").group

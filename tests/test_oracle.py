@@ -26,6 +26,8 @@ def test_oracle_report_invariant():
     with pytest.raises(AttributeError):
         ok.agreement = False
     with pytest.raises(ValueError):
+        ok._replace(agreement=False)
+    with pytest.raises(ValueError):
         orc.OracleReport("x", "op", True, "boom")
     with pytest.raises(ValueError):
         orc.OracleReport("x", "op", False)

@@ -73,6 +73,9 @@ def test_specs_are_immutable_cache_keys(spec, build, text):
     for name in ("n", "extra"):
         with pytest.raises(AttributeError):
             setattr(a, name, 3)
+    assert a._replace(n=a.n) == a
+    with pytest.raises(PresetError):
+        a._replace(n=0)  # the hypotheses are checked on every construction
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +255,7 @@ def test_eside_radical_tourability_degree(cy233):
     E_rho = cy233.field_by_name("Q(zeta4,3rt3)")
     rep = dis.intourability_field(cy233, E_rho, cy233.base)
     assert rep.M == cy233.field_by_name("Q(zeta4)")
-    assert rep.degrees.as_pair() == (2, 3)
+    assert rep.degrees == (2, 3)
 
 
 def test_cyclo_radical_build_enumerates_the_lattice_once(monkeypatch):

@@ -80,9 +80,9 @@ class GaloisContext:
     bound.  ``base`` is K (subgroup G), ``top_closure`` is N (trivial
     subgroup), ``distinguished`` is the studied extension's summit L.
 
-    Lazily filled state: the quotient cache, and the poset index over
-    positions in ``subgroups`` (up-set, down-set and maximal-subgroup
-    bitmasks per position).  Concurrent filling is safe: each entry is a
+    Built at construction: the poset index (up- and down-set bitmasks per
+    position in ``subgroups``).  Lazily filled: the quotient cache and the
+    maximal-subgroup bitmasks.  Concurrent filling is safe: each entry is a
     deterministic value, written once (a race at most rewrites it).
     """
 
@@ -110,8 +110,7 @@ class GaloisContext:
                 raise GaloisError(f"duplicate field name {name!r}")
         self.notes = dict(notes or {})
         self._quotient_cache: dict = {}
-        self._up: dict = {}
-        self._down: dict = {}
+        self._up, self._down = _poset_index(group, self.subgroups)
         self._maximal: dict = {}
         self._frozen = True
 
@@ -156,32 +155,16 @@ class GaloisContext:
                 return ref
         raise GaloisError(f"unknown field name {name!r}")
 
-    def _up_bits(self, i: int) -> int:
-        """Positions of the subgroups containing subgroup i (all at positions >= i)."""
-        if i not in self._up:
-            m = self.subgroups[i].mask
-            self._up[i] = sum(1 << j for j, sg in enumerate(self.subgroups[i:], i)
-                              if sg.mask & m == m)
-        return self._up[i]
-
-    def _down_bits(self, i: int) -> int:
-        """Positions of the subgroups contained in subgroup i (all at positions <= i)."""
-        if i not in self._down:
-            m = self.subgroups[i].mask
-            self._down[i] = sum(1 << j for j, sg in enumerate(self.subgroups[:i + 1])
-                                if sg.mask & m == sg.mask)
-        return self._down[i]
-
     def _maximal_bits(self, i: int) -> int:
         """Positions j of the maximal subgroups of subgroup i: down & up = {i, j}."""
         if i not in self._maximal:
-            down = self._down_bits(i)
+            down = self._down[i]
             self._maximal[i] = sum(1 << j for j in _pick(range(i), down & ~(1 << i))
-                                   if down & self._up_bits(j) == 1 << i | 1 << j)
+                                   if down & self._up[j] == 1 << i | 1 << j)
         return self._maximal[i]
 
     def _interval_bits(self, lo: Subgroup, hi: Subgroup) -> int:
-        return self._up_bits(self._position(lo)) & self._down_bits(self._position(hi))
+        return self._up[self._position(lo)] & self._down[self._position(hi)]
 
     def between(self, lo: Subgroup, hi: Subgroup) -> list:
         """Lattice subgroups S with lo <= S <= hi, in canonical order."""
@@ -200,8 +183,8 @@ class GaloisContext:
     def maximal_among(self, sgs: Sequence[Subgroup]) -> list:
         """The members of sgs contained in no other member, in the given order."""
         pos = [self._position(sg) for sg in sgs]
-        bits = sum(1 << i for i in pos)
-        return [sg for sg, i in zip(sgs, pos) if self._up_bits(i) & bits == 1 << i]
+        bits = sum(1 << i for i in set(pos))
+        return [sg for sg, i in zip(sgs, pos) if self._up[i] & bits == 1 << i]
 
     def normal_in(self, A: Subgroup, B: Subgroup) -> bool:
         """A normal in B; requires A <= B."""
@@ -214,6 +197,25 @@ class GaloisContext:
             q = pg.quotient(B, N)
             self._quotient_cache[key] = q
         return q
+
+
+def _poset_index(group: Group, subgroups: Sequence[Subgroup]) -> tuple:
+    """(up, down) bitmasks over lattice positions: up[i] marks the subgroups
+    containing subgroup i, the AND over i's greedy generators of the
+    positions holding each; down is up transposed (up[i] has no bit below i)."""
+    holds = [0] * group.order
+    for i, sg in enumerate(subgroups):
+        for x in sg.key:
+            holds[x] |= 1 << i
+    up, down = [], [0] * len(subgroups)
+    for i, sg in enumerate(subgroups):
+        bits = holds[0]  # the identity: every position
+        for g in sg.gens():
+            bits &= holds[g]
+        up.append(bits)
+        for j in _pick(range(len(down)), bits):
+            down[j] |= 1 << i
+    return up, down
 
 
 def _pick(seq: Sequence, bits: int) -> list:
@@ -334,13 +336,13 @@ def diagonal_split_check(ctx: GaloisContext, q: Quadrilateral) -> bool:
     SJ, SK, SN, SL = (q.J.subgroup, q.K.subgroup, q.N.subgroup, q.L.subgroup)
     if pg.intersection(SK, SL) != SN:
         return False
-    tab = ctx.group.table
-    inv = ctx.group.inverses
+    tab, inv = ctx.group.table, ctx.group.inverses
+    members = set(SN.key)
     for a in SK.key:
         ai = inv[a]
         for b in SL.key:
             comm = tab[tab[tab[a][b]][ai]][inv[b]]
-            if comm not in SN.indices:
+            if comm not in members:
                 return False
     return SK.order * SL.order // SN.order == SJ.order
 

@@ -88,9 +88,8 @@ def literal_is_normal(A: Subgroup, B: Subgroup) -> bool:
     hit = _literal_normal_memo.get(key)
     if hit is None:
         _track(A.parent)
-        tab = A.parent.table
-        inv = A.parent.inverses
-        hit = all(tab[tab[b][a]][inv[b]] in A.indices
+        tab, inv, members = A.parent.table, A.parent.inverses, set(A.key)
+        hit = all(tab[tab[b][a]][inv[b]] in members
                   for b in B.key for a in A.key)
         _literal_normal_memo[key] = hit
     return hit

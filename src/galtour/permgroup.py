@@ -472,18 +472,17 @@ class Subgroup:
 
     The canonical key is the sorted tuple of element indices into the
     parent's canonical element order; equality and hashing are bit-exact
-    on it.  ``mask`` is the same set as a bitmask, for O(1) inclusion
-    tests.  The constructor trusts its caller: the library passes only
-    sets it has closed, and :meth:`Group.subgroup` checks any other set.
+    on it.  ``mask`` is the same set as a bitmask, for membership tests.
+    The constructor trusts its caller: the library passes only sets it
+    has closed, and :meth:`Group.subgroup` checks any other set.
     """
 
-    __slots__ = ("parent", "key", "indices", "mask", "order", "_gens")
+    __slots__ = ("parent", "key", "mask", "order", "_gens")
 
     def __init__(self, parent: Group, indices: Iterable[int]):
         key = tuple(sorted(set(indices)))
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "indices", frozenset(key))
         object.__setattr__(self, "mask", sum(1 << i for i in key))
         object.__setattr__(self, "order", len(key))
         object.__setattr__(self, "_gens", None)
@@ -506,7 +505,7 @@ class Subgroup:
         return self.mask & other.mask == self.mask
 
     def __contains__(self, i: int) -> bool:
-        return i in self.indices
+        return isinstance(i, int) and i >= 0 and self.mask >> i & 1 == 1
 
     def _same_parent(self, other: "Subgroup"):
         if other.parent is not self.parent:
@@ -525,7 +524,7 @@ class Subgroup:
 
 def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
     A._same_parent(B)
-    return Subgroup(A.parent, A.indices & B.indices)
+    return Subgroup(A.parent, set(A.key).intersection(B.key))
 
 
 def join(A: Subgroup, B: Subgroup) -> Subgroup:
@@ -546,12 +545,11 @@ def is_normal(A: Subgroup, B: Subgroup) -> bool:
     A._same_parent(B)
     if not A <= B:
         raise PermGroupError("is_normal requires nested subgroups A <= B")
-    tab = A.parent.table
-    inv = A.parent.inverses
+    tab, inv, mask = A.parent.table, A.parent.inverses, A.mask
     for b in B.gens():
         bi = inv[b]
         for a in A.gens():
-            if tab[tab[b][a]][bi] not in A.indices:
+            if not mask >> tab[tab[b][a]][bi] & 1:
                 return False
     return True
 
@@ -626,7 +624,7 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     found = {trivial.key: trivial}
     fresh = [trivial]
     for A in fresh:
-        members, gens = A.indices, A.gens()
+        members, gens = set(A.key), A.gens()
         # A and the coset unions made from it: a prime-power element of such
         # a union H outside A has its p-th power in A, so it extends A to H
         covered = set(members)

@@ -547,9 +547,9 @@ def test_package_has_no_assert_statements():
 
 def test_fresh_context_is_safe_to_share_between_threads():
     # Lazily filled state (Group._inv/_orders, Subgroup._gens, the
-    # quotient cache, the up/down/cover dicts of the poset index, the
-    # isomorphism memo) starts empty on a context built from a dict;
-    # four threads then fill it concurrently.
+    # quotient cache, the cover dict of the poset index, the isomorphism
+    # memo) starts empty on a context built from a dict; four threads
+    # then fill it concurrently.
     spec = gal.to_instance_dict(get_ctx("selmer-serre:n=4"))
 
     def answers(ctx, order):

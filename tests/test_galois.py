@@ -355,6 +355,23 @@ def test_poset_index_agrees_with_literal_scans(name):
                 assert dis.is_simple_ext(ctx, E, F) == (len(literal) == 2)
 
 
+def test_poset_index_agrees_with_literal_scans_on_a_deep_lattice():
+    ctx = get_ctx("radical:a=2,n=24")  # 944 subgroups
+    subs = ctx.subgroups
+    trivial, full = subs[0], subs[-1]
+    for S in subs:
+        assert ctx.between(S, full) == [T for T in subs if S.mask & T.mask == S.mask]
+        assert ctx.between(trivial, S) == [T for T in subs if S.mask & T.mask == T.mask]
+
+
+def test_maximal_among_keeps_repeated_members():
+    ctx = get_ctx("radical:a=2,n=12")
+    A, B = ctx.subgroups[3], ctx.subgroups[-1]
+    assert ctx.maximal_among([A]) == [A]
+    assert ctx.maximal_among([A, A]) == [A, A]
+    assert ctx.maximal_among([A, B, A]) == [B]
+
+
 def test_index_rejects_subgroups_of_another_group():
     ctx = get_ctx("radical:a=2,n=12")
     G6 = get_ctx("radical:a=2,n=6").group

@@ -213,7 +213,7 @@ def test_all_subgroups_s4_against_layered_oracle():
         batch, frontier = frontier, []
         for H in batch:
             for x in range(g.order):
-                if x in H.indices:
+                if x in H:
                     continue
                 bigger = g.generated_subgroup(H.key + (x,))
                 if bigger.key not in found:
@@ -364,7 +364,7 @@ def test_span_from_a_base_is_the_closure(make):
             gens = H.gens() + extra
             assert g.span(gens, H.key) == bfs_closure(g, gens)
         K = random_subgroup()
-        assert pg.join(H, K).indices == bfs_closure(g, H.gens() + K.gens())
+        assert set(pg.join(H, K).key) == bfs_closure(g, H.gens() + K.gens())
 
 
 def test_subgroup_rejects_each_bad_set_with_its_reason():
@@ -376,6 +376,16 @@ def test_subgroup_rejects_each_bad_set_with_its_reason():
                              ([0, c3], "not closed under composition")]:
         with pytest.raises(pg.PermGroupError, match=message):
             g.subgroup(indices)
+
+
+def test_subgroup_membership_is_false_for_every_int_outside_it():
+    g = get_ctx("radical:a=2,n=12").group
+    full = g.full_subgroup()
+    assert -1 not in full and g.order not in full and 2 ** 80 not in full
+    for H in pg.all_subgroups(g):
+        members = set(H.key)
+        for x in range(-3, g.order + 3):
+            assert (x in H) == (x in members), (H.key, x)
 
 
 def literal_is_closed(g, indices):
@@ -403,7 +413,7 @@ def test_subgroup_check_agrees_with_pairwise_closure(make):
         closed = literal_is_closed(g, indices)
         verdicts.add(closed)
         if closed:
-            assert g.subgroup(indices).indices == indices
+            assert set(g.subgroup(indices).key) == indices
         else:
             with pytest.raises(pg.PermGroupError, match="not closed"):
                 g.subgroup(indices)
@@ -417,7 +427,8 @@ def test_subgroup_check_agrees_with_pairwise_closure(make):
 def literal_normal(A, B):
     tab = A.parent.table
     inv = A.parent.inverses
-    return all(tab[tab[b][a]][inv[b]] in A.indices
+    members = set(A.key)
+    return all(tab[tab[b][a]][inv[b]] in members
                for b in B.key for a in A.key)
 
 
@@ -432,7 +443,7 @@ def test_is_normal_examples():
     c = g.index_of(P.from_cycles("(1 3)", 3))
     t = g.index_of(P.from_cycles("(1 2)", 3))
     conj = g.table[g.table[c][t]][g.inverses[c]]
-    assert conj not in refl.indices
+    assert conj not in refl
 
 
 def test_is_normal_requires_nesting():

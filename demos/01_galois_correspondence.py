@@ -15,11 +15,11 @@ from galtour.permgroup import Permutation as P
 # swap +-sqrt3 and (3 4) swap +-sqrt2.
 g = pg.generate(4, [P.from_cycles("(1 2)", 4), P.from_cycles("(3 4)", 4)])
 names = {
-    g.full_subgroup(): "Q",
-    g.generated_subgroup([g.index_of(P.from_cycles("(3 4)", 4))]): "Q(sqrt2)",
-    g.generated_subgroup([g.index_of(P.from_cycles("(1 2)", 4))]): "Q(sqrt3)",
-    g.generated_subgroup([g.index_of(P.from_cycles("(1 2)(3 4)", 4))]): "Q(sqrt6)",
-    g.trivial_subgroup(): "N",
+    "Q": g.full_subgroup(),
+    "Q(sqrt2)": g.generated_subgroup([g.index_of(P.from_cycles("(3 4)", 4))]),
+    "Q(sqrt3)": g.generated_subgroup([g.index_of(P.from_cycles("(1 2)", 4))]),
+    "Q(sqrt6)": g.generated_subgroup([g.index_of(P.from_cycles("(1 2)(3 4)", 4))]),
+    "N": g.trivial_subgroup(),
 }
 ctx = gal.GaloisContext(g, distinguished=g.trivial_subgroup(), names=names)
 

@@ -60,7 +60,7 @@ def is_simple_ext(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """No proper intermediate field: Subgroup(E) is maximal in Subgroup(F)."""
     if not F <= E:
         raise gal.GaloisError("is_simple_ext requires F <= E")
-    return E.subgroup in ctx.maximal_subgroups(F.subgroup)
+    return len(ctx.between(E.subgroup, F.subgroup)) == 2
 
 
 def is_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:

@@ -80,15 +80,18 @@ class GaloisContext:
     bound.  ``base`` is K (subgroup G), ``top_closure`` is N (trivial
     subgroup), ``distinguished`` is the studied extension's summit L.
 
+    ``names`` maps field names to the subgroups fixing them, in order; the
+    first name given to a field is its display name (``self.names`` maps
+    field -> display name), and every name resolves by :meth:`field_by_name`.
+
     Built at construction: the poset index (up- and down-set bitmasks per
-    position in ``subgroups``).  Lazily filled: the quotient cache and the
-    maximal-subgroup bitmasks.  Concurrent filling is safe: each entry is a
-    deterministic value, written once (a race at most rewrites it).
+    position in ``subgroups``).  Lazily filled: the quotient cache.
+    Concurrent filling is safe: each entry is a deterministic value,
+    written once (a race at most rewrites it).
     """
 
     def __init__(self, group: Group, *, distinguished: Subgroup | None = None,
-                 names: dict | None = None, aliases: dict | None = None,
-                 notes: dict | None = None,
+                 names: dict | None = None, notes: dict | None = None,
                  enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND):
         self.group = group
         self.subgroups = pg.all_subgroups(group, bound=enumeration_bound)
@@ -98,20 +101,19 @@ class GaloisContext:
         self.top_closure = self.field_of(group.trivial_subgroup())
         self.distinguished = (self.top_closure if distinguished is None
                               else self.field_of(distinguished))
-        self.names = {self.field_of(sg): name for sg, name in (names or {}).items()}
+        self.names: dict = {}
         # the reserved names; a caller may bind them only to the same fields
         self._name_to_field: dict = {"K": self.base, "L": self.distinguished,
                                      "N": self.top_closure,
                                      "closure": self.top_closure}
-        bindings = [(name, ref) for ref, name in self.names.items()]
-        bindings += [(name, self.field_of(sg)) for name, sg in (aliases or {}).items()]
-        for name, ref in bindings:
+        for name, sg in (names or {}).items():
+            ref = self.field_of(sg)
             if self._name_to_field.setdefault(name, ref) is not ref:
                 raise GaloisError(f"duplicate field name {name!r}")
+            self.names.setdefault(ref, name)
         self.notes = dict(notes or {})
         self._quotient_cache: dict = {}
         self._up, self._down = _poset_index(group, self.subgroups)
-        self._maximal: dict = {}
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -155,14 +157,6 @@ class GaloisContext:
                 return ref
         raise GaloisError(f"unknown field name {name!r}")
 
-    def _maximal_bits(self, i: int) -> int:
-        """Positions j of the maximal subgroups of subgroup i: down & up = {i, j}."""
-        if i not in self._maximal:
-            down = self._down[i]
-            self._maximal[i] = sum(1 << j for j in _pick(range(i), down & ~(1 << i))
-                                   if down & self._up[j] == 1 << i | 1 << j)
-        return self._maximal[i]
-
     def _interval_bits(self, lo: Subgroup, hi: Subgroup) -> int:
         return self._up[self._position(lo)] & self._down[self._position(hi)]
 
@@ -177,8 +171,12 @@ class GaloisContext:
         return _pick(self._fields, self._interval_bits(E.subgroup, F.subgroup))
 
     def maximal_subgroups(self, S: Subgroup) -> list:
-        """The maximal proper subgroups of S (its lower covers), canonical order."""
-        return _pick(self.subgroups, self._maximal_bits(self._position(S)))
+        """The maximal proper subgroups of S (its lower covers), canonical order:
+        the proper subgroups j of S whose up-set meets them in j alone."""
+        i = self._position(S)
+        below = self._down[i] & ~(1 << i)
+        return [self.subgroups[j] for j in _pick(range(i), below)
+                if below & self._up[j] == 1 << j]
 
     def maximal_among(self, sgs: Sequence[Subgroup]) -> list:
         """The members of sgs contained in no other member, in the given order."""

@@ -35,14 +35,6 @@ class PresetError(Exception):
     """Invalid preset specification or instance file."""
 
 
-def _register(names: dict, aliases: dict, sub: pg.Subgroup, name: str) -> None:
-    """First name for a subgroup is its display name; later ones are aliases."""
-    if sub in names:
-        aliases[name] = sub
-    else:
-        names[sub] = name
-
-
 # ---------------------------------------------------------------------------
 # exact integer/rational helpers
 
@@ -58,15 +50,24 @@ def divisors(n: int) -> list:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def integer_root(x: int, p: int) -> int:
+    """floor(x^(1/p)) for x >= 0, by integer Newton iteration from above."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // p)  # 2^ceil(bits/p) > x^(1/p)
+    while (s := ((p - 1) * r + x // r ** (p - 1)) // p) < r:
+        r = s
+    return r
+
+
 def is_rational_pth_power(a: Fraction, p: int) -> bool:
-    """a in Q^p, decided by exact factorization of numerator and denominator."""
+    """a in Q^p: |numerator| and denominator (coprime) are exact p-th powers."""
     if a == 0:
         return True
     if a < 0 and p % 2 == 0:
         return False
-    exps = list(pg.factorize(a.numerator).values()) + \
-        list(pg.factorize(a.denominator).values())
-    return all(e % p == 0 for e in exps)
+    return all(integer_root(x, p) ** p == x
+               for x in (abs(a.numerator), a.denominator))
 
 
 def in_minus_four_fourth_powers(a: Fraction) -> bool:
@@ -155,28 +156,23 @@ def radical_context(spec: RadicalSpec,
     """
     a, n = spec.a, spec.n
     G, decode = _pair_group(n, n)
-    names = {G.full_subgroup(): "Q", G.trivial_subgroup(): "N"}
-    aliases: dict = {}
-    distinguished = None
+    names = {"Q": G.full_subgroup(), "N": G.trivial_subgroup()}
     for m in divisors(n):
         if m > 1:
             sub = G.subgroup(i for i in range(G.order) if decode(i)[0] % m == 0)
             if G.order // sub.order != m:
                 raise PresetError(f"radical field for m={m} has wrong degree")
-            _register(names, aliases, sub, _radical_name(a, m))
-            if m == n:
-                distinguished = sub
+            names[_radical_name(a, m)] = sub
         if m > 2:
             sub = G.subgroup(i for i in range(G.order) if decode(i)[1] % m == 1)
             if G.order // sub.order != euler_phi(m):
                 raise PresetError(f"cyclotomic field for m={m} has wrong degree")
-            _register(names, aliases, sub, f"Q(zeta{m})")
+            names[f"Q(zeta{m})"] = sub
     notes = {"preset": f"radical:a={a},n={n}", "declared_order": G.order}
     if n % 2 == 0:
         notes["hypothesis"] = "classical"  # degree rests on cyclotomic disjointness
-    return GaloisContext(G, distinguished=distinguished, names=names,
-                         aliases=aliases, notes=notes,
-                         enumeration_bound=enumeration_bound)
+    return GaloisContext(G, distinguished=names[_radical_name(a, n)], names=names,
+                         notes=notes, enumeration_bound=enumeration_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +220,7 @@ def cyclo_radical_context(spec: CycloRadicalSpec,
     n2 = n * n
     e = (n2 * d) // math.gcd(n2, d)
     G, decode = _pair_group(d, e)
-    names = {G.full_subgroup(): "Q", G.trivial_subgroup(): "N"}
-    aliases: dict = {}
+    names = {"Q": G.full_subgroup(), "N": G.trivial_subgroup()}
     # cyclotomic fields for every divisor m | e
     cyclo_sub = {}
     for m in divisors(e):
@@ -234,7 +229,7 @@ def cyclo_radical_context(spec: CycloRadicalSpec,
         if m > 2:
             if G.order // sub.order != euler_phi(m):
                 raise PresetError(f"cyclotomic field for m={m} has wrong degree")
-            _register(names, aliases, sub, f"Q(zeta{m})")
+            names[f"Q(zeta{m})"] = sub
     # E-side radicals E_{n^2}(rho^delta) for proper divisors delta of d
     E = cyclo_sub[n2]
     for delta in divisors(d):
@@ -244,9 +239,9 @@ def cyclo_radical_context(spec: CycloRadicalSpec,
                          if decode(i)[1] % n2 == 1 % n2
                          and decode(i)[0] % (d // delta) == 0)
         if n2 > 2:
-            _register(names, aliases, sub, f"Q(zeta{n2},{d // delta}rt{l})")
+            names[f"Q(zeta{n2},{d // delta}rt{l})"] = sub
         else:
-            _register(names, aliases, sub, _radical_name(Fraction(l), d // delta))
+            names[_radical_name(Fraction(l), d // delta)] = sub
     # F_n: preimage of the least valid H of order phi(n^2)/n
     q = euler_phi(n2) // n
     target = E.order * q
@@ -256,15 +251,14 @@ def cyclo_radical_context(spec: CycloRadicalSpec,
         raise PresetError("no subgroup H of the required order exists")
     X = min(candidates, key=pg.Subgroup.sort_key)
     if X != G.full_subgroup():
-        _register(names, aliases, X, f"F{n}")
+        names[f"F{n}"] = X
     rho_stab = G.subgroup(i for i in range(G.order) if decode(i)[0] == 0)
     SL = pg.intersection(X, rho_stab)
-    if SL != G.trivial_subgroup():
-        _register(names, aliases, SL, "L")
+    names["L"] = SL  # the display name, unless SL already has one
     notes = {"preset": f"cyclo-radical:n={n},d={d},l={l}",
              "declared_order": G.order, "conductor": e}
-    return GaloisContext(G, distinguished=SL, names=names, aliases=aliases,
-                         notes=notes, enumeration_bound=enumeration_bound)
+    return GaloisContext(G, distinguished=SL, names=names, notes=notes,
+                         enumeration_bound=enumeration_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +279,8 @@ def selmer_serre_context(n: int,
         raise PresetError(f"constructed order {G.order} != {n}!")
     stab = G.subgroup(i for i in range(G.order)
                       if G.elements[i].images[n - 1] == n - 1)
-    names = {G.full_subgroup(): "Q", G.trivial_subgroup(): "splitting",
-             stab: "Q(theta)"}
+    names = {"Q": G.full_subgroup(), "splitting": G.trivial_subgroup(),
+             "Q(theta)": stab}
     notes = {"preset": f"selmer-serre:n={n}", "polynomial": f"X^{n}-X-1"}
     return GaloisContext(G, distinguished=stab, names=names, notes=notes,
                          enumeration_bound=enumeration_bound)
@@ -296,40 +290,45 @@ def selmer_serre_context(n: int,
 # instance files
 
 
+def _cycle_texts(value, source: str, what: str) -> list:
+    """value itself, when it is a list of cycle-notation strings."""
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise PresetError(f"{source}: {what} must be a list of cycle strings")
+    return value
+
+
 def from_dict(data: dict, enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND,
               source: str = "<instance>") -> GaloisContext:
     try:
         degree = int(data["degree"])
-        gen_texts = list(data["generators"])
+        gen_texts = data["generators"]
         field_map = data.get("fields", {})
-        distinguished_name = data.get("distinguished")
+        distinguished = data.get("distinguished")
     except (KeyError, TypeError) as exc:
         raise PresetError(f"{source}: missing or malformed key: {exc}") from exc
-    gens = [Permutation.from_cycles(txt, degree) for txt in gen_texts]
+    if not isinstance(field_map, dict):
+        raise PresetError(f"{source}: fields must be an object of name: generators")
+    if distinguished is not None and not isinstance(distinguished, str):
+        raise PresetError(f"{source}: distinguished must be a field name")
+    gens = [Permutation.from_cycles(txt, degree)
+            for txt in _cycle_texts(gen_texts, source, "generators")]
     G = pg.generate(degree, gens or [Permutation.identity(degree)])
     names: dict = {}
-    aliases: dict = {}
-    field_subs = {}
     for name, gen_list in field_map.items():
         idxs = []
-        for txt in gen_list:
+        for txt in _cycle_texts(gen_list, source, f"field {name!r}"):
             p = Permutation.from_cycles(txt, degree)
             if p not in G:
                 raise PresetError(
                     f"{source}: field {name!r} is not a subgroup: "
                     f"generator {txt} lies outside the group")
             idxs.append(G.index_of(p))
-        sub = G.generated_subgroup(idxs)
-        field_subs[name] = sub
-        _register(names, aliases, sub, name)
-    distinguished = None
-    if distinguished_name is not None:
-        if distinguished_name not in field_subs:
-            raise PresetError(
-                f"{source}: distinguished field {distinguished_name!r} not defined")
-        distinguished = field_subs[distinguished_name]
-    return GaloisContext(G, distinguished=distinguished, names=names,
-                         aliases=aliases, notes={"preset": source},
+        names[name] = G.generated_subgroup(idxs)
+    if distinguished is not None and distinguished not in names:
+        raise PresetError(
+            f"{source}: distinguished field {distinguished!r} not defined")
+    return GaloisContext(G, distinguished=names.get(distinguished), names=names,
+                         notes={"preset": source},
                          enumeration_bound=enumeration_bound)
 
 
@@ -395,4 +394,6 @@ def load_instance(selector: str,
             return from_file(rest, enumeration_bound=bound)
     except KeyError as exc:
         raise PresetError(f"selector {selector!r}: missing parameter {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise PresetError(f"selector {selector!r}: zero denominator") from exc
     return from_file(selector, enumeration_bound=bound)

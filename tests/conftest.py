@@ -19,11 +19,11 @@ settings.load_profile("suite")
 def _klein_ctx():
     g = pg.generate(4, [P.from_cycles("(1 2)", 4), P.from_cycles("(3 4)", 4)])
     names = {
-        g.full_subgroup(): "Q",
-        g.generated_subgroup([g.index_of(P.from_cycles("(3 4)", 4))]): "Q(sqrt2)",
-        g.generated_subgroup([g.index_of(P.from_cycles("(1 2)", 4))]): "Q(sqrt3)",
-        g.generated_subgroup([g.index_of(P.from_cycles("(1 2)(3 4)", 4))]): "Q(sqrt6)",
-        g.trivial_subgroup(): "Q(sqrt2,sqrt3)",
+        "Q": g.full_subgroup(),
+        "Q(sqrt2)": g.generated_subgroup([g.index_of(P.from_cycles("(3 4)", 4))]),
+        "Q(sqrt3)": g.generated_subgroup([g.index_of(P.from_cycles("(1 2)", 4))]),
+        "Q(sqrt6)": g.generated_subgroup([g.index_of(P.from_cycles("(1 2)(3 4)", 4))]),
+        "Q(sqrt2,sqrt3)": g.trivial_subgroup(),
     }
     return gal.GaloisContext(g, distinguished=g.trivial_subgroup(), names=names)
 
@@ -32,7 +32,7 @@ def _c4_ctx():
     # cyclic quartic field, e.g. the degree-4 subfield of Q(zeta5)
     g = pg.generate(4, [P.from_cycles("(1 2 3 4)", 4)])
     return gal.GaloisContext(g, distinguished=g.trivial_subgroup(),
-                             names={g.full_subgroup(): "Q"})
+                             names={"Q": g.full_subgroup()})
 
 
 def _zeta15_ctx():
@@ -46,11 +46,11 @@ def _zeta15_ctx():
         return g.subgroup(i for i in range(g.order)
                           if g.elements[i].images[1] in ss)
     names = {
-        g.full_subgroup(): "Q",
-        g.trivial_subgroup(): "Q(zeta15)",
-        unit_sub(1, 4, 7, 13): "Q(zeta3)",   # fixes zeta^5: s = 1 mod 3
-        unit_sub(1, 11): "Q(zeta5)",         # fixes zeta^3: s = 1 mod 5
-        unit_sub(1, 4, 11, 14): "Q(sqrt5)",  # s = +-1 mod 5
+        "Q": g.full_subgroup(),
+        "Q(zeta15)": g.trivial_subgroup(),
+        "Q(zeta3)": unit_sub(1, 4, 7, 13),   # fixes zeta^5: s = 1 mod 3
+        "Q(zeta5)": unit_sub(1, 11),         # fixes zeta^3: s = 1 mod 5
+        "Q(sqrt5)": unit_sub(1, 4, 11, 14),  # s = +-1 mod 5
     }
     return gal.GaloisContext(g, distinguished=g.trivial_subgroup(), names=names)
 

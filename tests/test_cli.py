@@ -16,12 +16,12 @@ import galtour.towers as tw
 from galtour import cli, presets
 
 
-def _python(*args):
+def _python(*args, timeout=None):
     """Run a fresh interpreter that imports this source tree of galtour."""
     src = os.path.dirname(os.path.dirname(galtour.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=timeout)
 
 
 def run(capsys, *argv):

@@ -546,10 +546,10 @@ def test_package_has_no_assert_statements():
 
 
 def test_fresh_context_is_safe_to_share_between_threads():
-    # Lazily filled state (Group._inv/_orders, Subgroup._gens, the
-    # quotient cache, the cover dict of the poset index, the isomorphism
-    # memo) starts empty on a context built from a dict; four threads
-    # then fill it concurrently.
+    # The lazily filled state (the context's quotient cache and the
+    # isomorphism memo) starts empty on a context built from a dict; four
+    # threads then fill it concurrently.  Group._inv/_orders and
+    # Subgroup._gens are already filled when the context is built.
     spec = gal.to_instance_dict(get_ctx("selmer-serre:n=4"))
 
     def answers(ctx, order):

@@ -364,6 +364,20 @@ def test_poset_index_agrees_with_literal_scans_on_a_deep_lattice():
         assert ctx.between(trivial, S) == [T for T in subs if S.mask & T.mask == T.mask]
 
 
+def test_names_table_gives_the_first_name_for_display():
+    g = pg.generate(4, [pg.Permutation.from_cycles("(1 2)", 4),
+                        pg.Permutation.from_cycles("(3 4)", 4)])
+    S = g.generated_subgroup([1])
+    ctx = gal.GaloisContext(g, names={"A": S, "B": S})
+    assert ctx.field_of(S).name == "A"
+    assert ctx.names == {ctx.field_of(S): "A"}
+    assert ctx.field_by_name("A") is ctx.field_by_name("B") is ctx.field_of(S)
+    assert ctx.field_by_name("K") is ctx.base
+    with pytest.raises(gal.GaloisError, match="duplicate field name 'K'"):
+        gal.GaloisContext(g, names={"K": S})
+    assert gal.GaloisContext(g, names={"K": g.full_subgroup()}).base.name == "K"
+
+
 def test_maximal_among_keeps_repeated_members():
     ctx = get_ctx("radical:a=2,n=12")
     A, B = ctx.subgroups[3], ctx.subgroups[-1]

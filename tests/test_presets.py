@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 import galtour.galois as gal
 import galtour.permgroup as pg
-from galtour import presets
+from galtour import cli, presets
 from galtour.presets import CycloRadicalSpec, PresetError, RadicalSpec
+from test_cli import _python
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +33,34 @@ def test_minus_four_fourth_powers():
     assert presets.in_minus_four_fourth_powers(Fraction(-64))  # -4 * 2^4
     assert not presets.in_minus_four_fourth_powers(Fraction(4))
     assert not presets.in_minus_four_fourth_powers(Fraction(-8))
+
+
+def test_pth_power_by_integer_root_agrees_with_factorization():
+    for u in range(61):
+        for v in range(1, 61):
+            for p in (2, 3, 5):
+                for a in (Fraction(u, v), Fraction(-u, v)):
+                    exps = [*pg.factorize(a.numerator).values(),
+                            *pg.factorize(a.denominator).values()]
+                    sign_ok = a >= 0 or p % 2 == 1
+                    expected = a == 0 or sign_ok and all(e % p == 0 for e in exps)
+                    assert presets.is_rational_pth_power(a, p) == expected, (a, p)
+
+
+def test_radicand_with_a_large_prime_answers_quickly():
+    # trial division of a 19-digit prime would run for minutes
+    for a in ("1000000000000000003", "2/1000000000000000003"):
+        proc = _python("-m", "galtour.cli", "analyze", f"radical:a={a},n=2",
+                       timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert "|G|=2  fields=2" in proc.stdout
+
+
+def test_radicand_with_zero_denominator_is_a_preset_error(capsys):
+    with pytest.raises(PresetError, match="zero denominator"):
+        presets.load_instance("radical:a=1/0,n=6")
+    assert cli.main(["analyze", "radical:a=1/0,n=6"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def test_radical_spec_validation():
@@ -219,6 +249,23 @@ def test_from_file_missing_distinguished(tmp_path):
     path.write_text(json.dumps(bad))
     with pytest.raises(PresetError, match="not defined"):
         presets.from_file(str(path))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"fields": ["x"]}, "fields must be an object"),
+    ({"fields": {"A": 5}}, "field 'A' must be a list of cycle strings"),
+    ({"fields": {"A": "(1 2)"}}, "field 'A' must be a list of cycle strings"),
+    ({"distinguished": ["A"]}, "distinguished must be a field name"),
+    ({"generators": [5]}, "generators must be a list of cycle strings"),
+    ({"generators": "(1 2 3)"}, "generators must be a list of cycle strings"),
+])
+def test_malformed_instance_file_is_a_preset_error(tmp_path, capsys, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(KLEIN_INSTANCE, **change)))
+    with pytest.raises(PresetError, match=re.escape(message)):
+        presets.from_file(str(path))
+    assert cli.main(["analyze", f"file:{path}"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_load_instance_selectors(tmp_path):

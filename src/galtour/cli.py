@@ -23,10 +23,6 @@ USER_ERRORS = (presets.PresetError, gal.GaloisError, tw.TowerError,
                pg.PermGroupError, OSError, ValueError, KeyError)
 
 
-def _load(args) -> gal.GaloisContext:
-    return presets.load_instance(args.instance, enumeration_bound=args.bound)
-
-
 def _parse_tower(ctx, text: str) -> tw.Tower:
     try:
         names = json.loads(text)
@@ -75,8 +71,7 @@ def _field_report(ctx, F) -> dict:
     }
 
 
-def cmd_analyze(args) -> int:
-    ctx = _load(args)
+def cmd_analyze(args, ctx) -> int:
     fields = [ctx.field_by_name(args.field)] if args.field else ctx.all_fields()
     reports = [_field_report(ctx, F) for F in fields]
     lines = [f"instance: {args.instance}  |G|={ctx.group.order}  "
@@ -98,8 +93,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_m_field(args) -> int:
-    ctx = _load(args)
+def cmd_m_field(args, ctx) -> int:
     L = ctx.field_by_name(args.field) if args.field else ctx.distinguished
     rep = dis.intourability_field(ctx, L, ctx.base)
     payload = rep.to_dict()
@@ -111,8 +105,7 @@ def cmd_m_field(args) -> int:
     return 0
 
 
-def cmd_tower_check(args) -> int:
-    ctx = _load(args)
+def cmd_tower_check(args, ctx) -> int:
     t = _parse_tower(ctx, args.tower[0])
     strict = tw.is_strict(t)
     payload = {
@@ -136,8 +129,7 @@ def cmd_tower_check(args) -> int:
     return 0
 
 
-def cmd_refine(args) -> int:
-    ctx = _load(args)
+def cmd_refine(args, ctx) -> int:
     t1 = _parse_tower(ctx, args.tower[0])
     t2 = _parse_tower(ctx, args.tower[1])
     refine = dis.schreier_refine_strict if args.strict else dis.schreier_refine
@@ -159,8 +151,7 @@ def cmd_refine(args) -> int:
     return 0
 
 
-def cmd_compose(args) -> int:
-    ctx = _load(args)
+def cmd_compose(args, ctx) -> int:
     L = ctx.field_by_name(args.field) if args.field else ctx.distinguished
     t = dis.composition_tower_general(ctx, L, ctx.base)
     payload = {"tower": [f.name for f in t.fields], "height": t.height}
@@ -168,8 +159,7 @@ def cmd_compose(args) -> int:
     return 0
 
 
-def cmd_elevate(args) -> int:
-    ctx = _load(args)
+def cmd_elevate(args, ctx) -> int:
     f = _parse_tower(ctx, args.tower[0])
     mtower, ind = dis.elevation_tower(ctx, f)
     payload = {"m_tower": [x.name for x in mtower.fields],
@@ -179,8 +169,7 @@ def cmd_elevate(args) -> int:
     return 0
 
 
-def cmd_check_equiv(args) -> int:
-    ctx = _load(args)
+def cmd_check_equiv(args, ctx) -> int:
     c1 = _parse_tower(ctx, args.tower[0])
     c2 = _parse_tower(ctx, args.tower[1])
     equivalent, witness = dis.equivalence_general(ctx, c1, c2)
@@ -193,8 +182,7 @@ def cmd_check_equiv(args) -> int:
     return 0
 
 
-def cmd_lattice(args) -> int:
-    ctx = _load(args)
+def cmd_lattice(args, ctx) -> int:
     dot = gal.to_dot(ctx)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -205,9 +193,8 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, ctx) -> int:
     from . import oracle as orc  # only this verb needs it
-    ctx = _load(args)
     matrix = orc.run_agreement_suite({args.instance: ctx})
     if args.json:
         print(json.dumps(matrix, indent=2, sort_keys=True))
@@ -282,7 +269,8 @@ def main(argv: list | None = None) -> int:
               file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        ctx = presets.load_instance(args.instance, enumeration_bound=args.bound)
+        return args.func(args, ctx)
     except TheoremViolation as exc:
         print(f"theorem violation (internal bug): {exc}", file=sys.stderr)
         return 3

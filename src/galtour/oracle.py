@@ -13,10 +13,10 @@ quadrilateral scan is empirical output, not an oracle, and calls the
 main path.)
 
 Both keep their verdicts in a module memo (``_literal_normal_memo``,
-``_literal_subnormal_memo``) keyed on ``(id(group), A.key, B.key)``.  A
-finalizer drops a group's entries from both when the group is freed, so
-the memos neither keep groups alive nor answer for a later group created
-at the same id.
+``_literal_subnormal_memo``): a ``WeakKeyDictionary`` from the group to
+``{(A.key, B.key): verdict}``.  A group's entries go when the group is
+freed, so the memos neither keep groups alive nor answer for a later
+group created at the same address.
 
 Oracles favour clarity over speed and may be exponential; the agreement
 suite aggregates their verdicts into a machine-readable matrix.
@@ -63,35 +63,24 @@ class OracleReport(namedtuple(
         return out
 
 
-_literal_normal_memo: dict = {}
-_literal_subnormal_memo: dict = {}
-_memo_groups = weakref.WeakSet()  # the groups with a finalizer registered
-
-
-def _forget_group(gid: int) -> None:
-    for memo in (_literal_normal_memo, _literal_subnormal_memo):
-        for key in list(memo):
-            if key[0] == gid:
-                memo.pop(key, None)
-
-
-def _track(group) -> None:
-    """Register, once per group, the finalizer that drops its memo entries."""
-    if group not in _memo_groups:
-        _memo_groups.add(group)
-        weakref.finalize(group, _forget_group, id(group))
+# read with get and insert only on a miss: setdefault would build a weak
+# reference to the group on every call
+_literal_normal_memo = weakref.WeakKeyDictionary()
+_literal_subnormal_memo = weakref.WeakKeyDictionary()
 
 
 def literal_is_normal(A: Subgroup, B: Subgroup) -> bool:
     """Direct conjugation scan over all of A and B (no generator shortcut)."""
-    key = (id(A.parent), A.key, B.key)
-    hit = _literal_normal_memo.get(key)
+    verdicts = _literal_normal_memo.get(A.parent)
+    if verdicts is None:
+        verdicts = _literal_normal_memo[A.parent] = {}
+    key = (A.key, B.key)
+    hit = verdicts.get(key)
     if hit is None:
-        _track(A.parent)
         tab, inv, members = A.parent.table, A.parent.inverses, set(A.key)
         hit = all(tab[tab[b][a]][inv[b]] in members
                   for b in B.key for a in A.key)
-        _literal_normal_memo[key] = hit
+        verdicts[key] = hit
     return hit
 
 
@@ -100,14 +89,16 @@ def literal_is_subnormal(ctx: GaloisContext, A: Subgroup, B: Subgroup) -> bool:
     A <= C < B is literally normal in B and A is subnormal in C."""
     if A == B:
         return True
-    key = (id(A.parent), A.key, B.key)
-    hit = _literal_subnormal_memo.get(key)
+    verdicts = _literal_subnormal_memo.get(A.parent)
+    if verdicts is None:
+        verdicts = _literal_subnormal_memo[A.parent] = {}
+    key = (A.key, B.key)
+    hit = verdicts.get(key)
     if hit is None:
-        _track(A.parent)
         hit = any(C.key != B.key and literal_is_normal(C, B)
                   and literal_is_subnormal(ctx, A, C)
                   for C in ctx.between(A, B))
-        _literal_subnormal_memo[key] = hit
+        verdicts[key] = hit
     return hit
 
 

@@ -583,6 +583,12 @@ def subnormal_closure(H: Subgroup, B: Subgroup) -> tuple:
         current = nxt
 
 
+def check_enumeration_bound(order: int, bound: int) -> None:
+    """Refuse to enumerate the subgroups of a group of order past bound."""
+    if order > bound:
+        raise BoundExceeded(f"|G| = {order} exceeds enumeration bound {bound}")
+
+
 def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     """Every subgroup of G, canonically sorted.
 
@@ -599,8 +605,7 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     under products.  The lattice is computed once per group and kept on
     it; the bound is checked on every call.
     """
-    if G.order > bound:
-        raise BoundExceeded(f"|G| = {G.order} exceeds enumeration bound {bound}")
+    check_enumeration_bound(G.order, bound)
     if G._subgroups is not None:
         return list(G._subgroups)
     tab, inv = G.table, G.inverses

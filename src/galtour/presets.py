@@ -83,12 +83,13 @@ def _unit_generators(n: int) -> list:
     return [units[i] for i in group.greedy_generators(range(len(units)))]
 
 
-def _pair_group(d: int, e: int) -> tuple:
+def _pair_group(d: int, e: int, enumeration_bound: int) -> tuple:
     """The group of pairs (t in Z/d, s in (Z/e)*) and its decoder.
 
     A pair acts by k -> k*s + t on d radical symbols and by k -> k*s on e
     roots of unity; ``decode`` maps an element index back to (t, s).  The
-    declared order d*phi(e) is checked against the constructed closure.
+    declared order d*phi(e) is checked against the enumeration bound
+    before anything is built, and against the constructed closure after.
     """
     def pair_perm(t: int, s: int) -> Permutation:
         images = [(k * s + t) % d for k in range(d)]
@@ -96,6 +97,7 @@ def _pair_group(d: int, e: int) -> tuple:
         return Permutation(images)
 
     declared = d * euler_phi(e)
+    pg.check_enumeration_bound(declared, enumeration_bound)
     gens = [pair_perm(1, 1)] + [pair_perm(0, u) for u in _unit_generators(e)]
     G = pg.generate(d + e, gens)
     if G.order != declared:
@@ -155,7 +157,7 @@ def radical_context(spec: RadicalSpec,
     closure N.
     """
     a, n = spec.a, spec.n
-    G, decode = _pair_group(n, n)
+    G, decode = _pair_group(n, n, enumeration_bound)
     names = {"Q": G.full_subgroup(), "N": G.trivial_subgroup()}
     for m in divisors(n):
         if m > 1:
@@ -219,7 +221,7 @@ def cyclo_radical_context(spec: CycloRadicalSpec,
     n, d, l = spec.n, spec.d, spec.l
     n2 = n * n
     e = (n2 * d) // math.gcd(n2, d)
-    G, decode = _pair_group(d, e)
+    G, decode = _pair_group(d, e, enumeration_bound)
     names = {"Q": G.full_subgroup(), "N": G.trivial_subgroup()}
     # cyclotomic fields for every divisor m | e
     cyclo_sub = {}

@@ -292,8 +292,6 @@ def induced(t: Tower, L: FieldRef) -> Tower:
 # ---------------------------------------------------------------------------
 # equivalence of Galois towers
 
-EQUIVALENCE_HEIGHT_CAP = 12
-
 
 class EquivalenceWitness:
     """sigma in S_m plus, per marche, an explicit quotient isomorphism.
@@ -339,9 +337,7 @@ def marche_groups(t: Tower) -> list:
     return [gal.galois_group(t.ctx, hi, lo) for lo, hi in t.marches()]
 
 
-def equivalence_witness(t1: Tower, t2: Tower,
-                        height_cap: int = EQUIVALENCE_HEIGHT_CAP
-                        ) -> EquivalenceWitness | None:
+def equivalence_witness(t1: Tower, t2: Tower) -> EquivalenceWitness | None:
     """Match marches into isomorphism classes; None when impossible.
 
     Marches are bucketed by (order, element-order multiset) first;
@@ -355,8 +351,6 @@ def equivalence_witness(t1: Tower, t2: Tower,
         raise TowerError("equivalence requires towers of the same extension")
     if t1.height != t2.height:
         return None
-    if t1.height > height_cap:
-        raise pg.BoundExceeded(f"height {t1.height} exceeds cap {height_cap}")
     q1 = marche_groups(t1)
     q2 = marche_groups(t2)
     m = t1.height

@@ -159,6 +159,15 @@ def test_check_equiv(capsys):
     assert "equivalent: yes" in out
 
 
+def test_check_equiv_has_no_height_limit(capsys):
+    tower = json.dumps(["K"] * 13 + ["Q(sqrt2)", "Q(6rt2)"])
+    code, out, err = run(capsys, "check-equiv", "radical:a=2,n=6",
+                         "--tower", tower, "--tower", tower)
+    assert code == 0, err
+    assert out == ("equivalent: yes\nsigma: "
+                   + " ".join(str(i) for i in range(1, 14)) + "\n")
+
+
 def test_lattice_dot(capsys, tmp_path):
     code, out, _ = run(capsys, "lattice", "radical:a=2,n=4")
     assert code == 0

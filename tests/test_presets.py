@@ -56,6 +56,22 @@ def test_radicand_with_a_large_prime_answers_quickly():
         assert "|G|=2  fields=2" in proc.stdout
 
 
+@pytest.mark.parametrize("selector, order", [
+    ("radical:a=2,n=2003", 2003 * 2002),
+    ("radical:a=2,n=32", 512),
+    ("cyclo-radical:n=1,d=401,l=2", 401 * 400),
+])
+def test_oversized_preset_is_refused_before_it_is_built(monkeypatch, selector,
+                                                        order):
+    # the declared order d*phi(e) is checked before any closure is built
+    def banned(*args, **kwargs):
+        raise AssertionError("the preset built its group")
+    monkeypatch.setattr(pg, "generate", banned)
+    message = f"|G| = {order} exceeds enumeration bound 384"
+    with pytest.raises(pg.BoundExceeded, match=re.escape(message)):
+        presets.load_instance(selector)
+
+
 def test_radicand_with_zero_denominator_is_a_preset_error(capsys):
     with pytest.raises(PresetError, match="zero denominator"):
         presets.load_instance("radical:a=1/0,n=6")

@@ -9,10 +9,13 @@ under study.
 
 Compositum corresponds to subgroup intersection, field intersection to
 subgroup join, and E/F is Galois exactly when Gal(N/E) is normal in
-Gal(N/F).  On top of that sit quadrilaterals (J,K,N,L) with K cap L = J
-and KL = N, parallelograms (all four sides Galois), the diagonal
-splitting and "ecartele" exchange laws, and the inverse antitone
-bijections R and S between sub- and quotient-quadrilaterals.
+Gal(N/F).  Composita, field intersections and intervals are read from
+the context's poset index; :mod:`permgroup` only builds the group and
+its lattice, tests normality and forms quotients.  On top of that sit
+quadrilaterals (J,K,N,L) with K cap L = J and KL = N, parallelograms
+(all four sides Galois), the diagonal splitting and "ecartele" exchange
+laws, and the inverse antitone bijections R and S between sub- and
+quotient-quadrilaterals.
 
 Contexts are immutable after construction and safe to share between
 workers.
@@ -34,16 +37,18 @@ class GaloisError(Exception):
 class FieldRef:
     """Handle for an intermediate field of the context's closure.
 
-    Refs are made only by :class:`GaloisContext`, one per lattice
-    position, so two refs are equal iff they are the same object.
-    Field containment E <= F holds iff Subgroup(F) <= Subgroup(E).
+    Refs are made only by :class:`GaloisContext`, one per lattice position
+    ``pos``, so two refs are equal iff they are the same object.  Field
+    containment E <= F holds iff Subgroup(F) <= Subgroup(E) (subgroup
+    masks); meets and joins are read from the poset index at ``pos``.
     """
 
-    __slots__ = ("ctx", "subgroup")
+    __slots__ = ("ctx", "subgroup", "pos")
 
-    def __init__(self, ctx: "GaloisContext", subgroup: Subgroup):
+    def __init__(self, ctx: "GaloisContext", subgroup: Subgroup, pos: int):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "pos", pos)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldRef is immutable")
@@ -95,7 +100,7 @@ class GaloisContext:
                  enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND):
         self.group = group
         self.subgroups = pg.all_subgroups(group, bound=enumeration_bound)
-        self._fields = [FieldRef(self, sg) for sg in self.subgroups]
+        self._fields = [FieldRef(self, sg, i) for i, sg in enumerate(self.subgroups)]
         self._pos = {sg.key: i for i, sg in enumerate(self.subgroups)}
         self.base = self.field_of(group.full_subgroup())
         self.top_closure = self.field_of(group.trivial_subgroup())
@@ -157,18 +162,16 @@ class GaloisContext:
                 return ref
         raise GaloisError(f"unknown field name {name!r}")
 
-    def _interval_bits(self, lo: Subgroup, hi: Subgroup) -> int:
-        return self._up[self._position(lo)] & self._down[self._position(hi)]
-
     def between(self, lo: Subgroup, hi: Subgroup) -> list:
         """Lattice subgroups S with lo <= S <= hi, in canonical order."""
-        return _pick(self.subgroups, self._interval_bits(lo, hi))
+        bits = self._up[self._position(lo)] & self._down[self._position(hi)]
+        return _pick(self.subgroups, bits)
 
     def interval_fields(self, F: FieldRef, E: FieldRef) -> list:
         """Fields M with F <= M <= E, canonical order; requires F <= E."""
         if not F <= E:
             raise GaloisError("interval requires F <= E as fields")
-        return _pick(self._fields, self._interval_bits(E.subgroup, F.subgroup))
+        return _pick(self._fields, self._up[E.pos] & self._down[F.pos])
 
     def maximal_subgroups(self, S: Subgroup) -> list:
         """The maximal proper subgroups of S (its lower covers), canonical order:
@@ -239,13 +242,17 @@ def degree(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> int:
 
 
 def compositum(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> FieldRef:
+    """EF: the largest common subgroup of E and F, last in canonical order."""
     _same_ctx(E, F)
-    return ctx.field_of(pg.intersection(E.subgroup, F.subgroup))
+    bits = ctx._down[E.pos] & ctx._down[F.pos]
+    return ctx._fields[bits.bit_length() - 1]
 
 
 def intersect_fields(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> FieldRef:
+    """E cap F: the least subgroup containing both, first in canonical order."""
     _same_ctx(E, F)
-    return ctx.field_of(pg.join(E.subgroup, F.subgroup))
+    bits = ctx._up[E.pos] & ctx._up[F.pos]
+    return ctx._fields[(bits & -bits).bit_length() - 1]
 
 
 def is_galois(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
@@ -325,15 +332,15 @@ def parallelogram_degree(ctx: GaloisContext, q: Quadrilateral) -> tuple:
 def diagonal_split_check(ctx: GaloisContext, q: Quadrilateral) -> bool:
     """Verify Gal(N/J) = Gal(N/K) x Gal(N/L) inside the quadrilateral.
 
-    Internal direct product, all three conditions literal: trivial
-    intersection modulo Gal(N/N), elementwise commuting modulo it, and
-    product cardinality equal to |Gal(N/J)|.
+    Internal direct product: trivial intersection modulo Gal(N/N), read
+    from the poset index, then, literally, elementwise commuting modulo it
+    and product cardinality equal to |Gal(N/J)|.
     """
     if not is_parallelogram(ctx, q):
         raise GaloisError("diagonal_split_check requires a parallelogram")
-    SJ, SK, SN, SL = (q.J.subgroup, q.K.subgroup, q.N.subgroup, q.L.subgroup)
-    if pg.intersection(SK, SL) != SN:
+    if compositum(ctx, q.K, q.L) != q.N:
         return False
+    SJ, SK, SN, SL = (q.J.subgroup, q.K.subgroup, q.N.subgroup, q.L.subgroup)
     tab, inv = ctx.group.table, ctx.group.inverses
     members = set(SN.key)
     for a in SK.key:

@@ -155,11 +155,11 @@ class AbstractGroup:
     """A finite group given by its full multiplication table.
 
     Labels are 0..order-1 with the identity at 0.  A table handed in by a
-    caller is checked at construction for identity, inverses and the
-    Latin-square property, and for associativity when the order is within
-    ``ASSOC_CHECK_BOUND``.  Tables the program derives from a verified
-    group (quotients) are passed with ``_checked=True`` and not re-checked.
-    Equality and hashing are by table.
+    caller is checked at construction to be non-empty, for identity and the
+    Latin-square property (which gives inverses), and for associativity when
+    the order is within ``ASSOC_CHECK_BOUND``.  Tables the program derives
+    from a verified group (quotients) are passed with ``_checked=True`` and
+    not re-checked.  Equality and hashing are by table.
     """
 
     __slots__ = ("order", "_table", "_inv", "_orders")
@@ -175,6 +175,8 @@ class AbstractGroup:
 
     def _validate(self):
         table, n = self._table, self.order
+        if not n:
+            raise PermGroupError("table is empty")
         full = set(range(n))
         if any(len(row) != n for row in table):
             raise PermGroupError("table is not square")
@@ -183,9 +185,6 @@ class AbstractGroup:
         for i in range(n):
             if set(table[i]) != full or {table[j][i] for j in range(n)} != full:
                 raise PermGroupError("table is not a Latin square")
-        for i in range(n):
-            if not any(table[i][j] == 0 for j in range(n)):
-                raise PermGroupError(f"label {i} has no inverse")
         if n <= ASSOC_CHECK_BOUND:
             for a, b, c in itertools.product(range(n), repeat=3):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
@@ -522,11 +521,6 @@ class Subgroup:
         return self._gens
 
 
-def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
-    A._same_parent(B)
-    return Subgroup(A.parent, set(A.key).intersection(B.key))
-
-
 def join(A: Subgroup, B: Subgroup) -> Subgroup:
     """Subgroup generated by A union B."""
     A._same_parent(B)
@@ -716,35 +710,25 @@ def are_isomorphic(G1: AbstractGroup, G2: AbstractGroup,
                    bound: int = ISOMORPHISM_BOUND) -> tuple | None:
     """An explicit isomorphism as a label map G1 -> G2, or None.
 
-    Backtracking on images of a greedy generating set of G1, pruned by
-    element order.  Deterministic: candidates are tried in label order,
-    the first isomorphism found is returned.
+    Tries images for a greedy generating set of G1, each drawn from the
+    elements of G2 of the same order.  Deterministic: assignments are tried
+    in lexicographic label order, the first isomorphism found is returned.
     """
     if G1.order > bound or G2.order > bound:
         raise BoundExceeded(f"order exceeds isomorphism bound {bound}")
     if G1.iso_invariant() != G2.iso_invariant():
         return None
     gens = G1.greedy_generators(range(G1.order))
-    if not gens:  # trivial group
-        return (0,)
     ord1 = G1.element_orders()
     ord2 = G2.element_orders()
     candidates = [
         tuple(j for j in range(G2.order) if ord2[j] == ord1[g]) for g in gens
     ]
-
-    def backtrack(k: int, images: list) -> tuple | None:
-        if k == len(gens):
-            return _close_homomorphism(G1, G2, gens, images)
-        for j in candidates[k]:
-            images.append(j)
-            found = backtrack(k + 1, images)
-            if found is not None:
-                return found
-            images.pop()
-        return None
-
-    return backtrack(0, [])
+    for images in itertools.product(*candidates):
+        found = _close_homomorphism(G1, G2, gens, images)
+        if found is not None:
+            return found
+    return None
 
 
 def is_simple(A: AbstractGroup, bound: int = ISOMORPHISM_BOUND) -> bool:

@@ -254,8 +254,7 @@ def cyclo_radical_context(spec: CycloRadicalSpec,
     X = min(candidates, key=pg.Subgroup.sort_key)
     if X != G.full_subgroup():
         names[f"F{n}"] = X
-    rho_stab = G.subgroup(i for i in range(G.order) if decode(i)[0] == 0)
-    SL = pg.intersection(X, rho_stab)
+    SL = G.subgroup(i for i in X.key if decode(i)[0] == 0)
     names["L"] = SL  # the display name, unless SL already has one
     notes = {"preset": f"cyclo-radical:n={n},d={d},l={l}",
              "declared_order": G.order, "conductor": e}
@@ -359,13 +358,19 @@ def from_file(path: str,
 # CLI selectors
 
 
-def _parse_params(text: str) -> dict:
+def _parse_params(text: str, keys: str) -> dict:
+    """A selector's key=value pairs; each key is one of ``keys``, given once."""
     out = {}
     for part in text.split(","):
         if "=" not in part:
             raise PresetError(f"bad parameter {part!r} (expected key=value)")
         k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
+        k = k.strip()
+        if k not in keys.split(","):
+            raise PresetError(f"unknown parameter {k!r} (expected {keys})")
+        if k in out:
+            raise PresetError(f"repeated parameter {k!r}")
+        out[k] = v.strip()
     return out
 
 
@@ -382,15 +387,15 @@ def load_instance(selector: str,
     kind, _, rest = selector.partition(":")
     try:
         if kind == "radical":
-            p = _parse_params(rest)
+            p = _parse_params(rest, "a,n")
             spec = RadicalSpec(Fraction(p["a"]), int(p["n"]))
             return radical_context(spec, enumeration_bound=bound)
         if kind == "cyclo-radical":
-            p = _parse_params(rest)
+            p = _parse_params(rest, "n,d,l")
             spec = CycloRadicalSpec(int(p["n"]), int(p["d"]), int(p["l"]))
             return cyclo_radical_context(spec, enumeration_bound=bound)
         if kind == "selmer-serre":
-            p = _parse_params(rest)
+            p = _parse_params(rest, "n")
             return selmer_serre_context(int(p["n"]), enumeration_bound=bound)
         if kind == "file":
             return from_file(rest, enumeration_bound=bound)

@@ -237,6 +237,17 @@ def test_exit_code_2_on_bad_input(capsys):
     assert code == 2 and "expected --tower" in err
 
 
+@pytest.mark.parametrize("selector, reason", [
+    ("radical:a=2,n=6,d=3", "unknown parameter 'd'"),
+    ("selmer-serre:n=4,a=2", "unknown parameter 'a'"),
+    ("radical:a=2,a=3,n=6", "repeated parameter 'a'"),
+    ("cyclo-radical:n=1,d=3,l=2,l=5", "repeated parameter 'l'"),
+])
+def test_selector_rejects_unknown_and_repeated_parameters(capsys, selector, reason):
+    code, out, err = run(capsys, "analyze", selector)
+    assert code == 2 and out == "" and reason in err
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", "radical:a=2,n=6", "--frobnicate"])

@@ -85,6 +85,43 @@ def test_krull_antitone(r26):
             assert (E <= F) == (F.subgroup <= E.subgroup)
 
 
+@pytest.mark.parametrize("name", [*small_contexts(), "radical:a=2,n=12",
+                                  "selmer-serre:n=5"])
+def test_meets_joins_and_intervals_match_the_literal_reference(name):
+    ctx = get_ctx(name)
+    fields = ctx.all_fields()
+    by_key = {E.subgroup.key: E for E in fields}
+    for A in fields:
+        for B in fields:
+            meet = tuple(sorted(set(A.subgroup.key) & set(B.subgroup.key)))
+            assert gal.compositum(ctx, A, B) is by_key[meet]
+            assert gal.intersect_fields(ctx, A, B) is \
+                ctx.field_of(pg.join(A.subgroup, B.subgroup))
+            if A <= B:
+                lo, hi = B.subgroup.mask, A.subgroup.mask
+                assert ctx.interval_fields(A, B) == [
+                    M for M in fields if lo & M.subgroup.mask == lo
+                    and M.subgroup.mask & hi == M.subgroup.mask]
+
+
+@pytest.mark.parametrize("name", ["klein", "radical:a=2,n=12"])
+def test_meets_joins_and_intervals_build_no_subgroup(name, monkeypatch):
+    ctx = get_ctx(name)
+    fields = ctx.all_fields()
+
+    def refuse(*a, **k):
+        raise AssertionError("the group engine was asked")
+    monkeypatch.setattr(pg.Subgroup, "__init__", refuse)
+    monkeypatch.setattr(pg.AbstractGroup, "span", refuse)
+    monkeypatch.setattr(pg, "join", refuse)
+    for A in fields:
+        for B in fields:
+            gal.compositum(ctx, A, B)
+            gal.intersect_fields(ctx, A, B)
+            if A <= B:
+                ctx.interval_fields(A, B)
+
+
 @given(st.data())
 def test_lattice_laws(data):
     ctx = get_ctx(data.draw(st.sampled_from(

@@ -5,7 +5,10 @@ the group bridge: inside the closure, a Galois tower from F to E is the
 same thing as a chain Gal(N/F) |> ... |> Gal(N/E) with each step normal
 in the previous one, so E/F is galtourable exactly when Gal(N/E) is
 subnormal in Gal(N/F), and the subnormal closure's descent chain doubles
-as an explicit witness tower.
+as an explicit witness tower.  The closure is read from the context's
+lattice (:meth:`GaloisContext.subnormal_closure`): each normal-closure
+step is the first member of an interval of the poset index that is
+normal in the current term, so no subgroup is spanned anew.
 
 On top of the bridge sit the executable theorems: the unique
 intourability field M(L/K) (maximal galtourable quotient, with L/M(L/K)
@@ -39,7 +42,7 @@ def is_galtourable(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """E/F admits a Galois tower iff Subgroup(E) is subnormal in Subgroup(F)."""
     if not F <= E:
         raise gal.GaloisError("is_galtourable requires F <= E as fields")
-    closure, _ = pg.subnormal_closure(E.subgroup, F.subgroup)
+    closure, _ = ctx.subnormal_closure(E.subgroup, F.subgroup)
     return closure == E.subgroup
 
 
@@ -47,7 +50,7 @@ def galois_tower_witness(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Tower:
     """A strict Galois tower from F to E, read off the subnormal descent."""
     if not F <= E:
         raise gal.GaloisError("galois_tower_witness requires F <= E")
-    closure, chain = pg.subnormal_closure(E.subgroup, F.subgroup)
+    closure, chain = ctx.subnormal_closure(E.subgroup, F.subgroup)
     if closure != E.subgroup:
         raise gal.GaloisError(f"{E.name}/{F.name} is not galtourable")
     t = Tower(ctx, [ctx.field_of(sg) for sg in chain])
@@ -108,7 +111,7 @@ def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Dissoci
     """
     if not K <= L:
         raise gal.GaloisError("intourability_field requires K <= L")
-    closure, chain = pg.subnormal_closure(L.subgroup, K.subgroup)
+    closure, chain = ctx.subnormal_closure(L.subgroup, K.subgroup)
     M = ctx.field_of(closure)
     if not is_galtourable(ctx, M, K):
         raise TheoremViolation(f"M(L/K) = {M.name} is not galtourable over {K.name}")

@@ -2,9 +2,9 @@
 
 Everything downstream (field lattices, towers, dissociation) reduces to
 explicit computations in small permutation groups: closure, subgroup
-enumeration, normality, normal/subnormal closures, quotients and
-isomorphism testing.  All values are immutable after construction and can
-be shared freely between workers.
+enumeration, normality, normal closures, quotients and isomorphism
+testing.  All values are immutable after construction and can be shared
+freely between workers.
 
 Conventions:
   * points are 0-based internally; cycle notation in text I/O is 1-based;
@@ -522,7 +522,10 @@ class Subgroup:
 
 
 def join(A: Subgroup, B: Subgroup) -> Subgroup:
-    """Subgroup generated by A union B."""
+    """Subgroup generated by A union B, spanned from generators.
+
+    A test reference only: the main path reads joins from the poset index
+    of :class:`galois.GaloisContext`."""
     A._same_parent(B)
     if A <= B:
         return B
@@ -549,7 +552,10 @@ def is_normal(A: Subgroup, B: Subgroup) -> bool:
 
 
 def normal_closure(H: Subgroup, B: Subgroup) -> Subgroup:
-    """Smallest N with H <= N <= B and N normal in B."""
+    """Smallest N with H <= N <= B and N normal in B, spanned from generators.
+
+    A test reference only: the main path walks the lattice in
+    :meth:`galois.GaloisContext.subnormal_closure`."""
     H._same_parent(B)
     if not H <= B:
         raise PermGroupError("normal_closure requires H <= B")
@@ -562,7 +568,9 @@ def subnormal_closure(H: Subgroup, B: Subgroup) -> tuple:
 
     Returns ``(S, chain)`` where chain is B = S_0 |> S_1 |> ... |> S_k = S,
     each term normal in the one before; S is the smallest subgroup of B
-    containing H that is subnormal in B.
+    containing H that is subnormal in B.  A test reference only, re-spanning
+    each step from generators: the main path reads the same closure and
+    chain from the lattice with :meth:`galois.GaloisContext.subnormal_closure`.
     """
     H._same_parent(B)
     if not H <= B:

@@ -388,7 +388,13 @@ def load_instance(selector: str,
     try:
         if kind == "radical":
             p = _parse_params(rest, "a,n")
-            spec = RadicalSpec(Fraction(p["a"]), int(p["n"]))
+            n = int(p["n"])
+            if n > bound ** 2:
+                # |G| = n*phi(n) >= n: refused before RadicalSpec trial-divides
+                # n, which takes up to sqrt(n) > bound steps
+                raise pg.BoundExceeded(
+                    f"|G| >= n = {n} exceeds enumeration bound {bound}")
+            spec = RadicalSpec(Fraction(p["a"]), n)
             return radical_context(spec, enumeration_bound=bound)
         if kind == "cyclo-radical":
             p = _parse_params(rest, "n,d,l")

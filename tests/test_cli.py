@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -258,6 +259,16 @@ def test_bound_override(capsys):
     code, _, err = run(capsys, "analyze", "selmer-serre:n=5", "--bound", "100")
     assert code == 2
     assert "exceeds enumeration bound" in err
+
+
+def test_huge_radical_n_is_refused_before_it_is_factorized(capsys):
+    # trial division of this 21-digit n would run for minutes; |G| >= n
+    # already exceeds the bound
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "radical:a=2,n=100000000000000000039")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "|G| >= n = 100000000000000000039 exceeds enumeration bound 384" in err
 
 
 def test_theorem_violation_exits_3_without_traceback(capsys, monkeypatch):

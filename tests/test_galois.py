@@ -114,12 +114,14 @@ def test_meets_joins_and_intervals_build_no_subgroup(name, monkeypatch):
     monkeypatch.setattr(pg.Subgroup, "__init__", refuse)
     monkeypatch.setattr(pg.AbstractGroup, "span", refuse)
     monkeypatch.setattr(pg, "join", refuse)
+    monkeypatch.setattr(pg, "subnormal_closure", refuse)
     for A in fields:
         for B in fields:
             gal.compositum(ctx, A, B)
             gal.intersect_fields(ctx, A, B)
             if A <= B:
                 ctx.interval_fields(A, B)
+                dis.intourability_field(ctx, B, A)  # two subnormal closures
 
 
 @given(st.data())
@@ -399,6 +401,27 @@ def test_poset_index_agrees_with_literal_scans_on_a_deep_lattice():
     for S in subs:
         assert ctx.between(S, full) == [T for T in subs if S.mask & T.mask == S.mask]
         assert ctx.between(trivial, S) == [T for T in subs if S.mask & T.mask == T.mask]
+
+
+@pytest.mark.parametrize("name", [
+    "radical:a=2,n=12", "radical:a=2,n=20", "selmer-serre:n=5",
+    "cyclo-radical:n=1,d=9,l=2", "random:0", "random:1", "random:2", "random:3"])
+def test_subnormal_closure_matches_the_span_reference(name):
+    # the lattice walk gives the span-based closure and chain on every pair,
+    # as the context's own subgroup objects
+    ctx = _index_ctx(name)
+    subs = ctx.subgroups
+    for B in subs:
+        for H in ctx.between(subs[0], B):
+            got, chain = ctx.subnormal_closure(H, B)
+            assert (got, chain) == pg.subnormal_closure(H, B), (name, H.key, B.key)
+            assert all(any(sg is S for sg in subs) for S in [got, *chain])
+
+
+def test_subnormal_closure_requires_nested_subgroups(r26):
+    A, B = r26.field_by_name("Q(sqrt2)").subgroup, r26.field_by_name("Q(3rt2)").subgroup
+    with pytest.raises(gal.GaloisError, match="requires H <= B"):
+        r26.subnormal_closure(A, B)
 
 
 def test_names_table_gives_the_first_name_for_display():

@@ -6,9 +6,11 @@ radical contexts act on {zeta^k a^(1/n)} u {zeta^k} by pairs
 (shift t in Z/n, unit s in (Z/n)*); cyclo-radical contexts act the same
 way with conductor e = lcm(n^2, d).  Correctness relative to the actual
 number fields rests on the classical irreducibility criterion for
-X^n - a together with cyclotomic disjointness; every group-internal
-consistency that can be verified (declared orders, degrees, subgroup
-identities) is verified, and construction aborts on any mismatch.
+X^n - a together with cyclotomic disjointness.  Each constructor checks
+its preset's hypotheses and bounds before it builds anything; every
+group-internal consistency that can be verified (declared orders,
+degrees, subgroup identities) is verified, and construction aborts on
+any mismatch.
 
 For the record, not shipped: a known galtourable stress example of
 degree 480 over Q whose Galois composition towers have marche degrees
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,6 +45,30 @@ def euler_phi(n: int) -> int:
     for p, e in pg.factorize(n).items():
         out *= (p - 1) * p ** (e - 1)
     return out
+
+
+# the first 13 primes; as Miller-Rabin bases they decide every m below this
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_probable_prime(m: int) -> bool:
+    """Miller-Rabin over MILLER_RABIN_BASES: exact below
+    MILLER_RABIN_EXACT_BELOW; above it only a False is a proof."""
+    if m < 2 or any(m % b == 0 for b in MILLER_RABIN_BASES):
+        return m in MILLER_RABIN_BASES
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = 2^s * odd
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, (m - 1) >> s, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def divisors(n: int) -> list:
@@ -115,48 +140,36 @@ def _pair_group(d: int, e: int, enumeration_bound: int) -> tuple:
 # radical contexts: Q(zeta_n, a^(1/n)) / Q
 
 
-class RadicalSpec(namedtuple("RadicalSpec", "a n")):
-    """a^(1/n) with the hypotheses that make X^n - a irreducible over Q.
-
-    A named tuple (a, n): it compares and hashes as that tuple does.
-    """
-    __slots__ = ()
-
-    def __new__(cls, a: Fraction, n: int):
-        if n < 2:
-            raise PresetError("radical spec requires n >= 2")
-        if a == 0:
-            raise PresetError("radical spec requires a != 0")
-        for p in pg.factorize(n):
-            if is_rational_pth_power(a, p):
-                raise PresetError(
-                    f"hypothesis violated: a = {a} is a rational {p}-th power")
-        if n % 4 == 0 and in_minus_four_fourth_powers(a):
-            raise PresetError(
-                f"hypothesis violated: a = {a} lies in -4*Q^4 while 4 | n")
-        return super().__new__(cls, a, n)
-
-    @classmethod
-    def _make(cls, iterable):
-        # through __new__, so _make and _replace run the checks too
-        return cls(*iterable)
-
-
 def _radical_name(a: Fraction, m: int) -> str:
     return f"Q(sqrt{a})" if m == 2 else f"Q({m}rt{a})"
 
 
 @lru_cache(maxsize=None)
-def radical_context(spec: RadicalSpec,
+def radical_context(a: Fraction, n: int, *,
                     enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND) -> GaloisContext:
     """Closure context for Q(zeta_n, a^(1/n)) / Q.
 
-    Elements are pairs (t, s) acting by a^(1/n) -> zeta^t a^(1/n),
-    zeta -> zeta^s, on 2n formal symbols: the pair group with d = e = n.
-    Named fields: Q (base), Q(a^(1/m)) and Q(zeta_m) for m | n, and the
-    closure N.
+    Refused unless X^n - a is irreducible over Q: n >= 2, a != 0, a not a
+    p-th power for p | n, and a outside -4*Q^4 when 4 | n.  Elements are
+    pairs (t, s) acting by a^(1/n) -> zeta^t a^(1/n), zeta -> zeta^s, on
+    2n formal symbols: the pair group with d = e = n.  Named fields: Q
+    (base), Q(a^(1/m)) and Q(zeta_m) for m | n, and the closure N.
     """
-    a, n = spec.a, spec.n
+    if n > enumeration_bound ** 2:
+        # |G| = n*phi(n) >= n: refused before n is trial-divided
+        raise pg.BoundExceeded(
+            f"|G| >= n = {n} exceeds enumeration bound {enumeration_bound}")
+    if n < 2:
+        raise PresetError("radical spec requires n >= 2")
+    if a == 0:
+        raise PresetError("radical spec requires a != 0")
+    for p in pg.factorize(n):
+        if is_rational_pth_power(a, p):
+            raise PresetError(
+                f"hypothesis violated: a = {a} is a rational {p}-th power")
+    if n % 4 == 0 and in_minus_four_fourth_powers(a):
+        raise PresetError(
+            f"hypothesis violated: a = {a} lies in -4*Q^4 while 4 | n")
     G, decode = _pair_group(n, n, enumeration_bound)
     names = {"Q": G.full_subgroup(), "N": G.trivial_subgroup()}
     for m in divisors(n):
@@ -181,44 +194,35 @@ def radical_context(spec: RadicalSpec,
 # cyclo-radical contexts: Q(zeta_e, l^(1/d)) / Q with e = lcm(n^2, d)
 
 
-class CycloRadicalSpec(namedtuple("CycloRadicalSpec", "n d l")):
-    """(n, d) as a tourability degree: F_n(rho)/Q with rho^d = l prime.
-
-    A named tuple (n, d, l): it compares and hashes as that tuple does.
-    """
-    __slots__ = ()
-
-    def __new__(cls, n: int, d: int, l: int):
-        if n < 1:
-            raise PresetError("cyclo-radical spec requires n >= 1")
-        if d < 3 or d % 2 == 0:
-            raise PresetError("cyclo-radical spec requires d odd and >= 3")
-        if pg.factorize(l) != {l: 1}:
-            raise PresetError(f"l = {l} is not prime")
-        if n % l == 0:
-            raise PresetError("hypothesis violated: l divides n")
-        if math.gcd(d, n) != 1:
-            raise PresetError("hypothesis violated: gcd(d, n) != 1")
-        return super().__new__(cls, n, d, l)
-
-    @classmethod
-    def _make(cls, iterable):
-        # through __new__, so _make and _replace run the checks too
-        return cls(*iterable)
-
-
 @lru_cache(maxsize=None)
-def cyclo_radical_context(spec: CycloRadicalSpec,
+def cyclo_radical_context(n: int, d: int, l: int, *,
                           enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND
                           ) -> GaloisContext:
     """Closure context realizing (n, d) as a tourability degree.
 
-    The group acts on d radical symbols and e = lcm(n^2, d) roots of
-    unity by pairs (t in Z/d, s in (Z/e)*).  F_n is the fixed field of a
-    subgroup H of Gal(Q(zeta_{n^2})/Q) of order phi(n^2)/n, chosen least
-    in canonical subgroup order; the distinguished field is L = F_n(rho).
+    Refused unless n >= 1, d is odd and >= 3, l is prime, l does not
+    divide n and gcd(d, n) = 1.  The group acts on d radical symbols and
+    e = lcm(n^2, d) roots of unity by pairs (t in Z/d, s in (Z/e)*).  F_n
+    is the fixed field of a subgroup H of Gal(Q(zeta_{n^2})/Q) of order
+    phi(n^2)/n, chosen least in canonical subgroup order; the
+    distinguished field is L = F_n(rho).
     """
-    n, d, l = spec.n, spec.d, spec.l
+    if n < 1:
+        raise PresetError("cyclo-radical spec requires n >= 1")
+    if d < 3 or d % 2 == 0:
+        raise PresetError("cyclo-radical spec requires d odd and >= 3")
+    if not is_probable_prime(l):
+        raise PresetError(f"l = {l} is not prime")
+    if l >= MILLER_RABIN_EXACT_BELOW:
+        raise PresetError(f"l = {l} is a probable prime too large to certify")
+    if n % l == 0:
+        raise PresetError("hypothesis violated: l divides n")
+    if math.gcd(d, n) != 1:
+        raise PresetError("hypothesis violated: gcd(d, n) != 1")
+    if d * n > enumeration_bound ** 2:
+        # |G| = d*phi(e) >= d*phi(n^2) >= d*n: refused before e is trial-divided
+        raise pg.BoundExceeded(
+            f"|G| >= d*n = {d * n} exceeds enumeration bound {enumeration_bound}")
     n2 = n * n
     e = (n2 * d) // math.gcd(n2, d)
     G, decode = _pair_group(d, e, enumeration_bound)
@@ -247,11 +251,10 @@ def cyclo_radical_context(spec: CycloRadicalSpec,
     # F_n: preimage of the least valid H of order phi(n^2)/n
     q = euler_phi(n2) // n
     target = E.order * q
-    candidates = [sg for sg in pg.all_subgroups(G, bound=enumeration_bound)
-                  if E <= sg and sg.order == target]
-    if not candidates:
+    X = next((sg for sg in pg.all_subgroups(G, bound=enumeration_bound)
+              if E <= sg and sg.order == target), None)  # canonical order
+    if X is None:
         raise PresetError("no subgroup H of the required order exists")
-    X = min(candidates, key=pg.Subgroup.sort_key)
     if X != G.full_subgroup():
         names[f"F{n}"] = X
     SL = G.subgroup(i for i in X.key if decode(i)[0] == 0)
@@ -388,18 +391,12 @@ def load_instance(selector: str,
     try:
         if kind == "radical":
             p = _parse_params(rest, "a,n")
-            n = int(p["n"])
-            if n > bound ** 2:
-                # |G| = n*phi(n) >= n: refused before RadicalSpec trial-divides
-                # n, which takes up to sqrt(n) > bound steps
-                raise pg.BoundExceeded(
-                    f"|G| >= n = {n} exceeds enumeration bound {bound}")
-            spec = RadicalSpec(Fraction(p["a"]), n)
-            return radical_context(spec, enumeration_bound=bound)
+            n = int(p["n"])  # before a, so a bad n is reported first
+            return radical_context(Fraction(p["a"]), n, enumeration_bound=bound)
         if kind == "cyclo-radical":
             p = _parse_params(rest, "n,d,l")
-            spec = CycloRadicalSpec(int(p["n"]), int(p["d"]), int(p["l"]))
-            return cyclo_radical_context(spec, enumeration_bound=bound)
+            return cyclo_radical_context(int(p["n"]), int(p["d"]), int(p["l"]),
+                                         enumeration_bound=bound)
         if kind == "selmer-serre":
             p = _parse_params(rest, "n")
             return selmer_serre_context(int(p["n"]), enumeration_bound=bound)

@@ -11,7 +11,7 @@ import pytest
 import galtour.galois as gal
 import galtour.permgroup as pg
 from galtour import cli, presets
-from galtour.presets import CycloRadicalSpec, PresetError, RadicalSpec
+from galtour.presets import PresetError
 from test_cli import _python
 
 
@@ -56,6 +56,10 @@ def test_radicand_with_a_large_prime_answers_quickly():
         assert "|G|=2  fields=2" in proc.stdout
 
 
+def _banned(*args, **kwargs):
+    raise AssertionError("the preset went past its bound check")
+
+
 @pytest.mark.parametrize("selector, order", [
     ("radical:a=2,n=2003", 2003 * 2002),
     ("radical:a=2,n=32", 512),
@@ -64,12 +68,67 @@ def test_radicand_with_a_large_prime_answers_quickly():
 def test_oversized_preset_is_refused_before_it_is_built(monkeypatch, selector,
                                                         order):
     # the declared order d*phi(e) is checked before any closure is built
-    def banned(*args, **kwargs):
-        raise AssertionError("the preset built its group")
-    monkeypatch.setattr(pg, "generate", banned)
+    monkeypatch.setattr(pg, "generate", _banned)
     message = f"|G| = {order} exceeds enumeration bound 384"
     with pytest.raises(pg.BoundExceeded, match=re.escape(message)):
         presets.load_instance(selector)
+
+
+@pytest.mark.parametrize("selector, message", [
+    ("radical:a=2,n=147457", "|G| >= n = 147457"),
+    ("cyclo-radical:n=1,d=147457,l=2", "|G| >= d*n = 147457"),
+    ("cyclo-radical:n=2,d=100003,l=3", "|G| >= d*n = 200006"),
+], ids=["radical", "cyclo-radical-d", "cyclo-radical-dn"])
+def test_preset_past_the_bound_squared_is_refused_before_factorizing(
+        monkeypatch, selector, message):
+    # |G| >= n (radical) and |G| >= d*n (cyclo-radical) bound the order
+    # from below without trial division
+    monkeypatch.setattr(pg, "factorize", _banned)
+    monkeypatch.setattr(pg, "generate", _banned)
+    with pytest.raises(pg.BoundExceeded,
+                       match=re.escape(f"{message} exceeds enumeration bound 384")):
+        presets.load_instance(selector)
+
+
+@pytest.mark.parametrize("selector, code, text", [
+    ("cyclo-radical:n=1,d=1000000000000000003,l=2", 2,
+     "|G| >= d*n = 1000000000000000003 exceeds enumeration bound 384"),
+    ("cyclo-radical:n=1000000000000000003,d=3,l=2", 2,
+     "|G| >= d*n = 3000000000000000009 exceeds enumeration bound 384"),
+    ("cyclo-radical:n=1,d=3,l=1000000000000000003", 0, "|G|=6  fields="),
+    ("cyclo-radical:n=1,d=3,l=318665857834031151167461", 2,
+     "l = 318665857834031151167461 is not prime"),
+    ("cyclo-radical:n=1,d=3,l=3317044064679887385961981", 2,
+     "l = 3317044064679887385961981 is a probable prime too large to certify"),
+], ids=["huge-d", "huge-n", "huge-prime-l", "pseudoprime-l", "uncertified-l"])
+def test_cyclo_radical_with_huge_parameters_answers_quickly(selector, code, text):
+    # factorizing e = lcm(n^2, d), or trial-dividing l, would run for hours
+    proc = _python("-m", "galtour.cli", "analyze", selector, timeout=20)
+    assert proc.returncode == code, proc.stderr
+    assert text in (proc.stdout if code == 0 else proc.stderr)
+
+
+def test_library_refuses_a_huge_radical_n_quickly():
+    proc = _python("-c", "from fractions import Fraction\n"
+                   "from galtour import permgroup as pg, presets\n"
+                   "try:\n"
+                   "    presets.radical_context(Fraction(2), 100000000000000000039)\n"
+                   "except pg.BoundExceeded as exc:\n"
+                   "    print(exc)\n", timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("|G| >= n = 100000000000000000039 "
+                           "exceeds enumeration bound 384\n")
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    for m in range(-3, 20000):
+        assert presets.is_probable_prime(m) == (m > 1 and pg.factorize(m) == {m: 1}), m
+    # strong pseudoprimes to every base up to 2, 7, 23, 37 and 41
+    for m in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not presets.is_probable_prime(m), m
+    assert presets.is_probable_prime(presets.MILLER_RABIN_EXACT_BELOW)  # composite
+    for m in (1000000000000000003, 2 ** 61 - 1, 2 ** 89 - 1):
+        assert presets.is_probable_prime(m), m
 
 
 def test_radicand_with_zero_denominator_is_a_preset_error(capsys):
@@ -80,48 +139,44 @@ def test_radicand_with_zero_denominator_is_a_preset_error(capsys):
 
 
 def test_radical_spec_validation():
-    RadicalSpec(Fraction(2), 6)
+    radical = presets.radical_context
+    assert radical(Fraction(2), 6).group.order == 12
     with pytest.raises(PresetError, match="2-th power"):
-        RadicalSpec(Fraction(4), 2)
+        radical(Fraction(4), 2)
     with pytest.raises(PresetError, match="3-th power"):
-        RadicalSpec(Fraction(27), 3)
+        radical(Fraction(27), 3)
     with pytest.raises(PresetError, match="-4"):
-        RadicalSpec(Fraction(-4), 4)
-    with pytest.raises(PresetError):
-        RadicalSpec(Fraction(2), 1)
-    with pytest.raises(PresetError):
-        RadicalSpec(Fraction(0), 3)
+        radical(Fraction(-4), 4)
+    with pytest.raises(PresetError, match=re.escape("requires n >= 2")):
+        radical(Fraction(2), 1)
+    with pytest.raises(PresetError, match=re.escape("requires a != 0")):
+        radical(Fraction(0), 3)
 
 
 def test_cyclo_spec_validation():
-    CycloRadicalSpec(2, 3, 3)
+    cyclo = presets.cyclo_radical_context
+    assert cyclo(2, 3, 3).group.order == 12
+    with pytest.raises(PresetError, match=re.escape("requires n >= 1")):
+        cyclo(0, 3, 2)
     with pytest.raises(PresetError, match="odd"):
-        CycloRadicalSpec(1, 4, 3)
+        cyclo(1, 4, 3)
     with pytest.raises(PresetError, match="not prime"):
-        CycloRadicalSpec(1, 3, 4)
+        cyclo(1, 3, 4)
     with pytest.raises(PresetError, match="l divides n"):
-        CycloRadicalSpec(3, 5, 3)
+        cyclo(3, 5, 3)
     with pytest.raises(PresetError, match="gcd"):
-        CycloRadicalSpec(3, 9, 2)
+        cyclo(3, 9, 2)
 
 
-@pytest.mark.parametrize("spec, build, text", [
-    (lambda: RadicalSpec(Fraction(2), 12), presets.radical_context,
-     "RadicalSpec(a=Fraction(2, 1), n=12)"),
-    (lambda: CycloRadicalSpec(2, 3, 3), presets.cyclo_radical_context,
-     "CycloRadicalSpec(n=2, d=3, l=3)"),
-])
-def test_specs_are_immutable_cache_keys(spec, build, text):
-    a, b = spec(), spec()
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert build(a) is build(b)  # the lru_cache key is the spec's value
-    assert repr(a) == text
-    for name in ("n", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(a, name, 3)
-    assert a._replace(n=a.n) == a
-    with pytest.raises(PresetError):
-        a._replace(n=0)  # the hypotheses are checked on every construction
+@pytest.mark.parametrize("selector, build, args", [
+    ("radical:a=2,n=12", presets.radical_context, lambda: (Fraction(4, 2), 12)),
+    ("cyclo-radical:n=2,d=3,l=3", presets.cyclo_radical_context, lambda: (2, 3, 3)),
+], ids=["radical", "cyclo-radical"])
+def test_equal_arguments_share_one_cached_context(selector, build, args):
+    bound = pg.SUBGROUP_ENUM_BOUND
+    ctx = build(*args(), enumeration_bound=bound)
+    assert build(*args(), enumeration_bound=bound) is ctx
+    assert presets.load_instance(selector) is ctx  # the CLI shares the entry
 
 
 # ---------------------------------------------------------------------------

@@ -604,15 +604,19 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     prime index p, and the p-part of any element of H outside A is such
     a c.  When G is not solvable (its derived series stops above 1, as
     for S5 and A5), every other <c> is also tried, by closing A and c
-    under products.  The lattice is computed once per group and kept on
-    it; the bound is checked on every call.
+    under products, once per double coset: for a, a' in A and y a
+    generator of <c>, <A, a*y*a'> = <A, y> = <A, c>, so after that span
+    every <c'> whose least generator lies in a double coset A*y*A is
+    skipped.  The lattice is computed once per group and kept on it; the
+    bound is checked on every call.
     """
     check_enumeration_bound(G.order, bound)
     if G._subgroups is not None:
         return list(G._subgroups)
     tab, inv = G.table, G.inverses
     # one entry per cyclic subgroup <c> of prime-power order p^k, c its least
-    # generator: (c, c^p, conjugation by c, the rows of c .. c^(p-1))
+    # generator: (c, c^p, conjugation by c, the rows of c .. c^(p-1), the
+    # generators c^j of <c>, p not dividing j)
     extensions = []
     listed = set()  # the generators of every <c> listed so far
     for c, n in enumerate(G.element_orders()):
@@ -623,19 +627,22 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
         powers = [0, c]
         while len(powers) < n:
             powers.append(tab[powers[-1]][c])
-        listed.update(x for j, x in enumerate(powers) if j % p)
+        generators = [x for j, x in enumerate(powers) if j % p]
+        listed.update(generators)
         extensions.append((c, powers[p % n], [tab[x][inv[c]] for x in tab[c]],
-                           [tab[x] for x in powers[1:p]]))
+                           [tab[x] for x in powers[1:p]], generators))
     solvable = G.is_solvable()
     trivial = G.trivial_subgroup()
     found = {trivial.key: trivial}
     fresh = [trivial]
     for A in fresh:
         members, gens = set(A.key), A.gens()
-        # A and the coset unions made from it: a prime-power element of such
-        # a union H outside A has its p-th power in A, so it extends A to H
+        # A, the coset unions made from it (a prime-power element of such a
+        # union H outside A has its p-th power in A, so it extends A to H)
+        # and the double cosets A*y*A of the spanned extensions; each is a
+        # union of double cosets of A, so of left cosets x*A
         covered = set(members)
-        for c, c_p, conj, rows in extensions:
+        for c, c_p, conj, rows, generators in extensions:
             if c in covered:
                 continue
             if c_p in members and members.issuperset(map(conj.__getitem__, gens)):
@@ -646,6 +653,12 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
                 continue
             else:
                 key = G.span(gens + (c,), A.key)
+                for y in generators:
+                    if y not in covered:
+                        for a in A.key:
+                            x = tab[a][y]
+                            if x not in covered:
+                                covered.update(map(tab[x].__getitem__, A.key))
             key = tuple(sorted(key))
             if key not in found:
                 found[key] = Subgroup(G, key)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import galois as gal
 from . import permgroup as pg
@@ -34,6 +34,21 @@ from .permgroup import Permutation
 
 class PresetError(Exception):
     """Invalid preset specification or instance file."""
+
+
+def _cached(build):
+    """``build`` memoized in one ``lru_cache`` whose key always holds the
+    keyword-only ``enumeration_bound``: a call that leaves the bound out
+    shares the entry of a call that passes its default."""
+    cached = lru_cache(maxsize=None)(build)
+    default = build.__kwdefaults__["enumeration_bound"]
+
+    @wraps(build)
+    def lookup(*args, **kwargs):
+        kwargs.setdefault("enumeration_bound", default)
+        return cached(*args, **kwargs)
+    lookup.cache_clear = cached.cache_clear
+    return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +159,7 @@ def _radical_name(a: Fraction, m: int) -> str:
     return f"Q(sqrt{a})" if m == 2 else f"Q({m}rt{a})"
 
 
-@lru_cache(maxsize=None)
+@_cached
 def radical_context(a: Fraction, n: int, *,
                     enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND) -> GaloisContext:
     """Closure context for Q(zeta_n, a^(1/n)) / Q.
@@ -194,7 +209,7 @@ def radical_context(a: Fraction, n: int, *,
 # cyclo-radical contexts: Q(zeta_e, l^(1/d)) / Q with e = lcm(n^2, d)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def cyclo_radical_context(n: int, d: int, l: int, *,
                           enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND
                           ) -> GaloisContext:
@@ -269,8 +284,8 @@ def cyclo_radical_context(n: int, d: int, l: int, *,
 # Selmer-Serre contexts: splitting field of X^n - X - 1
 
 
-@lru_cache(maxsize=None)
-def selmer_serre_context(n: int,
+@_cached
+def selmer_serre_context(n: int, *,
                          enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND
                          ) -> GaloisContext:
     """S_n acting on the roots of X^n - X - 1; L = Q(theta) is a point stabilizer."""

@@ -30,6 +30,20 @@ def abstract(G):
     return pg.quotient(G.full_subgroup(), G.trivial_subgroup())
 
 
+def permutation_group(degree, *cycles):
+    return pg.generate(degree, [P.from_cycles(c, degree) for c in cycles])
+
+
+NON_SOLVABLE = {
+    "PSL(2,7) on 7 points":
+        lambda: permutation_group(7, "(1 2 3 4 5 6 7)", "(1 2)(3 6)"),
+    "A5 on 6 points": lambda: permutation_group(6, "(2 3 4 5 6)", "(1 2)(3 6)"),
+    "A5 x S3 on 8 points":
+        lambda: permutation_group(8, "(1 2 3)", "(3 4 5)", "(6 7 8)", "(6 7)"),
+    "S5 on 7 points": lambda: permutation_group(7, "(1 2 3 4 5)", "(1 2)(6 7)"),
+}
+
+
 # ---------------------------------------------------------------------------
 # permutations and composition
 
@@ -204,9 +218,8 @@ def test_all_subgroups_s3_against_subset_scan():
     assert len(pg.all_subgroups(g)) == 6
 
 
-def test_all_subgroups_s4_against_layered_oracle():
+def layered_extension_keys(g):
     # oracle: layered cyclic extensions <H, g> to a fixpoint
-    g = S(4)
     found = {g.trivial_subgroup().key: g.trivial_subgroup()}
     frontier = list(found.values())
     while frontier:
@@ -219,8 +232,38 @@ def test_all_subgroups_s4_against_layered_oracle():
                 if bigger.key not in found:
                     found[bigger.key] = bigger
                     frontier.append(bigger)
+    return set(found)
+
+
+def test_all_subgroups_s4_against_layered_oracle():
+    g = S(4)
+    found = layered_extension_keys(g)
     assert len(found) == 30
-    assert {sg.key for sg in pg.all_subgroups(g)} == set(found)
+    assert {sg.key for sg in pg.all_subgroups(g)} == found
+
+
+@pytest.mark.parametrize("name", ["A5 on 6 points", "S5 on 7 points"])
+def test_all_subgroups_non_solvable_against_layered_oracle(name):
+    g = NON_SOLVABLE[name]()
+    assert not g.is_solvable()
+    assert {sg.key for sg in pg.all_subgroups(g)} == layered_extension_keys(g)
+
+
+def test_all_subgroups_s5_spans_once_per_double_coset(monkeypatch):
+    # each spanned extension <A, c> covers the double cosets A*y*A of the
+    # generators y of <c>: 1 280 spans on S5, against 7 628 when every
+    # <c> outside the coset unions was spanned
+    calls = []
+    span = pg.AbstractGroup.span
+
+    def counting_span(self, *args, **kwargs):
+        calls.append(args)
+        return span(self, *args, **kwargs)
+
+    g = S(5)
+    monkeypatch.setattr(pg.AbstractGroup, "span", counting_span)
+    assert len(pg.all_subgroups(g)) == 156
+    assert len(calls) <= 1300
 
 
 def test_all_subgroups_bound():
@@ -318,6 +361,30 @@ def test_all_subgroups_keys_match_recorded_digests(selector):
     keys = [sg.key for sg in pg.all_subgroups(get_ctx(selector).group)]
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == LATTICE_DIGESTS[selector]
+
+
+# (subgroup count, digest as in LATTICE_DIGESTS), as returned when every
+# cyclic extension outside the coset unions was spanned
+NON_SOLVABLE_LATTICE_DIGESTS = {
+    "PSL(2,7) on 7 points": (
+        179, "a0039343274cd2ccb2f76100158600f8dc6048363e1137f0984def0835ed13fd"),
+    "A5 on 6 points": (
+        59, "b24f7fec9a720a635de5e9a8381ddddd94662e63ad44f6772b5729f11b09ff78"),
+    "A5 x S3 on 8 points": (
+        628, "bf6303617b9a5a14f3a548bc7eebd99fd72ade679d5623dfc5a1833d8f6ef919"),
+    "S5 on 7 points": (
+        156, "a47da0ba8a11a73b4653e06497e9f54c5a6604bf92a8ee87ce36cdc1e9fec131"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SOLVABLE_LATTICE_DIGESTS))
+def test_non_solvable_lattice_keys_match_recorded_digests(name):
+    g = NON_SOLVABLE[name]()
+    assert not g.is_solvable()
+    keys = [sg.key for sg in pg.all_subgroups(g)]
+    count, digest = NON_SOLVABLE_LATTICE_DIGESTS[name]
+    assert len(keys) == count
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
 
 
 def literal_is_solvable(g):

@@ -171,12 +171,16 @@ def test_cyclo_spec_validation():
 @pytest.mark.parametrize("selector, build, args", [
     ("radical:a=2,n=12", presets.radical_context, lambda: (Fraction(4, 2), 12)),
     ("cyclo-radical:n=2,d=3,l=3", presets.cyclo_radical_context, lambda: (2, 3, 3)),
-], ids=["radical", "cyclo-radical"])
+    ("selmer-serre:n=5", presets.selmer_serre_context, lambda: (5,)),
+], ids=["radical", "cyclo-radical", "selmer-serre"])
 def test_equal_arguments_share_one_cached_context(selector, build, args):
     bound = pg.SUBGROUP_ENUM_BOUND
     ctx = build(*args(), enumeration_bound=bound)
     assert build(*args(), enumeration_bound=bound) is ctx
+    assert build(*args()) is ctx  # the default bound shares the entry
     assert presets.load_instance(selector) is ctx  # the CLI shares the entry
+    with pytest.raises(TypeError):
+        build(*args(), bound)  # the bound is keyword-only
 
 
 # ---------------------------------------------------------------------------

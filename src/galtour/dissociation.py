@@ -8,7 +8,10 @@ subnormal in Gal(N/F), and the subnormal closure's descent chain doubles
 as an explicit witness tower.  The closure is read from the context's
 lattice (:meth:`GaloisContext.subnormal_closure`): each normal-closure
 step is the first member of an interval of the poset index that is
-normal in the current term, so no subgroup is spanned anew.
+normal in the current term, so no subgroup is spanned anew.  Normality
+itself is a bit test against the normalizer positions of the same
+index, and galsimplicity reads the normal members of one interval
+(:meth:`GaloisContext.normal_between`).
 
 On top of the bridge sit the executable theorems: the unique
 intourability field M(L/K) (maximal galtourable quotient, with L/M(L/K)
@@ -73,8 +76,7 @@ def is_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     if E == F:
         return False
     SE, SF = E.subgroup, F.subgroup
-    return not any(sg.key not in (SE.key, SF.key) and ctx.normal_in(sg, SF)
-                   for sg in ctx.between(SE, SF))
+    return ctx.normal_between(SE, SF) in ([SF], [SE, SF])
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +289,7 @@ def _least_maximal_normal_between(ctx: GaloisContext, top: Subgroup,
 
     Maximal among the normal candidates, not a cover: S5's A5 > 1 is not one.
     """
-    candidates = [sg for sg in ctx.between(bottom, top)
-                  if sg.key != top.key and ctx.normal_in(sg, top)]
-    maximal = ctx.maximal_among(candidates)
+    maximal = ctx.maximal_among(ctx.normal_between(bottom, top)[:-1])
     if not maximal:
         raise TheoremViolation("no proper normal subgroup in a non-simple step")
     return maximal[0]

@@ -9,9 +9,10 @@ under study.
 
 Compositum corresponds to subgroup intersection, field intersection to
 subgroup join, and E/F is Galois exactly when Gal(N/E) is normal in
-Gal(N/F).  Composita, field intersections, intervals and subnormal
-closures are read from the context's poset index; :mod:`permgroup` only
-builds the group and its lattice, tests normality and forms quotients.
+Gal(N/F).  Composita, field intersections, intervals, normality and
+subnormal closures are read from the context's lattice index (up- and
+down-sets and the normalizer of every position); :mod:`permgroup` only
+builds the group and its lattice and forms quotients.
 On top of that sit quadrilaterals (J,K,N,L) with K cap L = J and KL = N,
 parallelograms (all four sides Galois), the diagonal splitting and
 "ecartele" exchange laws, and the inverse antitone bijections R and S
@@ -89,8 +90,10 @@ class GaloisContext:
     first name given to a field is its display name (``self.names`` maps
     field -> display name), and every name resolves by :meth:`field_by_name`.
 
-    Built at construction: the poset index (up- and down-set bitmasks per
-    position in ``subgroups``).  Lazily filled: the quotient cache.
+    Built at construction: the lattice index, i.e. up- and down-set
+    bitmasks per position in ``subgroups`` and the position of each
+    subgroup's normalizer in G, so that normality is a bit test.  Lazily
+    filled: the quotient cache.
     Concurrent filling is safe: each entry is a deterministic value,
     written once (a race at most rewrites it).
     """
@@ -101,7 +104,7 @@ class GaloisContext:
         self.group = group
         self.subgroups = pg.all_subgroups(group, bound=enumeration_bound)
         self._fields = [FieldRef(self, sg, i) for i, sg in enumerate(self.subgroups)]
-        self._pos = {sg.key: i for i, sg in enumerate(self.subgroups)}
+        self._pos = {sg.mask: i for i, sg in enumerate(self.subgroups)}
         self.base = self.field_of(group.full_subgroup())
         self.top_closure = self.field_of(group.trivial_subgroup())
         self.distinguished = (self.top_closure if distinguished is None
@@ -118,7 +121,7 @@ class GaloisContext:
             self.names.setdefault(ref, name)
         self.notes = dict(notes or {})
         self._quotient_cache: dict = {}
-        self._up, self._down = _poset_index(group, self.subgroups)
+        self._up, self._down, self._npos = _lattice_index(group, self.subgroups)
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -136,7 +139,7 @@ class GaloisContext:
         if sg.parent is not self.group:
             raise GaloisError("subgroup does not belong to this context's group")
         try:
-            return self._pos[sg.key]
+            return self._pos[sg.mask]
         except KeyError:  # cannot happen: registry covers every subgroup
             raise GaloisError("subgroup missing from registry") from None
 
@@ -188,8 +191,21 @@ class GaloisContext:
         return [sg for sg, i in zip(sgs, pos) if self._up[i] & bits == 1 << i]
 
     def normal_in(self, A: Subgroup, B: Subgroup) -> bool:
-        """A normal in B; requires A <= B."""
-        return pg.is_normal(A, B)
+        """A normal in B; requires A <= B.  A is normal in B iff B lies in
+        N_G(A), a bit of B's up-set."""
+        a, b = self._position(A), self._position(B)
+        if not self._up[a] >> b & 1:
+            raise GaloisError("normal_in requires A <= B")
+        return self._up[b] >> self._npos[a] & 1 == 1
+
+    def normal_between(self, lo: Subgroup, hi: Subgroup) -> list:
+        """The S in ``between(lo, hi)`` that are normal in hi, in canonical
+        order: the positions of the interval whose normalizer holds hi."""
+        h = self._position(hi)
+        above, npos = self._up[h], self._npos
+        bits = self._up[self._position(lo)] & self._down[h]
+        return [self.subgroups[j] for j in _pick(range(h + 1), bits)
+                if above >> npos[j] & 1]
 
     def subnormal_closure(self, H: Subgroup, B: Subgroup) -> tuple:
         """Iterate normal closures of H down from B to a fixpoint S.
@@ -201,23 +217,23 @@ class GaloisContext:
         normal in S_i: the normal overgroups of H there are closed under
         intersection and canonical order is by order first, so the first
         one is the least (Holt-Eick-O'Brien, *Handbook of Computational
-        Group Theory*, 8.1).
+        Group Theory*, 8.1).  Subgroup j is normal in S_i iff S_i lies in
+        N_G(j): bit ``npos[j]`` of S_i's up-set.
         """
-        up, b = self._up[self._position(H)], self._position(B)
-        if not up >> b & 1:
+        up_h, b = self._up[self._position(H)], self._position(B)
+        if not up_h >> b & 1:
             raise GaloisError("subnormal_closure requires H <= B")
-        subgroups, down = self.subgroups, self._down
+        subgroups, up, down, npos = self.subgroups, self._up, self._down, self._npos
         chain = [subgroups[b]]
         while True:
-            top = subgroups[b]
-            bits = up & down[b]
+            bits, above = up_h & down[b], up[b]
             while True:
                 j = (bits & -bits).bit_length() - 1
-                if j == b or pg.is_normal(subgroups[j], top):
+                if above >> npos[j] & 1:  # j == b passes too
                     break
                 bits &= bits - 1
             if j == b:
-                return top, chain
+                return subgroups[b], chain
             chain.append(subgroups[j])
             b = j
 
@@ -230,23 +246,74 @@ class GaloisContext:
         return q
 
 
-def _poset_index(group: Group, subgroups: Sequence[Subgroup]) -> tuple:
-    """(up, down) bitmasks over lattice positions: up[i] marks the subgroups
-    containing subgroup i, the AND over i's greedy generators of the
-    positions holding each; down is up transposed (up[i] has no bit below i)."""
+def _lattice_index(group: Group, subgroups: Sequence[Subgroup]) -> tuple:
+    """(up, down, npos) over lattice positions, all read from ``holds``:
+    holds[x] marks the positions whose subgroup contains element x.
+
+    up[i] marks the subgroups containing subgroup i, the AND over i's
+    greedy generators of the positions holding each; down is up
+    transposed (up[i] has no bit below i).  Canonical order is by order
+    first, so the lowest bit of such an AND is the subgroup the elements
+    generate.  npos[i] is the position of the normalizer N_G(i), by
+    orbit-stabilizer under conjugation by G's greedy generators t: the
+    orbits are the conjugacy classes; in each, with u[k] conjugating the
+    representative r to k, the Schreier generators u[t.k]^-1 * t * u[k]
+    generate N_G(r), and u[k] conjugates N_G(r) to N_G(k)
+    (Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, 8.1).
+    """
+    n = len(subgroups)
     holds = [0] * group.order
     for i, sg in enumerate(subgroups):
         for x in sg.key:
             holds[x] |= 1 << i
-    up, down = [], [0] * len(subgroups)
-    for i, sg in enumerate(subgroups):
+    gens = [sg.gens() for sg in subgroups]
+    up, down = [], [0] * n
+    for i, g in enumerate(gens):
         bits = holds[0]  # the identity: every position
-        for g in sg.gens():
-            bits &= holds[g]
+        for x in g:
+            bits &= holds[x]
         up.append(bits)
-        for j in _pick(range(len(down)), bits):
-            down[j] |= 1 << i
-    return up, down
+        bit, s = 1 << i, bin(bits)[:1:-1]
+        j = i  # bit i is the lowest
+        while j >= 0:
+            down[j] |= bit
+            j = s.find("1", j + 1)
+
+    tab, inv, every = group.table, group.inverses, holds[0]
+
+    def generated(elements) -> int:  # the position of the subgroup they generate
+        bits = every
+        for x in elements:
+            bits &= holds[x]
+        return (bits & -bits).bit_length() - 1
+
+    # (t, x -> t x t^-1) for each greedy generator t of G
+    conjugations = [(tab[t], [tab[tab[t][x]][inv[t]] for x in range(group.order)])
+                    for t in gens[-1]]
+    npos = [-1] * n
+    for r in range(n):
+        if npos[r] >= 0:
+            continue
+        orbit, u, schreier = [r], {r: 0}, set()
+        for k in orbit:  # grows while it is walked
+            uk, mask = u[k], subgroups[k].mask
+            for row, conj in conjugations:
+                images = [conj[a] for a in gens[k]]
+                k2 = k  # unless an image leaves S_k
+                for x in images:
+                    if not mask >> x & 1:
+                        k2 = generated(images)
+                        break
+                if k2 in u:
+                    schreier.add(tab[inv[u[k2]]][row[uk]])
+                else:
+                    orbit.append(k2)
+                    u[k2] = row[uk]
+        npos[r] = normalizer = generated(schreier)
+        for k in orbit[1:]:
+            row, ui = tab[u[k]], inv[u[k]]
+            npos[k] = generated([tab[row[a]][ui] for a in gens[normalizer]])
+    return up, down, npos
 
 
 def _pick(seq: Sequence, bits: int) -> list:

@@ -133,6 +133,25 @@ def test_galsimple_laws_check(r26, r29):
     assert rep.ok and rep.quotient_checks == 0 and rep.transitivity_checks == 0
 
 
+def test_verdicts_do_not_test_normality_by_conjugation(monkeypatch):
+    # normality, galsimplicity, subnormality and the towers built on them are
+    # read from the lattice index; permgroup's conjugation scan is left to
+    # the quotient's precondition
+    ctx = get_ctx("radical:a=2,n=20")  # 332 fields
+
+    def banned(*args, **kwargs):
+        raise AssertionError("the main path called pg.is_normal")
+    monkeypatch.setattr(pg, "is_normal", banned)
+    fields, K = ctx.all_fields(), ctx.base
+    for F in fields:
+        for E in ctx.interval_fields(F, ctx.top_closure):
+            dis.is_galtourable(ctx, E, F)
+            dis.is_galsimple(ctx, E, F)
+            gal.is_galois(ctx, E, F)
+        dis.intourability_field(ctx, F, K)
+        dis.composition_tower_general(ctx, F, K)
+
+
 # ---------------------------------------------------------------------------
 # the intourability field
 

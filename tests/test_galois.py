@@ -404,6 +404,44 @@ def test_poset_index_agrees_with_literal_scans_on_a_deep_lattice():
 
 
 @pytest.mark.parametrize("name", [
+    "klein", "radical:a=2,n=12", "selmer-serre:n=4", "selmer-serre:n=5",
+    "random:0", "random:1", "random:2", "random:3",
+    "radical:a=2,n=20", "cyclo-radical:n=1,d=9,l=2"])
+def test_normalizer_index_agrees_with_brute_force(name):
+    ctx = _index_ctx(name)
+    G, subs, fields = ctx.group, ctx.subgroups, ctx.all_fields()
+    tab, inv = G.table, G.inverses
+    for i, A in enumerate(subs):
+        # the literal normalizer {g : g A g^-1 = A}
+        normalizer = tuple(g for g in range(G.order)
+                           if all(A.mask >> tab[tab[g][a]][inv[g]] & 1 for a in A.key))
+        assert subs[ctx._npos[i]].key == normalizer, (name, i)
+    for lo, A in enumerate(subs):
+        for B in ctx.between(A, subs[-1]):
+            assert ctx.normal_in(A, B) == pg.is_normal(A, B), (name, A.key, B.key)
+            between = ctx.between(A, B)
+            assert ctx.normal_between(A, B) == [S for S in between if pg.is_normal(S, B)]
+            E, F = fields[lo], ctx.field_of(B)
+            literal = E != F and not any(
+                S not in (A, B) and pg.is_normal(S, B) for S in between)
+            assert dis.is_galsimple(ctx, E, F) == literal, (name, A.key, B.key)
+
+
+def test_normalizer_index_agrees_with_is_normal_on_a_deep_lattice():
+    ctx = get_ctx("radical:a=2,n=24")  # 944 subgroups
+    subs = ctx.subgroups
+    for A in subs:
+        for B in ctx.between(A, subs[-1]):
+            assert ctx.normal_in(A, B) == pg.is_normal(A, B), (A.key, B.key)
+
+
+def test_normal_in_requires_nested_subgroups(r26):
+    A, B = r26.field_by_name("Q(sqrt2)").subgroup, r26.field_by_name("Q(3rt2)").subgroup
+    with pytest.raises(gal.GaloisError, match="requires A <= B"):
+        r26.normal_in(A, B)
+
+
+@pytest.mark.parametrize("name", [
     "radical:a=2,n=12", "radical:a=2,n=20", "selmer-serre:n=5",
     "cyclo-radical:n=1,d=9,l=2", "random:0", "random:1", "random:2", "random:3"])
 def test_subnormal_closure_matches_the_span_reference(name):

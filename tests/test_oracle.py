@@ -131,15 +131,17 @@ def test_agreement_suite_runs():
 
 def test_oracles_do_not_call_the_main_path(monkeypatch):
     # the oracles decide normality and subnormality by their own literal
-    # scans, not through permgroup or the context's subnormal closure; only
-    # the contexts (built before patching) come from permgroup
+    # scans, not through permgroup or the context's normalizer positions and
+    # subnormal closure; only the contexts (built before patching) come from
+    # permgroup
     contexts = small_contexts()
 
     def banned(*args, **kwargs):
         raise AssertionError("oracle called the main path")
     for fn in ("is_normal", "normal_closure", "subnormal_closure", "all_subgroups"):
         monkeypatch.setattr(pg, fn, banned)
-    monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", banned)
+    for method in ("subnormal_closure", "normal_in", "normal_between"):
+        monkeypatch.setattr(gal.GaloisContext, method, banned)
     monkeypatch.setattr(orc, "_literal_normal_memo", {})
     monkeypatch.setattr(orc, "_literal_subnormal_memo", {})
     for name, ctx in contexts.items():

@@ -19,15 +19,16 @@ from . import presets
 from . import towers as tw
 from .dissociation import TheoremViolation
 
+# not KeyError, ValueError or IndexError: a library bug ends in a traceback
 USER_ERRORS = (presets.PresetError, gal.GaloisError, tw.TowerError,
-               pg.PermGroupError, OSError, ValueError, KeyError)
+               pg.PermGroupError, OSError)
 
 
 def _parse_tower(ctx, text: str) -> tw.Tower:
     try:
         names = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise tw.TowerError(f"bad tower JSON {text!r}: {exc.msg}") from exc
+    except ValueError as exc:  # not JSON, or an integer past the digit limit
+        raise tw.TowerError(f"bad tower JSON {text!r}: {exc}") from exc
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise tw.TowerError("tower must be a JSON list of field names")
     return tw.make_tower(ctx, [ctx.field_by_name(n) for n in names])

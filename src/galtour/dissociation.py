@@ -5,13 +5,13 @@ the group bridge: inside the closure, a Galois tower from F to E is the
 same thing as a chain Gal(N/F) |> ... |> Gal(N/E) with each step normal
 in the previous one, so E/F is galtourable exactly when Gal(N/E) is
 subnormal in Gal(N/F), and the subnormal closure's descent chain doubles
-as an explicit witness tower.  The closure is read from the context's
-lattice (:meth:`GaloisContext.subnormal_closure`): each normal-closure
-step is the first member of an interval of the poset index that is
-normal in the current term, so no subgroup is spanned anew.  Normality
-itself is a bit test against the normalizer positions of the same
-index, and galsimplicity reads the normal members of one interval
-(:meth:`GaloisContext.normal_between`).
+as an explicit witness tower.  Every lattice read speaks fields, by
+position in the context's lattice index: the subnormal closure
+(:meth:`GaloisContext.subnormal_closure`) walks intervals of the index
+and returns its chain as fields, and galsimplicity and the Jordan-Holder
+descent read the minimal Galois steps of an interval
+(:meth:`GaloisContext.galois_steps`).  No subgroup is spanned anew and
+no field is converted to a subgroup and back.
 
 On top of the bridge sit the executable theorems: the unique
 intourability field M(L/K) (maximal galtourable quotient, with L/M(L/K)
@@ -43,20 +43,15 @@ from .towers import TheoremViolation, Tower
 
 def is_galtourable(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """E/F admits a Galois tower iff Subgroup(E) is subnormal in Subgroup(F)."""
-    if not F <= E:
-        raise gal.GaloisError("is_galtourable requires F <= E as fields")
-    closure, _ = ctx.subnormal_closure(E.subgroup, F.subgroup)
-    return closure == E.subgroup
+    return ctx.subnormal_closure(E, F)[0] == E
 
 
 def galois_tower_witness(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Tower:
     """A strict Galois tower from F to E, read off the subnormal descent."""
-    if not F <= E:
-        raise gal.GaloisError("galois_tower_witness requires F <= E")
-    closure, chain = ctx.subnormal_closure(E.subgroup, F.subgroup)
-    if closure != E.subgroup:
+    closure, chain = ctx.subnormal_closure(E, F)
+    if closure != E:
         raise gal.GaloisError(f"{E.name}/{F.name} is not galtourable")
-    t = Tower(ctx, [ctx.field_of(sg) for sg in chain])
+    t = Tower(ctx, chain)
     if not (tw.is_strict(t) and tw.is_galois_tower(t)):
         raise TheoremViolation("subnormal descent is not a strict Galois tower")
     return t
@@ -64,19 +59,12 @@ def galois_tower_witness(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Tower:
 
 def is_simple_ext(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """No proper intermediate field: Subgroup(E) is maximal in Subgroup(F)."""
-    if not F <= E:
-        raise gal.GaloisError("is_simple_ext requires F <= E")
-    return len(ctx.between(E.subgroup, F.subgroup)) == 2
+    return len(ctx.interval_fields(F, E)) == 2
 
 
 def is_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """No proper Galois quotient: M/F Galois and F <= M <= E force M in {F, E}."""
-    if not F <= E:
-        raise gal.GaloisError("is_galsimple requires F <= E")
-    if E == F:
-        return False
-    SE, SF = E.subgroup, F.subgroup
-    return ctx.normal_between(SE, SF) in ([SF], [SE, SF])
+    return ctx.galois_steps(F, E) in ([], [E]) and E != F
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +99,7 @@ def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Dissoci
     Subgroup(K); both defining conditions are then re-verified
     independently, and any failure is raised as :class:`TheoremViolation`.
     """
-    if not K <= L:
-        raise gal.GaloisError("intourability_field requires K <= L")
-    closure, chain = ctx.subnormal_closure(L.subgroup, K.subgroup)
-    M = ctx.field_of(closure)
+    M, chain = ctx.subnormal_closure(L, K)
     if not is_galtourable(ctx, M, K):
         raise TheoremViolation(f"M(L/K) = {M.name} is not galtourable over {K.name}")
     if L == M:
@@ -125,8 +110,7 @@ def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Dissoci
         raise TheoremViolation(
             f"L/M = {L.name}/{M.name} is neither trivial nor galsimple non-Galois")
     degrees = TourabilityDegree(gal.degree(ctx, M, K), gal.degree(ctx, L, M))
-    witness = Tower(ctx, [ctx.field_of(sg) for sg in chain])
-    return DissociationReport(M, degrees, True, sub_kind, witness)
+    return DissociationReport(M, degrees, True, sub_kind, Tower(ctx, chain))
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +267,12 @@ def is_composition_tower_galois(t: Tower) -> bool:
     return all(is_galsimple(t.ctx, hi, lo) for lo, hi in t.marches())
 
 
-def _least_maximal_normal_between(ctx: GaloisContext, top: Subgroup,
-                                  bottom: Subgroup) -> Subgroup:
-    """Least (canonical order) maximal B with bottom <= B < top, B normal in top.
-
-    Maximal among the normal candidates, not a cover: S5's A5 > 1 is not one.
-    """
-    maximal = ctx.maximal_among(ctx.normal_between(bottom, top)[:-1])
-    if not maximal:
-        raise TheoremViolation("no proper normal subgroup in a non-simple step")
-    return maximal[0]
-
-
 def galjordanholder_refine(t: Tower) -> Tower:
     """Refine a strict Galois tower into a Galois composition tower.
 
     Each marche is refined independently by pulling back a composition
-    series of its quotient group: repeatedly descend to the least maximal
+    series of its quotient group: repeatedly step to the first minimal
+    Galois step inside the marche, whose subgroup is the least maximal
     proper normal subgroup still containing the marche's top subgroup.
     """
     if not tw.is_strict(t) or not tw.is_galois_tower(t):
@@ -307,10 +280,11 @@ def galjordanholder_refine(t: Tower) -> Tower:
     ctx = t.ctx
     fields = [t.base]
     for lo, hi in t.marches():
-        chain = [lo.subgroup]
-        while chain[-1] != hi.subgroup:
-            chain.append(_least_maximal_normal_between(ctx, chain[-1], hi.subgroup))
-        fields.extend(ctx.field_of(sg) for sg in chain[1:])
+        while fields[-1] != hi:
+            steps = ctx.galois_steps(fields[-1], hi)
+            if not steps:
+                raise TheoremViolation("no proper normal subgroup in a non-simple step")
+            fields.append(steps[0])
     out = Tower(ctx, fields)
     if tw.refinement_witness(out, t) is None:
         raise TheoremViolation("Jordan-Holder refinement does not refine its input")

@@ -9,9 +9,12 @@ under study.
 
 Compositum corresponds to subgroup intersection, field intersection to
 subgroup join, and E/F is Galois exactly when Gal(N/E) is normal in
-Gal(N/F).  Composita, field intersections, intervals, normality and
-subnormal closures are read from the context's lattice index (up- and
-down-sets and the normalizer of every position); :mod:`permgroup` only
+Gal(N/F).  The context's lattice queries take and return fields:
+composita, field intersections, intervals, covers, Galois steps and
+subnormal closures are read by position from its lattice index (up- and
+down-sets and the normalizer of every position), and its quotient cache
+is keyed by position.  Only :meth:`GaloisContext.field_of` and
+:meth:`GaloisContext.normal_in` take subgroups.  :mod:`permgroup` only
 builds the group and its lattice and forms quotients.
 On top of that sit quadrilaterals (J,K,N,L) with K cap L = J and KL = N,
 parallelograms (all four sides Galois), the diagonal splitting and
@@ -40,8 +43,9 @@ class FieldRef:
 
     Refs are made only by :class:`GaloisContext`, one per lattice position
     ``pos``, so two refs are equal iff they are the same object.  Field
-    containment E <= F holds iff Subgroup(F) <= Subgroup(E) (subgroup
-    masks); meets and joins are read from the poset index at ``pos``.
+    containment E <= F holds iff Subgroup(F) <= Subgroup(E): bit ``E.pos``
+    of F's up-set.  Every lattice read is by ``pos`` in the index of the
+    ref's own context; a context refuses refs of another.
     """
 
     __slots__ = ("ctx", "subgroup", "pos")
@@ -55,9 +59,9 @@ class FieldRef:
         raise AttributeError("FieldRef is immutable")
 
     def __le__(self, other: "FieldRef") -> bool:
-        """self is a subfield of other."""
-        _same_ctx(self, other)
-        return other.subgroup <= self.subgroup
+        """self is a subfield of other: its position is in other's up-set."""
+        self.ctx._own(other)
+        return self.ctx._up[other.pos] >> self.pos & 1 == 1
 
     def __lt__(self, other: "FieldRef") -> bool:
         return self <= other and self != other
@@ -68,14 +72,6 @@ class FieldRef:
 
     def __repr__(self) -> str:
         return f"FieldRef({self.name})"
-
-
-def _same_ctx(*refs: FieldRef) -> "GaloisContext":
-    ctx = refs[0].ctx
-    for r in refs[1:]:
-        if r.ctx is not ctx:
-            raise GaloisError("field refs belong to different contexts")
-    return ctx
 
 
 class GaloisContext:
@@ -138,10 +134,7 @@ class GaloisContext:
     def _position(self, sg: Subgroup) -> int:
         if sg.parent is not self.group:
             raise GaloisError("subgroup does not belong to this context's group")
-        try:
-            return self._pos[sg.mask]
-        except KeyError:  # cannot happen: registry covers every subgroup
-            raise GaloisError("subgroup missing from registry") from None
+        return self._pos[sg.mask]  # the registry holds every subgroup
 
     def field_of(self, sg: Subgroup) -> FieldRef:
         return self._fields[self._position(sg)]
@@ -151,6 +144,7 @@ class GaloisContext:
         return list(self._fields)
 
     def display_name(self, ref: FieldRef) -> str:
+        self._own(ref)
         if ref in self.names:
             return self.names[ref]
         import hashlib  # on first use: a CLI call that shows no digest name skips it
@@ -165,30 +159,30 @@ class GaloisContext:
                 return ref
         raise GaloisError(f"unknown field name {name!r}")
 
-    def between(self, lo: Subgroup, hi: Subgroup) -> list:
-        """Lattice subgroups S with lo <= S <= hi, in canonical order."""
-        bits = self._up[self._position(lo)] & self._down[self._position(hi)]
-        return _pick(self.subgroups, bits)
+    def _own(self, *refs: FieldRef) -> None:
+        """Refuse refs of another context, whose positions mean nothing here."""
+        for ref in refs:
+            if ref.ctx is not self:
+                raise GaloisError("field refs belong to different contexts")
+
+    def _nested(self, F: FieldRef, E: FieldRef, what: str) -> None:
+        self._own(F, E)
+        if not self._up[E.pos] >> F.pos & 1:
+            raise GaloisError(f"{what} requires F <= E as fields")
 
     def interval_fields(self, F: FieldRef, E: FieldRef) -> list:
         """Fields M with F <= M <= E, canonical order; requires F <= E."""
-        if not F <= E:
-            raise GaloisError("interval requires F <= E as fields")
+        self._nested(F, E, "interval")
         return _pick(self._fields, self._up[E.pos] & self._down[F.pos])
 
-    def maximal_subgroups(self, S: Subgroup) -> list:
-        """The maximal proper subgroups of S (its lower covers), canonical order:
-        the proper subgroups j of S whose up-set meets them in j alone."""
-        i = self._position(S)
+    def covers(self, F: FieldRef) -> list:
+        """The minimal fields strictly above F, canonical order: the proper
+        subgroups j of Subgroup(F) whose up-set meets the others in j alone."""
+        self._own(F)
+        i = F.pos
         below = self._down[i] & ~(1 << i)
-        return [self.subgroups[j] for j in _pick(range(i), below)
+        return [self._fields[j] for j in _pick(range(i), below)
                 if below & self._up[j] == 1 << j]
-
-    def maximal_among(self, sgs: Sequence[Subgroup]) -> list:
-        """The members of sgs contained in no other member, in the given order."""
-        pos = [self._position(sg) for sg in sgs]
-        bits = sum(1 << i for i in set(pos))
-        return [sg for sg, i in zip(sgs, pos) if self._up[i] & bits == 1 << i]
 
     def normal_in(self, A: Subgroup, B: Subgroup) -> bool:
         """A normal in B; requires A <= B.  A is normal in B iff B lies in
@@ -198,51 +192,55 @@ class GaloisContext:
             raise GaloisError("normal_in requires A <= B")
         return self._up[b] >> self._npos[a] & 1 == 1
 
-    def normal_between(self, lo: Subgroup, hi: Subgroup) -> list:
-        """The S in ``between(lo, hi)`` that are normal in hi, in canonical
-        order: the positions of the interval whose normalizer holds hi."""
-        h = self._position(hi)
-        above, npos = self._up[h], self._npos
-        bits = self._up[self._position(lo)] & self._down[h]
-        return [self.subgroups[j] for j in _pick(range(h + 1), bits)
-                if above >> npos[j] & 1]
-
-    def subnormal_closure(self, H: Subgroup, B: Subgroup) -> tuple:
-        """Iterate normal closures of H down from B to a fixpoint S.
-
-        Returns ``(S, chain)`` where chain is B = S_0 |> S_1 |> ... |> S_k = S
-        in lattice subgroups; S is the smallest subgroup of B containing H
-        that is subnormal in B.  Requires H <= B.  Each step's normal closure
-        is the first position of the interval [H, S_i] whose subgroup is
-        normal in S_i: the normal overgroups of H there are closed under
-        intersection and canonical order is by order first, so the first
-        one is the least (Holt-Eick-O'Brien, *Handbook of Computational
-        Group Theory*, 8.1).  Subgroup j is normal in S_i iff S_i lies in
-        N_G(j): bit ``npos[j]`` of S_i's up-set.
+    def galois_steps(self, F: FieldRef, E: FieldRef) -> list:
+        """The minimal fields M with F < M <= E and M/F Galois, canonical
+        order; requires F <= E.  M/F is Galois iff bit ``npos[M]`` of F's
+        up-set is set.  Minimal is not covering: S5's Galois step from
+        A5's field to the closure passes many fields.
         """
-        up_h, b = self._up[self._position(H)], self._position(B)
-        if not up_h >> b & 1:
-            raise GaloisError("subnormal_closure requires H <= B")
-        subgroups, up, down, npos = self.subgroups, self._up, self._down, self._npos
-        chain = [subgroups[b]]
+        self._nested(F, E, "galois_steps")
+        f, up, npos = F.pos, self._up, self._npos
+        inside = up[E.pos] & self._down[f] & ~(1 << f)
+        galois = sum(1 << j for j in _pick(range(f), inside) if up[f] >> npos[j] & 1)
+        return [self._fields[j] for j in _pick(range(f), galois)
+                if up[j] & galois == 1 << j]
+
+    def subnormal_closure(self, E: FieldRef, F: FieldRef) -> tuple:
+        """Iterate normal closures of Subgroup(E) down from Subgroup(F) to a
+        fixpoint; requires F <= E.
+
+        Returns ``(M, chain)``, chain the fields F = M_0 < ... < M_k = M
+        with Subgroup(M_{i+1}) the normal closure of Subgroup(E) in
+        Subgroup(M_i): M is the largest field of [F, E] galtourable over
+        F.  Each normal closure is the first position of the interval
+        whose subgroup j is normal in the current term b (bit ``npos[j]``
+        of b's up-set): those are closed under intersection and canonical
+        order is by order first (Holt-Eick-O'Brien, *Handbook of
+        Computational Group Theory*, 8.1).
+        """
+        self._nested(F, E, "subnormal_closure")
+        up_e, b = self._up[E.pos], F.pos
+        fields, up, down, npos = self._fields, self._up, self._down, self._npos
+        chain = [fields[b]]
         while True:
-            bits, above = up_h & down[b], up[b]
+            bits, above = up_e & down[b], up[b]
             while True:
                 j = (bits & -bits).bit_length() - 1
                 if above >> npos[j] & 1:  # j == b passes too
                     break
                 bits &= bits - 1
             if j == b:
-                return subgroups[b], chain
-            chain.append(subgroups[j])
+                return fields[b], chain
+            chain.append(fields[j])
             b = j
 
-    def quotient_group(self, B: Subgroup, N: Subgroup) -> AbstractGroup:
-        key = (B.key, N.key)
+    def quotient_group(self, E: FieldRef, F: FieldRef) -> AbstractGroup:
+        """Subgroup(F)/Subgroup(E), cached by position; requires E/F Galois."""
+        self._own(E, F)
+        key = (E.pos, F.pos)
         q = self._quotient_cache.get(key)
         if q is None:
-            q = pg.quotient(B, N)
-            self._quotient_cache[key] = q
+            q = self._quotient_cache[key] = pg.quotient(F.subgroup, E.subgroup)
         return q
 
 
@@ -333,29 +331,27 @@ def _pick(seq: Sequence, bits: int) -> list:
 
 def degree(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> int:
     """[E:F] = index of Subgroup(E) in Subgroup(F); requires F <= E."""
-    if not F <= E:
-        raise GaloisError("degree requires F <= E as fields")
+    ctx._nested(F, E, "degree")
     return F.subgroup.order // E.subgroup.order
 
 
 def compositum(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> FieldRef:
     """EF: the largest common subgroup of E and F, last in canonical order."""
-    _same_ctx(E, F)
+    ctx._own(E, F)
     bits = ctx._down[E.pos] & ctx._down[F.pos]
     return ctx._fields[bits.bit_length() - 1]
 
 
 def intersect_fields(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> FieldRef:
     """E cap F: the least subgroup containing both, first in canonical order."""
-    _same_ctx(E, F)
+    ctx._own(E, F)
     bits = ctx._up[E.pos] & ctx._up[F.pos]
     return ctx._fields[(bits & -bits).bit_length() - 1]
 
 
 def is_galois(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """E/F Galois iff Subgroup(E) is normal in Subgroup(F); requires F <= E."""
-    if not F <= E:
-        raise GaloisError("is_galois requires F <= E as fields")
+    ctx._nested(F, E, "is_galois")
     return ctx.normal_in(E.subgroup, F.subgroup)
 
 
@@ -364,7 +360,7 @@ def galois_group(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> AbstractGroup:
     if not is_galois(ctx, E, F):
         raise GaloisError(
             f"{E.name}/{F.name} is not Galois; no quotient group")
-    return ctx.quotient_group(F.subgroup, E.subgroup)
+    return ctx.quotient_group(E, F)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +377,8 @@ class Quadrilateral:
     __slots__ = ("J", "K", "N", "L")
 
     def __init__(self, J: FieldRef, K: FieldRef, N: FieldRef, L: FieldRef):
-        ctx = _same_ctx(J, K, N, L)
+        ctx = J.ctx
+        ctx._own(K, N, L)
         if intersect_fields(ctx, K, L) != J:
             raise GaloisError("(Q1) failed: K cap L != J")
         if compositum(ctx, K, L) != N:
@@ -458,7 +455,7 @@ def ecartele_identities(ctx: GaloisContext, K: FieldRef, L: FieldRef,
     Evaluates every applicable identity and returns the conjunction;
     raises naming the failing hypothesis if none applies.
     """
-    _same_ctx(K, L, E, F)
+    ctx._own(K, L, E, F)
     J = intersect_fields(ctx, K, L)
     if not is_galois(ctx, K, J):
         raise GaloisError(f"hypothesis failed: {K.name}/{J.name} not Galois")
@@ -541,9 +538,7 @@ def to_dot(ctx: GaloisContext) -> str:
         d = degree(ctx, ref, ctx.base)
         lines.append(f'  "{ref.name}" [label="{ref.name} [deg {d} over base]"];')
     for lower in fields:
-        # covering steps: Subgroup(upper) is maximal in Subgroup(lower)
-        for sg in ctx.maximal_subgroups(lower.subgroup):
-            upper = ctx.field_of(sg)
+        for upper in ctx.covers(lower):
             attr = ' [color="black:black"]' if is_galois(ctx, upper, lower) else ""
             lines.append(f'  "{lower.name}" -> "{upper.name}"{attr};')
     lines.append("}")

@@ -5,18 +5,20 @@ here: galtourability by a search for a chain of normal steps,
 intourability by checking both defining conditions over every
 intermediate field, composition towers by exhaustive chain enumeration,
 and the refinement predicates by direct quantifier evaluation.  The
-oracles share only the group's table and inverses and the context's
-interval enumeration with the main path, never the decision logic under
-test: normality is the conjugation scan ``literal_is_normal`` and
-subnormality the chain search ``literal_is_subnormal`` over it.  (The
-quadrilateral scan is empirical output, not an oracle, and calls the
-main path.)
+literal functions take fields ``(ctx, E, F)`` like the main path and
+share with it only the group's table and inverses, field containment and
+the interval enumeration ``interval_fields``, never the decision logic
+under test: normality is the subgroup-level conjugation scan
+``literal_is_normal`` and subnormality the chain search
+``literal_is_subnormal`` over it.  (The quadrilateral scan is empirical
+output, not an oracle, and calls the main path.)
 
 Both keep their verdicts in a module memo (``_literal_normal_memo``,
 ``_literal_subnormal_memo``): a ``WeakKeyDictionary`` from the group to
-``{(A.key, B.key): verdict}``.  A group's entries go when the group is
-freed, so the memos neither keep groups alive nor answer for a later
-group created at the same address.
+``{(A.key, B.key): verdict}`` (field positions ``(E.pos, F.pos)`` for
+the latter).  A group's entries go when the group is freed, so the memos
+neither keep groups alive nor answer for a later group created at the
+same address.
 
 Oracles favour clarity over speed and may be exponential; the agreement
 suite aggregates their verdicts into a machine-readable matrix.
@@ -84,20 +86,21 @@ def literal_is_normal(A: Subgroup, B: Subgroup) -> bool:
     return hit
 
 
-def literal_is_subnormal(ctx: GaloisContext, A: Subgroup, B: Subgroup) -> bool:
-    """A is reached from B by literal normal steps: A == B, or some C with
-    A <= C < B is literally normal in B and A is subnormal in C."""
-    if A == B:
+def literal_is_subnormal(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
+    """E is reached from F by literal Galois steps: E == F, or some M with
+    F < M <= E has Gal(N/M) literally normal in Gal(N/F) and E is reached
+    from M."""
+    if E == F:
         return True
-    verdicts = _literal_subnormal_memo.get(A.parent)
+    verdicts = _literal_subnormal_memo.get(ctx.group)
     if verdicts is None:
-        verdicts = _literal_subnormal_memo[A.parent] = {}
-    key = (A.key, B.key)
+        verdicts = _literal_subnormal_memo[ctx.group] = {}
+    key = (E.pos, F.pos)
     hit = verdicts.get(key)
     if hit is None:
-        hit = any(C.key != B.key and literal_is_normal(C, B)
-                  and literal_is_subnormal(ctx, A, C)
-                  for C in ctx.between(A, B))
+        hit = any(M != F and literal_is_normal(M.subgroup, F.subgroup)
+                  and literal_is_subnormal(ctx, E, M)
+                  for M in ctx.interval_fields(F, E))
         verdicts[key] = hit
     return hit
 
@@ -110,27 +113,31 @@ def bf_galtourable(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """A chain of normal steps from Gal(N/F) down to Gal(N/E)."""
     if not F <= E:
         raise gal.GaloisError("bf_galtourable requires F <= E")
-    return literal_is_subnormal(ctx, E.subgroup, F.subgroup)
+    return literal_is_subnormal(ctx, E, F)
 
 
-def bf_smallest_subnormal(ctx: GaloisContext, H: Subgroup, B: Subgroup) -> Subgroup:
-    """Smallest subgroup of B containing H that is subnormal in B.
+def bf_smallest_subnormal(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> FieldRef:
+    """The largest field M with F <= M <= E that is galtourable over F:
+    Gal(N/M) is the smallest subnormal subgroup of Gal(N/F) containing
+    Gal(N/E).
 
-    The first member of ``ctx.between(H, B)`` (canonical order, so
-    smallest order first) that passes the chain search; B itself passes.
+    The first member of ``ctx.interval_fields(F, E)`` (canonical order,
+    so smallest subgroup first) that passes the chain search; F passes.
     """
-    return next(C for C in ctx.between(H, B) if literal_is_subnormal(ctx, C, B))
+    return next(M for M in ctx.interval_fields(F, E)
+                if literal_is_subnormal(ctx, M, F))
 
 
 # ---------------------------------------------------------------------------
 # intourability by literal double condition
 
 
-def _literal_galsimple(ctx: GaloisContext, A: Subgroup, B: Subgroup) -> bool:
-    """E/F galsimple for A = Gal(N/E), B = Gal(N/F): A != B and no subgroup
-    strictly between them is literally normal in B."""
-    return A != B and not any(C.key not in (A.key, B.key) and literal_is_normal(C, B)
-                              for C in ctx.between(A, B))
+def _literal_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
+    """E/F galsimple: E != F and no field M strictly between them has
+    Gal(N/M) literally normal in Gal(N/F)."""
+    return E != F and not any(
+        M not in (E, F) and literal_is_normal(M.subgroup, F.subgroup)
+        for M in ctx.interval_fields(F, E))
 
 
 def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
@@ -145,7 +152,7 @@ def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
     for M in ctx.interval_fields(K, L):
         if not bf_galtourable(ctx, M, K):
             continue
-        sub_ok = (L == M) or (_literal_galsimple(ctx, L.subgroup, M.subgroup)
+        sub_ok = (L == M) or (_literal_galsimple(ctx, L, M)
                               and not literal_is_normal(L.subgroup, M.subgroup))
         if sub_ok:
             hits.append(M)
@@ -169,22 +176,22 @@ def bf_composition_towers(ctx: GaloisContext, L: FieldRef, K: FieldRef,
     if len(interval) > max_interval:
         raise pg.BoundExceeded(
             f"interval has {len(interval)} subgroups > {max_interval}")
-    SL = L.subgroup
 
-    def steps(A: Subgroup) -> list:
-        return [B for B in ctx.between(SL, A)
-                if literal_is_normal(B, A) and _literal_galsimple(ctx, B, A)]
+    def steps(F: FieldRef) -> list:
+        return [M for M in ctx.interval_fields(F, L)
+                if literal_is_normal(M.subgroup, F.subgroup)
+                and _literal_galsimple(ctx, M, F)]
 
     towers: list = []
 
-    def descend(chain: list):
-        if chain[-1] == SL:
-            towers.append(Tower(ctx, [ctx.field_of(sg) for sg in chain]))
+    def ascend(chain: list):
+        if chain[-1] == L:
+            towers.append(Tower(ctx, chain))
             return
-        for B in steps(chain[-1]):
-            descend(chain + [B])
+        for M in steps(chain[-1]):
+            ascend(chain + [M])
 
-    descend([K.subgroup])
+    ascend([K])
     return towers
 
 
@@ -323,11 +330,10 @@ def quadrilateral_question_scan(ctx: GaloisContext,
 
 
 def _agree_pairwise(ctx, instance, operation, main, literal) -> OracleReport:
-    """Compare main(ctx, E, F) with literal(ctx, Gal(N/E), Gal(N/F)) over
-    every F <= E."""
+    """Compare main(ctx, E, F) with literal(ctx, E, F) over every F <= E."""
     for F in ctx.all_fields():
         for E in ctx.interval_fields(F, ctx.top_closure):
-            if main(ctx, E, F) != literal(ctx, E.subgroup, F.subgroup):
+            if main(ctx, E, F) != literal(ctx, E, F):
                 return OracleReport(instance, operation, False,
                                     f"({E.name}, {F.name})")
     return OracleReport(instance, operation, True)

@@ -127,7 +127,10 @@ class Permutation:
         images = list(range(degree))
         touched = set()
         for part in re.findall(r"\(([^()]*)\)", text):
-            pts = [int(tok) - 1 for tok in re.split(r"[\s,]+", part.strip()) if tok]
+            try:
+                pts = [int(tok) - 1 for tok in re.split(r"[\s,]+", part.strip()) if tok]
+            except ValueError:  # more digits than int() reads: past any degree
+                pts = [degree]
             if any(p < 0 or p >= degree for p in pts):
                 raise PermGroupError(f"point out of range 1..{degree} in {text!r}")
             if len(set(pts)) != len(pts) or touched & set(pts):

@@ -36,11 +36,23 @@ class PresetError(Exception):
     """Invalid preset specification or instance file."""
 
 
+PRESET_CACHE_SIZE = 16  # contexts each preset constructor keeps, least recent dropped
+
+# the largest instance-file degree: a group within the closure bound acts
+# faithfully (regularly) on that many points
+INSTANCE_DEGREE_BOUND = pg.CLOSURE_BOUND
+
+# the most bits in a radicand's numerator or denominator: str() prints at
+# most 4300 digits, and the p-th power tests are quadratic in the size
+RADICAND_BITS = 14_000
+
+
 def _cached(build):
-    """``build`` memoized in one ``lru_cache`` whose key always holds the
-    keyword-only ``enumeration_bound``: a call that leaves the bound out
-    shares the entry of a call that passes its default."""
-    cached = lru_cache(maxsize=None)(build)
+    """``build`` memoized in one ``lru_cache`` of PRESET_CACHE_SIZE entries
+    whose key always holds the keyword-only ``enumeration_bound``: a call
+    that leaves the bound out shares the entry of a call that passes its
+    default."""
+    cached = lru_cache(maxsize=PRESET_CACHE_SIZE)(build)
     default = build.__kwdefaults__["enumeration_bound"]
 
     @wraps(build)
@@ -48,6 +60,7 @@ def _cached(build):
         kwargs.setdefault("enumeration_bound", default)
         return cached(*args, **kwargs)
     lookup.cache_clear = cached.cache_clear
+    lookup.cache_info = cached.cache_info
     return lookup
 
 
@@ -178,6 +191,8 @@ def radical_context(a: Fraction, n: int, *,
         raise PresetError("radical spec requires n >= 2")
     if a == 0:
         raise PresetError("radical spec requires a != 0")
+    if max(abs(a.numerator), a.denominator).bit_length() > RADICAND_BITS:
+        raise PresetError(f"radicand a has more than {RADICAND_BITS} bits")
     for p in pg.factorize(n):
         if is_rational_pth_power(a, p):
             raise PresetError(
@@ -323,15 +338,20 @@ def from_dict(data: dict, enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND,
         gen_texts = data["generators"]
         field_map = data.get("fields", {})
         distinguished = data.get("distinguished")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise PresetError(f"{source}: missing or malformed key: {exc}") from exc
+    if degree > INSTANCE_DEGREE_BOUND:
+        raise pg.BoundExceeded(
+            f"{source}: degree {degree} exceeds instance degree bound "
+            f"{INSTANCE_DEGREE_BOUND}")
     if not isinstance(field_map, dict):
         raise PresetError(f"{source}: fields must be an object of name: generators")
     if distinguished is not None and not isinstance(distinguished, str):
         raise PresetError(f"{source}: distinguished must be a field name")
     gens = [Permutation.from_cycles(txt, degree)
             for txt in _cycle_texts(gen_texts, source, "generators")]
-    G = pg.generate(degree, gens or [Permutation.identity(degree)])
+    G = pg.generate(degree, gens or [Permutation.identity(degree)],
+                    bound=min(enumeration_bound, pg.CLOSURE_BOUND))
     names: dict = {}
     for name, gen_list in field_map.items():
         idxs = []
@@ -354,9 +374,6 @@ def from_dict(data: dict, enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND,
 def from_file(path: str,
               enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND) -> GaloisContext:
     """Load a context from a JSON instance file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-
     def no_dup_pairs(pairs):
         seen = set()
         for k, _ in pairs:
@@ -365,10 +382,11 @@ def from_file(path: str,
             seen.add(k)
         return dict(pairs)
 
-    try:
-        data = json.loads(text, object_pairs_hook=no_dup_pairs)
-    except json.JSONDecodeError as exc:
-        raise PresetError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.loads(fh.read(), object_pairs_hook=no_dup_pairs)
+        except ValueError as exc:  # not UTF-8, not JSON, or past the int digit limit
+            raise PresetError(f"{path}: parse error: {exc}") from exc
     return from_dict(data, enumeration_bound=enumeration_bound, source=path)
 
 
@@ -403,22 +421,24 @@ def load_instance(selector: str,
     bound = enumeration_bound if enumeration_bound is not None \
         else pg.SUBGROUP_ENUM_BOUND
     kind, _, rest = selector.partition(":")
-    try:
+    build = {"radical": radical_context, "cyclo-radical": cyclo_radical_context,
+             "selmer-serre": selmer_serre_context}.get(kind)
+    if build is None:
+        return from_file(rest if kind == "file" else selector, enumeration_bound=bound)
+    try:  # the parsing only: an error inside a constructor is not the selector's
         if kind == "radical":
             p = _parse_params(rest, "a,n")
             n = int(p["n"])  # before a, so a bad n is reported first
-            return radical_context(Fraction(p["a"]), n, enumeration_bound=bound)
-        if kind == "cyclo-radical":
+            args = (Fraction(p["a"]), n)
+        elif kind == "cyclo-radical":
             p = _parse_params(rest, "n,d,l")
-            return cyclo_radical_context(int(p["n"]), int(p["d"]), int(p["l"]),
-                                         enumeration_bound=bound)
-        if kind == "selmer-serre":
-            p = _parse_params(rest, "n")
-            return selmer_serre_context(int(p["n"]), enumeration_bound=bound)
-        if kind == "file":
-            return from_file(rest, enumeration_bound=bound)
+            args = (int(p["n"]), int(p["d"]), int(p["l"]))
+        else:
+            args = (int(_parse_params(rest, "n")["n"]),)
     except KeyError as exc:
         raise PresetError(f"selector {selector!r}: missing parameter {exc}") from exc
     except ZeroDivisionError as exc:
         raise PresetError(f"selector {selector!r}: zero denominator") from exc
-    return from_file(selector, enumeration_bound=bound)
+    except ValueError as exc:
+        raise PresetError(f"selector {selector!r}: {exc}") from exc
+    return build(*args, enumeration_bound=bound)

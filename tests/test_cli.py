@@ -139,8 +139,8 @@ def test_compose_s5_steps_through_a5_which_is_not_a_cover(capsys):
     code, out, _ = run(capsys, "compose", "selmer-serre:n=5", "--field", "splitting")
     assert (code, out) == (0, "Q ⊴[2] H60.2aa7c6 ⊴[60] splitting\n")
     ctx = presets.load_instance("selmer-serre:n=5")
-    a5 = ctx.field_by_name("H60.2aa7c6").subgroup
-    assert ctx.group.trivial_subgroup() not in ctx.maximal_subgroups(a5)
+    a5 = ctx.field_by_name("H60.2aa7c6")
+    assert ctx.top_closure not in ctx.covers(a5)
 
 
 def test_elevate(capsys):
@@ -247,6 +247,23 @@ def test_exit_code_2_on_bad_input(capsys):
 def test_selector_rejects_unknown_and_repeated_parameters(capsys, selector, reason):
     code, out, err = run(capsys, "analyze", selector)
     assert code == 2 and out == "" and reason in err
+
+
+@pytest.mark.parametrize("where", ["selector", "radicand", "tower", "cycle", "file"])
+def test_integers_past_the_digit_limit_are_input_errors(tmp_path, capsys, where):
+    # int() refuses more than 4300 digits with a ValueError, which is not
+    # itself a user error
+    big = "1" * 5000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"degree": 4, "generators": [f"(1 {big})"]})
+                    if where == "cycle" else f'{{"degree": {big}, "generators": []}}')
+    argv = {"selector": ["analyze", f"radical:a=2,n={big}"],
+            "radicand": ["analyze", "radical:a=1e5000,n=6"],
+            "tower": ["tower-check", "radical:a=2,n=6", "--tower", f"[{big}]"],
+            "cycle": ["analyze", f"file:{path}"],
+            "file": ["analyze", f"file:{path}"]}[where]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, ""), err
 
 
 def test_unknown_flag_rejected(capsys):

@@ -373,34 +373,46 @@ def _index_ctx(name):
     "random:0", "random:1", "random:2", "random:3"])
 def test_poset_index_agrees_with_literal_scans(name):
     ctx = _index_ctx(name)
-    subs = ctx.subgroups
+    subs, fields = ctx.subgroups, ctx.all_fields()
     n = len(subs)
     le = {(a, b) for a in range(n) for b in range(n) if subs[a] <= subs[b]}
     lt = {(a, b) for a, b in le if a != b}
     for s in range(n):
         below = [t for t in range(n) if (t, s) in lt]
-        literal = [subs[t] for t in below
+        literal = [fields[t] for t in below
                    if not any((t, u) in lt for u in below)]
-        assert ctx.maximal_subgroups(subs[s]) == literal, (name, s)
-    fields = ctx.all_fields()
+        assert ctx.covers(fields[s]) == literal, (name, s)
     for lo in range(n):
         for hi in range(n):
-            literal = [subs[m] for m in range(n) if (lo, m) in le and (m, hi) in le]
-            assert ctx.between(subs[lo], subs[hi]) == literal, (name, lo, hi)
-            if (lo, hi) in le:  # F = fields[hi] <= E = fields[lo]
-                E, F = fields[lo], fields[hi]
-                assert ctx.interval_fields(F, E) == [fields[subs.index(sg)]
-                                                     for sg in literal]
+            E, F = fields[lo], fields[hi]
+            if (lo, hi) in le:  # F <= E
+                literal = [fields[m] for m in range(n) if (lo, m) in le and (m, hi) in le]
+                assert ctx.interval_fields(F, E) == literal, (name, lo, hi)
                 assert dis.is_simple_ext(ctx, E, F) == (len(literal) == 2)
+            else:
+                with pytest.raises(gal.GaloisError, match="requires F <= E"):
+                    ctx.interval_fields(F, E)
 
 
 def test_poset_index_agrees_with_literal_scans_on_a_deep_lattice():
     ctx = get_ctx("radical:a=2,n=24")  # 944 subgroups
-    subs = ctx.subgroups
-    trivial, full = subs[0], subs[-1]
-    for S in subs:
-        assert ctx.between(S, full) == [T for T in subs if S.mask & T.mask == S.mask]
-        assert ctx.between(trivial, S) == [T for T in subs if S.mask & T.mask == T.mask]
+    fields = ctx.all_fields()
+    K, N = ctx.base, ctx.top_closure
+    for E in fields:
+        S = E.subgroup.mask
+        assert ctx.interval_fields(K, E) == [M for M in fields
+                                             if S & M.subgroup.mask == S]
+        assert ctx.interval_fields(E, N) == [M for M in fields
+                                             if S & M.subgroup.mask == M.subgroup.mask]
+
+
+@pytest.mark.parametrize("name", ["radical:a=2,n=20", "selmer-serre:n=5"])
+def test_field_containment_agrees_with_subgroup_masks(name):
+    fields = get_ctx(name).all_fields()
+    for E in fields:
+        for F in fields:
+            contained = F.subgroup.mask & E.subgroup.mask == F.subgroup.mask
+            assert (E <= F) is contained, (name, E.name, F.name)
 
 
 @pytest.mark.parametrize("name", [
@@ -416,22 +428,26 @@ def test_normalizer_index_agrees_with_brute_force(name):
         normalizer = tuple(g for g in range(G.order)
                            if all(A.mask >> tab[tab[g][a]][inv[g]] & 1 for a in A.key))
         assert subs[ctx._npos[i]].key == normalizer, (name, i)
-    for lo, A in enumerate(subs):
-        for B in ctx.between(A, subs[-1]):
+    for A, E in zip(subs, fields):
+        for F in ctx.interval_fields(ctx.base, E):
+            B = F.subgroup
             assert ctx.normal_in(A, B) == pg.is_normal(A, B), (name, A.key, B.key)
-            between = ctx.between(A, B)
-            assert ctx.normal_between(A, B) == [S for S in between if pg.is_normal(S, B)]
-            E, F = fields[lo], ctx.field_of(B)
+            interval = ctx.interval_fields(F, E)
+            galois = [M for M in interval if M != F and pg.is_normal(M.subgroup, B)]
+            assert ctx.galois_steps(F, E) == [
+                M for M in galois
+                if not any(X != M and M.subgroup.mask & X.subgroup.mask == M.subgroup.mask
+                           for X in galois)], (name, A.key, B.key)
             literal = E != F and not any(
-                S not in (A, B) and pg.is_normal(S, B) for S in between)
+                M not in (E, F) and pg.is_normal(M.subgroup, B) for M in interval)
             assert dis.is_galsimple(ctx, E, F) == literal, (name, A.key, B.key)
 
 
 def test_normalizer_index_agrees_with_is_normal_on_a_deep_lattice():
     ctx = get_ctx("radical:a=2,n=24")  # 944 subgroups
-    subs = ctx.subgroups
-    for A in subs:
-        for B in ctx.between(A, subs[-1]):
+    for A, E in zip(ctx.subgroups, ctx.all_fields()):
+        for F in ctx.interval_fields(ctx.base, E):
+            B = F.subgroup
             assert ctx.normal_in(A, B) == pg.is_normal(A, B), (A.key, B.key)
 
 
@@ -446,20 +462,21 @@ def test_normal_in_requires_nested_subgroups(r26):
     "cyclo-radical:n=1,d=9,l=2", "random:0", "random:1", "random:2", "random:3"])
 def test_subnormal_closure_matches_the_span_reference(name):
     # the lattice walk gives the span-based closure and chain on every pair,
-    # as the context's own subgroup objects
+    # as the context's own field refs
     ctx = _index_ctx(name)
-    subs = ctx.subgroups
-    for B in subs:
-        for H in ctx.between(subs[0], B):
-            got, chain = ctx.subnormal_closure(H, B)
-            assert (got, chain) == pg.subnormal_closure(H, B), (name, H.key, B.key)
-            assert all(any(sg is S for sg in subs) for S in [got, *chain])
+    fields = ctx.all_fields()
+    for F in fields:
+        for E in ctx.interval_fields(F, ctx.top_closure):
+            M, chain = ctx.subnormal_closure(E, F)
+            assert (M.subgroup, [X.subgroup for X in chain]) == \
+                pg.subnormal_closure(E.subgroup, F.subgroup), (name, E.name, F.name)
+            assert all(X is fields[X.pos] for X in [M, *chain])
 
 
 def test_subnormal_closure_requires_nested_subgroups(r26):
-    A, B = r26.field_by_name("Q(sqrt2)").subgroup, r26.field_by_name("Q(3rt2)").subgroup
-    with pytest.raises(gal.GaloisError, match="requires H <= B"):
-        r26.subnormal_closure(A, B)
+    E, F = r26.field_by_name("Q(sqrt2)"), r26.field_by_name("Q(3rt2)")
+    with pytest.raises(gal.GaloisError, match="requires F <= E"):
+        r26.subnormal_closure(E, F)
 
 
 def test_names_table_gives_the_first_name_for_display():
@@ -476,27 +493,60 @@ def test_names_table_gives_the_first_name_for_display():
     assert gal.GaloisContext(g, names={"K": g.full_subgroup()}).base.name == "K"
 
 
-def test_maximal_among_keeps_repeated_members():
-    ctx = get_ctx("radical:a=2,n=12")
-    A, B = ctx.subgroups[3], ctx.subgroups[-1]
-    assert ctx.maximal_among([A]) == [A]
-    assert ctx.maximal_among([A, A]) == [A, A]
-    assert ctx.maximal_among([A, B, A]) == [B]
-
-
 def test_index_rejects_subgroups_of_another_group():
     ctx = get_ctx("radical:a=2,n=12")
     G6 = get_ctx("radical:a=2,n=6").group
     own, foreign = ctx.group.full_subgroup(), G6.full_subgroup()
-    calls = [lambda: ctx.between(G6.trivial_subgroup(), foreign),
-             lambda: ctx.between(ctx.group.trivial_subgroup(), foreign),
-             lambda: ctx.between(G6.trivial_subgroup(), own),
-             lambda: ctx.maximal_subgroups(foreign),
-             lambda: ctx.maximal_among([own, foreign])]
+    calls = [lambda: ctx.field_of(foreign),
+             lambda: ctx.normal_in(G6.trivial_subgroup(), foreign),
+             lambda: ctx.normal_in(ctx.group.trivial_subgroup(), foreign),
+             lambda: ctx.normal_in(G6.trivial_subgroup(), own)]
     for call in calls:
         with pytest.raises(gal.GaloisError,
                            match="does not belong to this context's group"):
             call()
+
+
+@pytest.mark.parametrize("reader, foreign", [
+    ("radical:a=2,n=12", "radical:a=2,n=6"),  # read through a larger context
+    ("radical:a=2,n=6", "radical:a=2,n=12"),  # through a smaller one
+])
+def test_field_reads_refuse_refs_of_another_context(reader, foreign):
+    # n=6's Q(sqrt2) and Q(3rt2) read by n=12's bitsets gave N for their
+    # compositum and an unnamed field for their intersection; n=12's refs
+    # read by n=6's bitsets ran off their ends
+    ctx, other = get_ctx(reader), get_ctx(foreign)
+    E, F = other.field_by_name("Q(sqrt2)"), other.field_by_name("Q(3rt2)")
+    K, N, own = other.base, other.top_closure, ctx.field_by_name("Q(sqrt2)")
+    calls = {
+        "interval_fields": lambda: ctx.interval_fields(K, E),
+        "interval_fields, one foreign": lambda: ctx.interval_fields(ctx.base, E),
+        "covers": lambda: ctx.covers(E),
+        "galois_steps": lambda: ctx.galois_steps(K, E),
+        "subnormal_closure": lambda: ctx.subnormal_closure(E, K),
+        "quotient_group": lambda: ctx.quotient_group(E, K),
+        "display_name": lambda: ctx.display_name(E),
+        "<=": lambda: own <= N,
+        "degree": lambda: gal.degree(ctx, E, K),
+        "compositum": lambda: gal.compositum(ctx, E, F),
+        "intersect_fields": lambda: gal.intersect_fields(ctx, E, F),
+        "is_galois": lambda: gal.is_galois(ctx, E, K),
+        "galois_group": lambda: gal.galois_group(ctx, E, K),
+        "Quadrilateral": lambda: gal.Quadrilateral(ctx.base, own, N, ctx.base),
+        "ecartele_identities": lambda: gal.ecartele_identities(ctx, E, F, E, F),
+        "is_galtourable": lambda: dis.is_galtourable(ctx, E, K),
+        "is_galsimple": lambda: dis.is_galsimple(ctx, E, K),
+        "intourability_field": lambda: dis.intourability_field(ctx, E, K),
+    }
+    answered = []
+    for what, call in calls.items():
+        try:
+            call()
+        except gal.GaloisError as exc:
+            if "different contexts" in str(exc):
+                continue
+        answered.append(what)
+    assert answered == []
 
 
 def test_instance_json_round_trip(klein):

@@ -140,7 +140,7 @@ def test_oracles_do_not_call_the_main_path(monkeypatch):
         raise AssertionError("oracle called the main path")
     for fn in ("is_normal", "normal_closure", "subnormal_closure", "all_subgroups"):
         monkeypatch.setattr(pg, fn, banned)
-    for method in ("subnormal_closure", "normal_in", "normal_between"):
+    for method in ("subnormal_closure", "normal_in", "galois_steps", "covers"):
         monkeypatch.setattr(gal.GaloisContext, method, banned)
     monkeypatch.setattr(orc, "_literal_normal_memo", {})
     monkeypatch.setattr(orc, "_literal_subnormal_memo", {})
@@ -148,10 +148,9 @@ def test_oracles_do_not_call_the_main_path(monkeypatch):
         K, L = ctx.base, ctx.distinguished
         assert isinstance(orc.bf_galtourable(ctx, L, K), bool), name
         assert orc.bf_intourability(ctx, L, K)[1] == 1, name
-        full = ctx.group.full_subgroup()
-        for H in ctx.subgroups:
-            assert H <= orc.bf_smallest_subnormal(ctx, H, full), (name, H.key)
-            assert isinstance(orc._literal_galsimple(ctx, H, full), bool), name
+        for E in ctx.all_fields():
+            assert K <= orc.bf_smallest_subnormal(ctx, E, K) <= E, (name, E.name)
+            assert isinstance(orc._literal_galsimple(ctx, E, K), bool), name
         assert orc.bf_composition_towers(ctx, ctx.top_closure, K), name
 
 
@@ -211,16 +210,18 @@ def test_is_simple_agrees_with_literal_galsimple():
                 if N <= B and orc.literal_is_normal(N, B):
                     E, F = ctx.field_of(N), ctx.field_of(B)
                     assert pg.is_simple(pg.quotient(B, N)) == \
-                        orc._literal_galsimple(ctx, N, B), (name, E.name, F.name)
+                        orc._literal_galsimple(ctx, E, F), (name, E.name, F.name)
 
 
-def test_between_and_normal_in_agree_with_literal_scans():
+def test_interval_fields_and_normal_in_agree_with_literal_scans():
     for name in ("klein", "radical:a=2,n=12", "selmer-serre:n=4"):
         ctx = get_ctx(name)
-        for lo in ctx.subgroups:
-            for hi in ctx.subgroups:
+        fields = ctx.all_fields()
+        for E in fields:
+            for F in fields:
+                lo, hi = E.subgroup, F.subgroup
                 if lo <= hi:
-                    assert ctx.between(lo, hi) == \
-                        [S for S in ctx.subgroups if lo <= S <= hi], (name, lo.key, hi.key)
+                    assert ctx.interval_fields(F, E) == \
+                        [M for M in fields if lo <= M.subgroup <= hi], (name, lo.key, hi.key)
                     assert ctx.normal_in(lo, hi) == \
                         orc.literal_is_normal(lo, hi), (name, lo.key, hi.key)

@@ -138,6 +138,60 @@ def test_radicand_with_zero_denominator_is_a_preset_error(capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("selector", [
+    "radical:a=2,n=x", "radical:a=x,n=6", "selmer-serre:n=",
+    "cyclo-radical:n=1,d=x,l=2"])
+def test_unparsable_selector_value_is_a_preset_error(capsys, selector):
+    with pytest.raises(PresetError, match=re.escape(f"selector {selector!r}: ")):
+        presets.load_instance(selector)
+    assert cli.main(["analyze", selector]) == 2
+    assert f"error: selector {selector!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"degree": "x", "generators": []}', b'\xff{"degree": 4, "generators": []}',
+], ids=["degree", "not-utf-8"])
+def test_unparsable_instance_file_is_a_preset_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(PresetError, match="bad.json: "):
+        presets.from_file(str(path))
+    assert cli.main(["analyze", f"file:{path}"]) == 2
+    assert "bad.json: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [KeyError(5), ZeroDivisionError("x"), ValueError("x")],
+                         ids=lambda exc: type(exc).__name__)
+@pytest.mark.parametrize("where", ["radical", "file", "verb"])
+def test_library_error_is_not_a_user_error(tmp_path, monkeypatch, error, where):
+    # only parsing a selector or a file is the user's error; the same
+    # exception from inside a constructor or a verb is a bug: a traceback
+    import galtour.dissociation as dis
+
+    def broken(*args, **kwargs):
+        raise error
+    if where == "verb":
+        monkeypatch.setattr(dis, "intourability_field", broken)
+        selector = "radical:a=2,n=6"
+    else:
+        monkeypatch.setattr(gal, "_lattice_index", broken)
+        presets.radical_context.cache_clear()
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(KLEIN_INSTANCE))
+        selector = "radical:a=2,n=7" if where == "radical" else f"file:{path}"
+    with pytest.raises(type(error)):
+        cli.main(["analyze", selector])
+
+
+def test_huge_radicand_is_refused_before_the_power_tests(monkeypatch):
+    # the square-root test on a = 10^1000000 ran for more than a minute
+    monkeypatch.setattr(presets, "is_rational_pth_power", _banned)
+    with pytest.raises(PresetError, match="radicand a has more than 14000 bits"):
+        presets.load_instance("radical:a=1e1000000,n=6")
+    with pytest.raises(PresetError, match="radicand a has more than 14000 bits"):
+        presets.radical_context(Fraction(1, 2 ** 14000), 3)
+
+
 def test_radical_spec_validation():
     radical = presets.radical_context
     assert radical(Fraction(2), 6).group.order == 12
@@ -181,6 +235,20 @@ def test_equal_arguments_share_one_cached_context(selector, build, args):
     assert presets.load_instance(selector) is ctx  # the CLI shares the entry
     with pytest.raises(TypeError):
         build(*args(), bound)  # the bound is keyword-only
+
+
+def test_preset_cache_keeps_at_most_its_size():
+    radical = presets.radical_context
+    radicands = [a for a in range(2, 40) if round(a ** (1 / 3)) ** 3 != a]
+    radicands = radicands[:presets.PRESET_CACHE_SIZE + 1]
+    radical.cache_clear()
+    for a in radicands:
+        radical(Fraction(a), 3)
+    assert radical.cache_info().currsize == presets.PRESET_CACHE_SIZE
+    last = radical(Fraction(radicands[-1]), 3)
+    assert radical(Fraction(radicands[-1]), 3) is last
+    assert presets.load_instance(f"radical:a={radicands[-1]},n=3") is last
+    assert radical.cache_info().currsize == presets.PRESET_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +409,27 @@ def test_malformed_instance_file_is_a_preset_error(tmp_path, capsys, change, mes
         presets.from_file(str(path))
     assert cli.main(["analyze", f"file:{path}"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_instance_degree_past_the_bound_is_refused_before_building(monkeypatch):
+    # a degree of 10^8 with no generators ran out of memory building the
+    # identity permutation
+    monkeypatch.setattr(pg, "generate", _banned)
+    monkeypatch.setattr(pg.Permutation, "__init__", _banned)
+    degree = presets.INSTANCE_DEGREE_BOUND + 1
+    with pytest.raises(pg.BoundExceeded,
+                       match=f"degree {degree} exceeds instance degree bound"):
+        presets.from_dict({"degree": degree, "generators": []})
+
+
+def test_instance_group_is_closed_under_the_enumeration_bound():
+    # the closure of a 1000-cycle stops at 384 elements, not at 10 000
+    cycle = "(" + " ".join(str(i) for i in range(1, 1001)) + ")"
+    data = {"degree": 1000, "generators": [cycle]}
+    with pytest.raises(pg.BoundExceeded, match="closure exceeds bound 384 "):
+        presets.from_dict(data)
+    with pytest.raises(pg.BoundExceeded, match="closure exceeds bound 999 "):
+        presets.from_dict(data, enumeration_bound=999)
 
 
 def test_load_instance_selectors(tmp_path):

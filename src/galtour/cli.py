@@ -27,7 +27,8 @@ USER_ERRORS = (presets.PresetError, gal.GaloisError, tw.TowerError,
 def _parse_tower(ctx, text: str) -> tw.Tower:
     try:
         names = json.loads(text)
-    except ValueError as exc:  # not JSON, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
+        # not JSON, an integer past the digit limit, or nested too deep
         raise tw.TowerError(f"bad tower JSON {text!r}: {exc}") from exc
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise tw.TowerError("tower must be a JSON list of field names")

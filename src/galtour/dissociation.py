@@ -198,8 +198,9 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
     if not (tw.is_galois_tower(r1) and tw.is_galois_tower(r2)):
         raise TheoremViolation("refinement formulas produced a non-Galois tower")
     sigma = schreier_sigma(m, n)
-    q1 = tw.marche_groups(r1)
-    q2 = tw.marche_groups(r2)
+    # r1 and r2 were just checked Galois: read their quotients directly
+    q1 = [r1.ctx.quotient_group(hi, lo) for lo, hi in r1.marches()]
+    q2 = [r2.ctx.quotient_group(hi, lo) for lo, hi in r2.marches()]
     isos = []
     for l in range(1, m * n + 1):
         phi = pg.isomorphism(q1[l - 1], q2[sigma[l - 1] - 1])

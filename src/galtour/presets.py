@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache, wraps
 
@@ -385,7 +386,8 @@ def from_file(path: str,
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.loads(fh.read(), object_pairs_hook=no_dup_pairs)
-        except ValueError as exc:  # not UTF-8, not JSON, or past the int digit limit
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, not JSON, past the int digit limit, or nested too deep
             raise PresetError(f"{path}: parse error: {exc}") from exc
     return from_dict(data, enumeration_bound=enumeration_bound, source=path)
 
@@ -410,6 +412,21 @@ def _parse_params(text: str, keys: str) -> dict:
     return out
 
 
+def _radicand(text: str) -> Fraction:
+    """``Fraction(text)``, refused first if the decimal exponent alone gives
+    a numerator or denominator of more than RADICAND_BITS bits, since
+    Fraction builds 10**exponent before any size check.  An exponent e
+    does so once e > RADICAND_BITS + len(text): 10**m has more than m
+    bits, and the mantissa's digits cancel fewer than len(text) of its
+    powers of ten (a zero mantissa is refused too)."""
+    m = re.search(r"[eE][-+]?(\d[\d_]*)\s*\Z", text)
+    if m:
+        exponent = m.group(1).replace("_", "").lstrip("0") or "0"
+        if len(exponent) > 20 or int(exponent) > RADICAND_BITS + len(text):
+            raise PresetError(f"radicand a has more than {RADICAND_BITS} bits")
+    return Fraction(text)
+
+
 def load_instance(selector: str,
                   enumeration_bound: int | None = None) -> GaloisContext:
     """Resolve a CLI instance selector to a context.
@@ -429,7 +446,7 @@ def load_instance(selector: str,
         if kind == "radical":
             p = _parse_params(rest, "a,n")
             n = int(p["n"])  # before a, so a bad n is reported first
-            args = (Fraction(p["a"]), n)
+            args = (_radicand(p["a"]), n)
         elif kind == "cyclo-radical":
             p = _parse_params(rest, "n,d,l")
             args = (int(p["n"]), int(p["d"]), int(p["l"]))

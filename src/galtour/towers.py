@@ -334,7 +334,7 @@ def marche_groups(t: Tower) -> list:
     """Gal(F_i / F_{i-1}) for each marche; requires a Galois tower."""
     if not is_galois_tower(t):
         raise TowerError("marche groups require a Galois tower")
-    return [gal.galois_group(t.ctx, hi, lo) for lo, hi in t.marches()]
+    return [t.ctx.quotient_group(hi, lo) for lo, hi in t.marches()]
 
 
 def equivalence_witness(t1: Tower, t2: Tower) -> EquivalenceWitness | None:

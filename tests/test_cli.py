@@ -117,6 +117,15 @@ def test_refine_rejects_non_galois_tower(capsys):
     assert "Q(3rt2)" in err
 
 
+def test_deeply_nested_tower_json_exits_2(capsys):
+    # json.loads raised RecursionError, which ended in a traceback
+    deep = "[" * 5000 + "]" * 5000
+    code, _, err = run(capsys, "check-equiv", "radical:a=2,n=6",
+                       "--tower", deep, "--tower", '["Q","N"]')
+    assert code == 2
+    assert err.startswith("error: bad tower JSON")
+
+
 def test_refine_strict(capsys):
     code, out, _ = run(capsys, "refine", "radical:a=2,n=4", "--strict",
                        "--tower", '["K","Q(sqrt2)","N"]',

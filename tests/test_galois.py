@@ -451,6 +451,20 @@ def test_normalizer_index_agrees_with_is_normal_on_a_deep_lattice():
             assert ctx.normal_in(A, B) == pg.is_normal(A, B), (A.key, B.key)
 
 
+@pytest.mark.parametrize("name", [
+    "klein", "radical:a=2,n=12", "selmer-serre:n=4", "selmer-serre:n=5",
+    "random:0", "random:1", "random:2", "random:3",
+    "radical:a=2,n=20", "cyclo-radical:n=1,d=9,l=2", "radical:a=2,n=24"])
+def test_galois_row_agrees_with_is_normal(name):
+    # bit j of nbelow[f] is set iff subgroup j <= subgroup f is normal in it
+    ctx = _index_ctx(name)
+    subs = ctx.subgroups
+    for f, B in enumerate(subs):
+        assert ctx._nbelow[f] & ~ctx._down[f] == 0, (name, f)
+        for j in gal._pick(range(f + 1), ctx._down[f]):
+            assert ctx._nbelow[f] >> j & 1 == pg.is_normal(subs[j], B), (name, j, f)
+
+
 def test_normal_in_requires_nested_subgroups(r26):
     A, B = r26.field_by_name("Q(sqrt2)").subgroup, r26.field_by_name("Q(3rt2)").subgroup
     with pytest.raises(gal.GaloisError, match="requires A <= B"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import weakref
 
 import pytest
@@ -152,6 +153,9 @@ def test_oracles_do_not_call_the_main_path(monkeypatch):
             assert K <= orc.bf_smallest_subnormal(ctx, E, K) <= E, (name, E.name)
             assert isinstance(orc._literal_galsimple(ctx, E, K), bool), name
         assert orc.bf_composition_towers(ctx, ctx.top_closure, K), name
+    # nor do they read the index's normalizer positions or Galois row
+    source = inspect.getsource(orc)
+    assert "_nbelow" not in source and "_npos" not in source
 
 
 def test_literal_normal_memo_ignores_freed_groups():

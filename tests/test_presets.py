@@ -192,6 +192,41 @@ def test_huge_radicand_is_refused_before_the_power_tests(monkeypatch):
         presets.radical_context(Fraction(1, 2 ** 14000), 3)
 
 
+@pytest.mark.parametrize("a", [
+    "1e100000000", "1E-100000000", "0e100000000", "25e14100", "1e" + "9" * 5000],
+    ids=["1e100000000", "1E-100000000", "0e100000000", "25e14100", "1e9x5000"])
+def test_radicand_exponent_is_refused_before_fraction(monkeypatch, a):
+    # Fraction("1e100000000") builds 10**100000000 before any size check:
+    # more than a minute
+    def fraction(text, *rest):
+        if text == a:
+            raise AssertionError(f"Fraction({text[:20]!r}) expands the exponent")
+        return Fraction(text, *rest)
+    monkeypatch.setattr(presets, "Fraction", fraction)
+    with pytest.raises(PresetError, match="radicand a has more than 14000 bits"):
+        presets.load_instance(f"radical:a={a},n=6")
+
+
+def test_radicand_exponent_within_the_bound_is_parsed():
+    assert presets._radicand("2e4000") == 2 * 10 ** 4000
+    assert presets._radicand("25e-1") == Fraction(5, 2)
+    assert presets._radicand(" 1.5E3 ") == 1500
+    # the mantissa's digits cancel part of a large negative exponent
+    assert presets._radicand("1" + "0" * 4000 + "e-4003") == Fraction(1, 1000)
+    with pytest.raises(PresetError, match="radicand a has more than 14000 bits"):
+        presets.load_instance("radical:a=1e14000,n=6")
+
+
+def test_deeply_nested_instance_file_is_a_preset_error(tmp_path, capsys):
+    # json.loads raised RecursionError, which ended in a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(PresetError, match="deep.json: parse error"):
+        presets.from_file(str(path))
+    assert cli.main(["analyze", f"file:{path}"]) == 2
+    assert "deep.json: parse error" in capsys.readouterr().err
+
+
 def test_radical_spec_validation():
     radical = presets.radical_context
     assert radical(Fraction(2), 6).group.order == 12

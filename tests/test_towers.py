@@ -322,6 +322,34 @@ def test_equivalence_requires_galois(r26):
         tw.equivalence_witness(t, t)
 
 
+def test_marche_groups_require_a_galois_tower(r26):
+    t = tw.make_tower(r26, [r26.base, r26.field_by_name("Q(3rt2)"),
+                            r26.distinguished])
+    with pytest.raises(tw.TowerError, match="marche groups require a Galois tower"):
+        tw.marche_groups(t)
+
+
+def test_marche_groups_check_each_marche_once(r26, monkeypatch):
+    t = tw.make_tower(r26, [r26.base, r26.field_by_name("Q(zeta3)"), r26.top_closure])
+    checked, tested = [], []
+
+    def counted(ctx, E, F):
+        checked.append((F, E))
+        return is_galois(ctx, E, F)
+
+    def counted_normal_in(ctx, A, B):
+        tested.append((A, B))
+        return normal_in(ctx, A, B)
+    is_galois, normal_in = gal.is_galois, gal.GaloisContext.normal_in
+    monkeypatch.setattr(gal, "is_galois", counted)
+    monkeypatch.setattr(gal.GaloisContext, "normal_in", counted_normal_in)
+    groups = tw.marche_groups(t)
+    # one Galois check per marche, each one normality test
+    assert checked == list(t.marches())
+    assert tested == [(hi.subgroup, lo.subgroup) for lo, hi in t.marches()]
+    assert [q.order for q in groups] == [2, 6]
+
+
 def test_equivalence_is_equivalence_relation(klein):
     N = klein.top_closure
     ts = [tw.make_tower(klein, [klein.base, klein.field_by_name(n), N])

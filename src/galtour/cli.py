@@ -24,12 +24,17 @@ USER_ERRORS = (presets.PresetError, gal.GaloisError, tw.TowerError,
                pg.PermGroupError, OSError)
 
 
+TOWER_QUOTE = 40  # characters of a bad --tower text its error quotes
+
+
 def _parse_tower(ctx, text: str) -> tw.Tower:
     try:
         names = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # not JSON, an integer past the digit limit, or nested too deep
-        raise tw.TowerError(f"bad tower JSON {text!r}: {exc}") from exc
+        shown = (repr(text) if len(text) <= TOWER_QUOTE else
+                 f"{text[:TOWER_QUOTE]!r}... ({len(text)} characters)")
+        raise tw.TowerError(f"bad tower JSON {shown}: {exc}") from exc
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise tw.TowerError("tower must be a JSON list of field names")
     return tw.make_tower(ctx, [ctx.field_by_name(n) for n in names])

@@ -59,7 +59,7 @@ def galois_tower_witness(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Tower:
 
 def is_simple_ext(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """No proper intermediate field: Subgroup(E) is maximal in Subgroup(F)."""
-    return len(ctx.interval_fields(F, E)) == 2
+    return ctx.interval_size(F, E) == 2
 
 
 def is_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
@@ -207,7 +207,7 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
         if phi is None:
             raise TheoremViolation(f"marche {l} has no isomorphic partner")
         isos.append(phi)
-    witness = tw.EquivalenceWitness(r1, r2, sigma, isos)
+    witness = tw.EquivalenceWitness._of_quotients(q1, q2, sigma, isos)
     return r1, r2, witness
 
 

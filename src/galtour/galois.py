@@ -182,6 +182,12 @@ class GaloisContext:
         self._nested(F, E, "interval")
         return _pick(self._fields, self._up[E.pos] & self._down[F.pos])
 
+    def interval_size(self, F: FieldRef, E: FieldRef) -> int:
+        """The number of fields M with F <= M <= E, counted without building
+        them; requires F <= E."""
+        self._nested(F, E, "interval")
+        return (self._up[E.pos] & self._down[F.pos]).bit_count()
+
     def covers(self, F: FieldRef) -> list:
         """The minimal fields strictly above F, canonical order: the proper
         subgroups j of Subgroup(F) whose up-set meets the others in j alone."""
@@ -552,14 +558,15 @@ def bijection_S(ctx: GaloisContext, par: Quadrilateral,
 def to_dot(ctx: GaloisContext) -> str:
     """DOT graph of the field lattice: covering edges, doubled when Galois."""
     fields = ctx.all_fields()
+    names = [ref.name for ref in fields]  # by position, each computed once
     lines = ["digraph field_lattice {", "  rankdir=BT;"]
-    for ref in fields:
+    for ref, name in zip(fields, names):
         d = degree(ctx, ref, ctx.base)
-        lines.append(f'  "{ref.name}" [label="{ref.name} [deg {d} over base]"];')
+        lines.append(f'  "{name}" [label="{name} [deg {d} over base]"];')
     for lower in fields:
         for upper in ctx.covers(lower):
             attr = ' [color="black:black"]' if is_galois(ctx, upper, lower) else ""
-            lines.append(f'  "{lower.name}" -> "{upper.name}"{attr};')
+            lines.append(f'  "{names[lower.pos]}" -> "{names[upper.pos]}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -162,10 +162,11 @@ class AbstractGroup:
     Latin-square property (which gives inverses), and for associativity when
     the order is within ``ASSOC_CHECK_BOUND``.  Tables the program derives
     from a verified group (quotients) are passed with ``_checked=True`` and
-    not re-checked.  Equality and hashing are by table.
+    not re-checked.  Equality and hashing are by table.  Inverses, element
+    orders and the greedy generators are computed on first use and kept.
     """
 
-    __slots__ = ("order", "_table", "_inv", "_orders")
+    __slots__ = ("order", "_table", "_inv", "_orders", "_gens")
 
     def __init__(self, table: Sequence[Sequence[int]], _checked=False):
         table = tuple(tuple(row) for row in table)
@@ -173,6 +174,7 @@ class AbstractGroup:
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_inv", None)
         object.__setattr__(self, "_orders", None)
+        object.__setattr__(self, "_gens", None)
         if not _checked:
             self._validate()
 
@@ -259,6 +261,12 @@ class AbstractGroup:
                 spanned = self.span(chosen, tuple(spanned))
         return tuple(chosen)
 
+    def gens(self) -> tuple:
+        """The greedy generators of the whole group, spanned once and kept."""
+        if self._gens is None:
+            object.__setattr__(self, "_gens", self.greedy_generators(range(self.order)))
+        return self._gens
+
     def normal_closure(self, gens: Iterable[int],
                        conjugators: Sequence[int]) -> set:
         """Labels of the smallest subgroup containing ``gens`` that every
@@ -299,7 +307,7 @@ class AbstractGroup:
         n = self.order
         if other.order != n or sorted(phi) != list(range(n)):
             return False
-        gens = self.greedy_generators(range(n))
+        gens = self.gens()
         images = [phi[g] for g in gens]
         return _close_homomorphism(self, other, gens, images) == tuple(phi)
 
@@ -372,6 +380,7 @@ class Group(AbstractGroup):
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_inv", None)
         object.__setattr__(self, "_orders", None)
+        object.__setattr__(self, "_gens", None)
         object.__setattr__(self, "_subgroups", None)
 
     __eq__ = object.__eq__
@@ -742,7 +751,7 @@ def are_isomorphic(G1: AbstractGroup, G2: AbstractGroup,
         raise BoundExceeded(f"order exceeds isomorphism bound {bound}")
     if G1.iso_invariant() != G2.iso_invariant():
         return None
-    gens = G1.greedy_generators(range(G1.order))
+    gens = G1.gens()
     ord1 = G1.element_orders()
     ord2 = G2.element_orders()
     candidates = [
@@ -765,7 +774,7 @@ def is_simple(A: AbstractGroup, bound: int = ISOMORPHISM_BOUND) -> bool:
         raise BoundExceeded(f"order exceeds bound {bound}")
     if A.order == 1:
         return False
-    conjugators = A.greedy_generators(range(A.order))
+    conjugators = A.gens()
     return all(len(A.normal_closure((g,), conjugators)) == A.order
                for g in range(1, A.order))
 

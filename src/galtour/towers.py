@@ -35,9 +35,13 @@ class TheoremViolation(Exception):
 
 
 class Tower:
-    """Non-decreasing field sequence F_0 <= ... <= F_m in one context."""
+    """Non-decreasing field sequence F_0 <= ... <= F_m in one context.
 
-    __slots__ = ("ctx", "fields")
+    Each containment is one bit of the context's up-sets, the bit
+    ``FieldRef.__le__`` reads; the marches are built once, here.
+    """
+
+    __slots__ = ("ctx", "fields", "_marches")
 
     def __init__(self, ctx: GaloisContext, fields: Sequence[FieldRef]):
         fields = tuple(fields)
@@ -46,12 +50,15 @@ class Tower:
         for f in fields:
             if f.ctx is not ctx:
                 raise TowerError("tower fields belong to a different context")
-        for a, b in zip(fields, fields[1:]):
-            if not a <= b:
+        marches = tuple(zip(fields, fields[1:]))
+        up = ctx._up
+        for a, b in marches:
+            if not up[b.pos] >> a.pos & 1:
                 raise TowerError(
                     f"non-monotone tower: {a.name} not contained in {b.name}")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "_marches", marches)
 
     def __setattr__(self, *a):
         raise AttributeError("Tower is immutable")
@@ -68,9 +75,9 @@ class Tower:
     def height(self) -> int:
         return len(self.fields) - 1
 
-    def marches(self):
+    def marches(self) -> tuple:
         """(F_i, F_{i+1}) pairs, one per marche."""
-        return list(zip(self.fields, self.fields[1:]))
+        return self._marches
 
     def __eq__(self, other) -> bool:
         # componentwise: equal sets of fields are not enough
@@ -299,23 +306,32 @@ class EquivalenceWitness:
     ``sigma`` is 1-based: marche i of the first tower corresponds to
     marche sigma[i-1] of the second; ``isos[i-1]`` maps element labels of
     Gal(F_i/F_{i-1}) to labels of Gal(E_{sigma(i)}/E_{sigma(i)-1}).  Both
-    are verified against the quotient tables at construction.
+    are verified at construction, each iso once against the quotient
+    tables: the constructor reads them with :func:`marche_groups`, and
+    :meth:`_of_quotients` takes the lists a caller already read from two
+    towers it checked Galois.
     """
 
     __slots__ = ("sigma", "isos")
 
     def __init__(self, t1: Tower, t2: Tower, sigma: Sequence[int],
                  isos: Sequence[tuple]):
-        sigma = tuple(sigma)
+        sigma = _permutation(sigma, t1.height, t2.height)
+        self._verify(marche_groups(t1), marche_groups(t2), sigma, isos)
+
+    @classmethod
+    def _of_quotients(cls, q1: Sequence[pg.AbstractGroup],
+                      q2: Sequence[pg.AbstractGroup], sigma: Sequence[int],
+                      isos: Sequence[tuple]) -> "EquivalenceWitness":
+        """The witness over the marche groups q1, q2 of two Galois towers."""
+        w = object.__new__(cls)
+        w._verify(q1, q2, _permutation(sigma, len(q1), len(q2)), isos)
+        return w
+
+    def _verify(self, q1, q2, sigma: tuple, isos: Sequence[tuple]) -> None:
         isos = tuple(tuple(i) for i in isos)
-        m = t1.height
-        if t2.height != m or sorted(sigma) != list(range(1, m + 1)):
-            raise TowerError("sigma is not a permutation of 1..m")
-        q1 = marche_groups(t1)
-        q2 = marche_groups(t2)
-        for i in range(m):
-            a, b = q1[i], q2[sigma[i] - 1]
-            if not a.is_isomorphism(b, isos[i]):
+        for i, a in enumerate(q1):
+            if not a.is_isomorphism(q2[sigma[i] - 1], isos[i]):
                 raise TowerError(f"iso {i + 1} is not an isomorphism")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "isos", isos)
@@ -328,6 +344,14 @@ class EquivalenceWitness:
 
     def __repr__(self) -> str:
         return f"EquivalenceWitness(sigma=({self.sigma_one_line()}))"
+
+
+def _permutation(sigma: Sequence[int], m: int, n: int) -> tuple:
+    """sigma as a tuple; it must permute 1..m, and the heights m, n agree."""
+    sigma = tuple(sigma)
+    if n != m or sorted(sigma) != list(range(1, m + 1)):
+        raise TowerError("sigma is not a permutation of 1..m")
+    return sigma
 
 
 def marche_groups(t: Tower) -> list:
@@ -374,4 +398,4 @@ def equivalence_witness(t1: Tower, t2: Tower) -> EquivalenceWitness | None:
                 break
         if not found:
             return None
-    return EquivalenceWitness(t1, t2, sigma, isos)
+    return EquivalenceWitness._of_quotients(q1, q2, sigma, isos)

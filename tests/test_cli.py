@@ -126,6 +126,21 @@ def test_deeply_nested_tower_json_exits_2(capsys):
     assert err.startswith("error: bad tower JSON")
 
 
+def test_long_bad_tower_error_is_one_short_line(capsys):
+    # the error quoted the whole --tower text: 100 000 characters here
+    deep = "[" * 50_000 + "]" * 50_000
+    code, _, err = run(capsys, "check-equiv", "radical:a=2,n=6",
+                       "--tower", deep, "--tower", '["Q","N"]')
+    assert code == 2
+    assert err.startswith("error: bad tower JSON '[[[[")
+    assert "(100000 characters)" in err
+    assert err.count("\n") == 1 and len(err.encode()) <= 300
+    code, _, err = run(capsys, "check-equiv", "radical:a=2,n=6",
+                       "--tower", '["K",', "--tower", '["Q","N"]')
+    assert code == 2  # a short text is still quoted whole
+    assert err.startswith("""error: bad tower JSON '["K",': """)
+
+
 def test_refine_strict(capsys):
     code, out, _ = run(capsys, "refine", "radical:a=2,n=4", "--strict",
                        "--tower", '["K","Q(sqrt2)","N"]',

@@ -394,6 +394,22 @@ def test_poset_index_agrees_with_literal_scans(name):
                     ctx.interval_fields(F, E)
 
 
+def test_interval_size_counts_the_interval():
+    ctx = get_ctx("radical:a=2,n=12")
+    fields = ctx.all_fields()
+    for F in fields:
+        for E in fields:
+            if F <= E:
+                assert ctx.interval_size(F, E) == len(ctx.interval_fields(F, E))
+            else:
+                with pytest.raises(gal.GaloisError,
+                                   match="interval requires F <= E"):
+                    ctx.interval_size(F, E)
+                with pytest.raises(gal.GaloisError,
+                                   match="interval requires F <= E"):
+                    dis.is_simple_ext(ctx, E, F)
+
+
 def test_poset_index_agrees_with_literal_scans_on_a_deep_lattice():
     ctx = get_ctx("radical:a=2,n=24")  # 944 subgroups
     fields = ctx.all_fields()
@@ -535,6 +551,8 @@ def test_field_reads_refuse_refs_of_another_context(reader, foreign):
     calls = {
         "interval_fields": lambda: ctx.interval_fields(K, E),
         "interval_fields, one foreign": lambda: ctx.interval_fields(ctx.base, E),
+        "interval_size": lambda: ctx.interval_size(K, E),
+        "is_simple_ext": lambda: dis.is_simple_ext(ctx, E, K),
         "covers": lambda: ctx.covers(E),
         "galois_steps": lambda: ctx.galois_steps(K, E),
         "subnormal_closure": lambda: ctx.subnormal_closure(E, K),

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import galtour.dissociation as dis
 import galtour.galois as gal
+import galtour.permgroup as pg
 import galtour.towers as tw
 from galtour.oracle import enumerate_towers
 from conftest import get_ctx
@@ -348,6 +351,83 @@ def test_marche_groups_check_each_marche_once(r26, monkeypatch):
     assert checked == list(t.marches())
     assert tested == [(hi.subgroup, lo.subgroup) for lo, hi in t.marches()]
     assert [q.order for q in groups] == [2, 6]
+
+
+def test_schreier_refine_and_equivalence_check_each_marche_once(r26, monkeypatch):
+    t1 = tw.make_tower(r26, [r26.base, r26.field_by_name("Q(zeta3)"), r26.top_closure])
+    t2 = tw.make_tower(r26, [r26.base, r26.field_by_name("Q(sqrt2)"), r26.top_closure])
+    assert tw.is_galois_tower(t1) and tw.is_galois_tower(t2)
+    calls = []
+
+    def counted(ctx, E, F):
+        calls.append((F, E))
+        return is_galois(ctx, E, F)
+    is_galois = gal.is_galois
+    monkeypatch.setattr(gal, "is_galois", counted)
+    r1, r2, _ = dis.schreier_refine(t1, t2)
+    # 2 + 2 on the inputs, 4 + 4 on the refined towers; the witness reuses them
+    assert len(calls) == 12
+    assert calls == list(t1.marches() + t2.marches() + r1.marches() + r2.marches())
+    calls.clear()
+    assert tw.equivalence_witness(t1, t1) is not None
+    assert calls == list(t1.marches() + t1.marches())
+
+
+def test_private_witness_constructor_verifies_every_iso(r24):
+    t = tw.make_tower(r24, [r24.base, r24.top_closure])
+    good = tw.equivalence_witness(t, t)
+    q = tw.marche_groups(t)
+    assert tw.EquivalenceWitness._of_quotients(q, q, good.sigma, good.isos).isos \
+        == good.isos
+    rejected = 0
+    for x, y in itertools.combinations(range(1, q[0].order), 2):
+        forged = list(good.isos[0])
+        forged[x], forged[y] = forged[y], forged[x]
+        if not q[0].is_isomorphism(q[0], forged):
+            with pytest.raises(tw.TowerError, match="iso 1 is not an isomorphism"):
+                tw.EquivalenceWitness._of_quotients(q, q, good.sigma, (forged,))
+            rejected += 1
+    assert rejected > 0
+    with pytest.raises(tw.TowerError, match="sigma is not a permutation"):
+        tw.EquivalenceWitness._of_quotients(q, q, (2,), good.isos)
+    with pytest.raises(tw.TowerError, match="sigma is not a permutation"):
+        tw.EquivalenceWitness._of_quotients(q, q + q, good.sigma, good.isos)
+
+
+def test_quotients_keep_their_greedy_generators(monkeypatch):
+    ctx = get_ctx("radical:a=2,n=12")
+    quotients = [ctx.quotient_group(hi, lo) for lo in ctx.all_fields()
+                 for hi in ctx.interval_fields(lo, ctx.top_closure)
+                 if gal.is_galois(ctx, hi, lo)]
+    assert len(quotients) > 100
+    for q in quotients:
+        assert q.gens() == q.greedy_generators(range(q.order))
+        assert len(q.span(q.gens())) == q.order
+    spans = []
+    greedy = pg.AbstractGroup.greedy_generators
+    monkeypatch.setattr(pg.AbstractGroup, "greedy_generators",
+                        lambda self, labels: spans.append(self) or greedy(self, labels))
+    for q in quotients[:40]:
+        phi = pg.are_isomorphic(q, q)
+        assert q.is_isomorphism(q, phi)
+    assert spans == []  # both read the generators kept above
+
+
+def test_tower_refusals_are_unchanged(r24, r26):
+    K, L, s2 = r26.base, r26.distinguished, r26.field_by_name("Q(sqrt2)")
+    with pytest.raises(tw.TowerError, match=r"^a tower has at least one field$"):
+        tw.Tower(r26, [])
+    message = f"non-monotone tower: {L.name} not contained in {s2.name}"
+    with pytest.raises(tw.TowerError, match=f"^{re.escape(message)}$"):
+        tw.Tower(r26, [K, L, s2])
+    with pytest.raises(tw.TowerError,
+                       match=r"^tower fields belong to a different context$"):
+        tw.Tower(r26, [K, r24.top_closure])
+    with pytest.raises(tw.TowerError,
+                       match=r"^tower fields belong to a different context$"):
+        tw.Tower(r24, [K])  # every field foreign, even a monotone one
+    t = tw.Tower(r26, [K, K, s2, L])
+    assert t.marches() == ((K, K), (K, s2), (s2, L)) and t.marches() is t.marches()
 
 
 def test_equivalence_is_equivalence_relation(klein):

@@ -3,13 +3,15 @@
 Verbs: analyze, m-field, tower-check, refine, compose, elevate,
 check-equiv, lattice, oracle.  Outputs are byte-identical across runs
 for fixed inputs.  Exit codes: 0 ok, 2 user/input error, 3 internal
-theorem violation (always a bug report, never user error).
+theorem violation (always a bug report, never user error), 141 when the
+reader of stdout closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import dissociation as dis
@@ -141,7 +143,8 @@ def cmd_refine(args, ctx) -> int:
     t2 = _parse_tower(ctx, args.tower[1])
     refine = dis.schreier_refine_strict if args.strict else dis.schreier_refine
     r1, r2, witness = refine(t1, t2)
-    q1 = tw.marche_groups(r1)
+    # the refinement has checked r1 Galois: read its quotients directly
+    q1 = [ctx.quotient_group(hi, lo) for lo, hi in r1.marches()]
     marches = [{"marche": i + 1, "to": witness.sigma[i],
                 "group": _group_class(q1[i])}
                for i in range(r1.height)]
@@ -277,7 +280,14 @@ def main(argv: list | None = None) -> int:
         return 2
     try:
         ctx = presets.load_instance(args.instance, enumeration_bound=args.bound)
-        return args.func(args, ctx)
+        code = args.func(args, ctx)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`galtour ... | head -1`): not an input error;
+        # stdout goes to devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process it killed
     except TheoremViolation as exc:
         print(f"theorem violation (internal bug): {exc}", file=sys.stderr)
         return 3

@@ -51,7 +51,11 @@ def galois_tower_witness(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Tower:
     closure, chain = ctx.subnormal_closure(E, F)
     if closure != E:
         raise gal.GaloisError(f"{E.name}/{F.name} is not galtourable")
-    t = Tower(ctx, chain)
+    return _checked_descent(Tower(ctx, chain))
+
+
+def _checked_descent(t: Tower) -> Tower:
+    """t itself, checked a strict Galois tower."""
     if not (tw.is_strict(t) and tw.is_galois_tower(t)):
         raise TheoremViolation("subnormal descent is not a strict Galois tower")
     return t
@@ -259,13 +263,16 @@ def butterfly_parallelogram_check(t1: Tower, t2: Tower) -> bool:
 # composition towers (Galois case)
 
 
+def _is_composition_galois(t: Tower) -> bool:
+    """Strict with every marche galsimple; the caller has checked t Galois."""
+    return tw.is_strict(t) and all(is_galsimple(t.ctx, hi, lo) for lo, hi in t.marches())
+
+
 def is_composition_tower_galois(t: Tower) -> bool:
     """Strict Galois tower with every marche galsimple."""
     if not tw.is_galois_tower(t):
         raise tw.TowerError("not a Galois tower")
-    if not tw.is_strict(t):
-        return False
-    return all(is_galsimple(t.ctx, hi, lo) for lo, hi in t.marches())
+    return _is_composition_galois(t)
 
 
 def galjordanholder_refine(t: Tower) -> Tower:
@@ -275,9 +282,18 @@ def galjordanholder_refine(t: Tower) -> Tower:
     series of its quotient group: repeatedly step to the first minimal
     Galois step inside the marche, whose subgroup is the least maximal
     proper normal subgroup still containing the marche's top subgroup.
+    Raises :class:`~galtour.towers.TowerError` unless t is a strict Galois
+    tower; the refinement is then checked to refine t and to be a
+    composition tower, each once.
     """
     if not tw.is_strict(t) or not tw.is_galois_tower(t):
         raise tw.TowerError("galjordanholder_refine requires a strict Galois tower")
+    return _jordanholder(t)
+
+
+def _jordanholder(t: Tower) -> Tower:
+    """:func:`galjordanholder_refine` on a tower the caller has checked
+    strict and Galois."""
     ctx = t.ctx
     fields = [t.base]
     for lo, hi in t.marches():
@@ -339,17 +355,32 @@ def is_elevation_tower(ctx: GaloisContext, e: Tower) -> bool:
 
 
 def is_composition_tower(ctx: GaloisContext, c: Tower) -> bool:
-    """c is induced by a Galois composition tower of M(L/K)/K."""
+    """c is induced by a Galois composition tower of M(L/K)/K.
+
+    The prefix below M(L/K) is checked Galois once, marche by marche,
+    then strict with every marche galsimple.
+    """
     prefix = _induced_prefix(ctx, c, intourability_field(ctx, c.top, c.base).M)
     return (prefix is not None and tw.is_galois_tower(prefix)
-            and is_composition_tower_galois(prefix))
+            and _is_composition_galois(prefix))
 
 
 def composition_tower_general(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Tower:
-    """A composition tower of any finite L/K, via its galtourable quotient."""
-    M = intourability_field(ctx, L, K).M
-    out = tw.induced(composition_tower_galois(ctx, M, K), L)
-    if not is_composition_tower(ctx, out):
+    """A composition tower of any finite L/K, via its galtourable quotient.
+
+    M(L/K) is computed once.  Its report's witness, the subnormal descent
+    of Subgroup(L) in Subgroup(K), is the descent of Subgroup(M(L/K)) too
+    (the normal closure of either in each term is the same), so it is
+    checked a strict Galois tower as :func:`galois_tower_witness` checks
+    its own and refined by Jordan-Holder, whose output is checked a
+    composition tower.  The result is then checked to be induced from
+    exactly that tower: each theorem check runs once per value.
+    """
+    rep = intourability_field(ctx, L, K)
+    comp = _jordanholder(_checked_descent(rep.witness_tower))
+    out = tw.induced(comp, L)
+    prefix = _induced_prefix(ctx, out, rep.M)
+    if prefix is None or prefix.fields != comp.fields:
         raise TheoremViolation(f"induced tower {out!r} is not a composition tower")
     return out
 

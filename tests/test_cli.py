@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -16,12 +18,15 @@ import galtour.galois as gal
 import galtour.towers as tw
 from galtour import cli, presets
 
+REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
-def _python(*args, timeout=None):
+
+def _python(*args, timeout=None, stdout=subprocess.PIPE):
     """Run a fresh interpreter that imports this source tree of galtour."""
     src = os.path.dirname(os.path.dirname(galtour.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=timeout)
 
 
@@ -115,6 +120,22 @@ def test_refine_rejects_non_galois_tower(capsys):
     assert code == 2
     assert "non-Galois marche" in err
     assert "Q(3rt2)" in err
+
+
+def test_plain_refine_reads_no_marche_groups(capsys, monkeypatch):
+    # schreier_refine has checked r1 Galois; the verb reads its quotients
+    ops = [op for op in json.loads((REFERENCE / "cli_towers.json").read_text())["ops"]
+           if op["verb"] == "refine" and "--strict" not in op["argv"]]
+    assert len(ops) == 39
+    calls = []
+    marche_groups = tw.marche_groups
+    monkeypatch.setattr(tw, "marche_groups", lambda t: calls.append(t) or marche_groups(t))
+    for op in ops:
+        code = cli.main(op["argv"])
+        out = capsys.readouterr().out.encode("utf-8")
+        assert (code, hashlib.sha256(out).hexdigest()) == \
+            (op["exit"], op["stdout_sha256"]), op["argv"]
+    assert calls == []
 
 
 def test_deeply_nested_tower_json_exits_2(capsys):
@@ -371,6 +392,24 @@ def test_optimized_mode_prints_the_same(argv):
                         for flags in ([], ["-O"]))
     assert plain.returncode == 0, plain.stderr
     assert (optimized.returncode, optimized.stdout) == (0, plain.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "radical:a=2,n=6"],   # fits the buffer: the final flush fails
+    ["lattice", "radical:a=2,n=12"],  # a write inside the verb fails
+])
+def test_closed_stdout_exits_141_with_nothing_on_stderr(argv, tmp_path):
+    # the reader is gone before the first write, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python("-m", "galtour.cli", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+    # an OSError while reading input is still an input error
+    proc = _python("-m", "galtour.cli", "analyze", f"file:{tmp_path / 'missing.json'}")
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ")
 
 
 def test_cli_import_loads_only_what_every_verb_runs():

@@ -16,7 +16,7 @@ import galtour.permgroup as pg
 import galtour.towers as tw
 from galtour import presets
 from galtour.oracle import bf_composition_towers, bf_galtourable, enumerate_towers
-from conftest import get_ctx, random_galois_tower, small_contexts
+from conftest import contexts_up_to_120, get_ctx, random_galois_tower, small_contexts
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +507,112 @@ def test_composition_tower_general_examples(r26, r29, ss5):
     assert t9.fields == (r29.base, r29.distinguished)
     t5 = dis.composition_tower_general(ss5, ss5.distinguished, ss5.base)
     assert t5.fields == (ss5.base, ss5.distinguished)
+
+
+def test_report_witness_is_the_galois_witness():
+    # the normal closure of Subgroup(L) and of Subgroup(M(L/K)) in each
+    # term of the descent agree, so composition_tower_general may reuse it
+    pairs = 0
+    for name, ctx in contexts_up_to_120().items():
+        for K in ctx.all_fields():
+            for L in ctx.interval_fields(K, ctx.top_closure):
+                rep = dis.intourability_field(ctx, L, K)
+                assert rep.witness_tower == dis.galois_tower_witness(ctx, rep.M, K), \
+                    (name, K.name, L.name)
+                if rep.M == K:
+                    assert rep.witness_tower.height == 0, (name, K.name, L.name)
+                pairs += 1
+    assert pairs > 1000
+
+
+def _count_is_galois(monkeypatch):
+    calls = []
+    is_galois = gal.is_galois
+
+    def counted(ctx, E, F):
+        calls.append((F, E))
+        return is_galois(ctx, E, F)
+    monkeypatch.setattr(gal, "is_galois", counted)
+    return calls
+
+
+def test_composition_tower_general_checks_each_marche_once(monkeypatch):
+    ctx = get_ctx("radical:a=2,n=12")
+    K, L = ctx.base, ctx.distinguished
+    rep = dis.intourability_field(ctx, L, K)
+    M = rep.M
+    assert K != M != L
+    reports, walks = [], []
+    intourability_field = dis.intourability_field
+    subnormal_closure = gal.GaloisContext.subnormal_closure
+
+    def counted_report(*args):
+        reports.append(args)
+        return intourability_field(*args)
+
+    def counted_walk(self, E, F):
+        walks.append((F, E))
+        return subnormal_closure(self, E, F)
+    monkeypatch.setattr(dis, "intourability_field", counted_report)
+    monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", counted_walk)
+    calls = _count_is_galois(monkeypatch)
+    out = dis.composition_tower_general(ctx, L, K)
+    comp = tw.make_tower(ctx, out.fields[:-1])
+    # L/M non-Galois, then the witness and its Jordan-Holder refinement
+    assert len(calls) == 5
+    assert calls == [(M, L)] + list(rep.witness_tower.marches() + comp.marches())
+    assert reports == [(ctx, L, K)]
+    # both walks are intourability_field's own: its closure and its
+    # galtourability re-check; the witness is not walked a third time
+    assert walks == [(K, L), (K, M)]
+    assert out.fields[-2:] == (M, L)
+
+
+def test_is_composition_tower_checks_each_prefix_marche_once(monkeypatch):
+    ctx = get_ctx("radical:a=2,n=12")
+    K, L = ctx.base, ctx.distinguished
+    c = dis.composition_tower_general(ctx, L, K)
+    prefix = tw.make_tower(ctx, c.fields[:-1])
+    calls = _count_is_galois(monkeypatch)
+    assert dis.is_composition_tower(ctx, c)
+    assert calls == [(prefix.top, L)] + list(prefix.marches())
+
+
+def test_composition_tower_general_refusals(monkeypatch):
+    r26, r24 = get_ctx("radical:a=2,n=6"), get_ctx("radical:a=2,n=4")
+    K, L = r26.base, r26.distinguished
+    rep = dis.intourability_field(r26, L, K)
+    intourability_field = dis.intourability_field
+    for forged in ([K, K, rep.M], [K, r26.field_by_name("Q(3rt2)")]):
+        # a witness that is not strict, or not Galois
+        monkeypatch.setattr(dis, "intourability_field", lambda *a, w=forged: (
+            intourability_field(*a)._replace(witness_tower=tw.make_tower(r26, w))))
+        with pytest.raises(tw.TheoremViolation,
+                           match="subnormal descent is not a strict Galois tower"):
+            dis.composition_tower_general(r26, L, K)
+    monkeypatch.setattr(dis, "intourability_field", intourability_field)
+    induced_prefix = dis._induced_prefix
+    for forge in (lambda p: None, lambda p: tw.make_tower(r26, (K,) + p.fields)):
+        # an induced tower whose prefix is missing or differs
+        monkeypatch.setattr(dis, "_induced_prefix", lambda *a, f=forge: f(induced_prefix(*a)))
+        with pytest.raises(tw.TheoremViolation, match="is not a composition tower"):
+            dis.composition_tower_general(r26, L, K)
+    monkeypatch.setattr(dis, "_induced_prefix", induced_prefix)
+    assert dis.composition_tower_general(r26, L, K).fields[-2:] == (rep.M, L)
+    # a Jordan-Holder step that is not galsimple (L/K galtourable, so
+    # intourability_field does not ask is_galsimple itself)
+    monkeypatch.setattr(dis, "is_galsimple", lambda ctx, E, F: False)
+    with pytest.raises(tw.TheoremViolation,
+                       match="Jordan-Holder refinement is not a composition tower"):
+        dis.composition_tower_general(r24, r24.distinguished, r24.base)
+
+
+def test_galjordanholder_refine_refuses_non_galois_towers(r26):
+    K, L = r26.base, r26.distinguished
+    for fields in ([K, r26.field_by_name("Q(3rt2)"), L], [K, K, L]):
+        with pytest.raises(tw.TowerError,
+                           match="galjordanholder_refine requires a strict Galois tower"):
+            dis.galjordanholder_refine(tw.make_tower(r26, fields))
 
 
 def test_equivalence_general(r26):

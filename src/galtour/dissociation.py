@@ -211,7 +211,7 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
         if phi is None:
             raise TheoremViolation(f"marche {l} has no isomorphic partner")
         isos.append(phi)
-    witness = tw.EquivalenceWitness._of_quotients(q1, q2, sigma, isos)
+    witness = tw.EquivalenceWitness(q1, q2, sigma, isos)
     return r1, r2, witness
 
 

@@ -12,11 +12,11 @@ subgroup join, and E/F is Galois exactly when Gal(N/E) is normal in
 Gal(N/F).  The context's lattice queries take and return fields:
 composita, field intersections, intervals, covers, Galois steps and
 subnormal closures are read by position from its lattice index (up- and
-down-sets, the normalizer of every position, and the Galois relation as
-one more row: the positions normal in each), and its quotient cache is
-keyed by position.  The fields of an interval Galois over its bottom,
-and a normal closure, are one AND of two rows, with no per-position
-test.  Only :meth:`GaloisContext.field_of` and
+down-sets, and the Galois relation as one more row: the positions normal
+in each), and its quotient cache is keyed by position.  E/F is Galois
+iff bit E of ``nbelow[F]`` is set; the fields of an interval Galois over
+its bottom, and a normal closure, are one AND of two rows, with no
+per-position test.  Only :meth:`GaloisContext.field_of` and
 :meth:`GaloisContext.normal_in` take subgroups.  :mod:`permgroup` only
 builds the group and its lattice and forms quotients.
 On top of that sit quadrilaterals (J,K,N,L) with K cap L = J and KL = N,
@@ -90,11 +90,11 @@ class GaloisContext:
     field -> display name), and every name resolves by :meth:`field_by_name`.
 
     Built at construction: the lattice index, i.e. per position in
-    ``subgroups`` the up- and down-set bitmasks, the position of the
-    subgroup's normalizer in G, and the ``nbelow`` bitmask of the
-    positions below it that are normal in it.  Normality of one pair is a
-    bit test; the fields of an interval Galois over its bottom are an AND.
-    Lazily filled: the quotient cache.
+    ``subgroups`` the up- and down-set bitmasks and the ``nbelow`` bitmask
+    of the positions below it that are normal in it, the one stored form
+    of the Galois relation.  Normality of one pair is a bit test; the
+    fields of an interval Galois over its bottom are an AND.
+    Lazily filled: the quotient cache, which holds only Galois pairs.
     Concurrent filling is safe: each entry is a deterministic value,
     written once (a race at most rewrites it).
     """
@@ -122,7 +122,7 @@ class GaloisContext:
             self.names.setdefault(ref, name)
         self.notes = dict(notes or {})
         self._quotient_cache: dict = {}
-        self._up, self._down, self._npos, self._nbelow = _lattice_index(
+        self._up, self._down, _, self._nbelow = _lattice_index(
             group, self.subgroups)
         self._frozen = True
 
@@ -198,12 +198,11 @@ class GaloisContext:
                 if below & self._up[j] == 1 << j]
 
     def normal_in(self, A: Subgroup, B: Subgroup) -> bool:
-        """A normal in B; requires A <= B.  A is normal in B iff B lies in
-        N_G(A), a bit of B's up-set."""
+        """A normal in B, bit A of ``nbelow[B]``; requires A <= B."""
         a, b = self._position(A), self._position(B)
         if not self._up[a] >> b & 1:
             raise GaloisError("normal_in requires A <= B")
-        return self._up[b] >> self._npos[a] & 1 == 1
+        return self._nbelow[b] >> a & 1 == 1
 
     def galois_steps(self, F: FieldRef, E: FieldRef) -> list:
         """The minimal fields M with F < M <= E and M/F Galois, canonical
@@ -243,18 +242,23 @@ class GaloisContext:
             b = j
 
     def quotient_group(self, E: FieldRef, F: FieldRef) -> AbstractGroup:
-        """Subgroup(F)/Subgroup(E), cached by position; requires E/F Galois."""
+        """Gal(E/F) = Subgroup(F)/Subgroup(E), cached by position.  Refuses
+        E/F not Galois, or not an extension: bit E of ``nbelow[F]`` clear."""
         self._own(E, F)
         key = (E.pos, F.pos)
         q = self._quotient_cache.get(key)
         if q is None:
+            if not self._nbelow[F.pos] >> E.pos & 1:
+                raise GaloisError(
+                    f"{E.name}/{F.name} is not Galois; no quotient group")
             q = self._quotient_cache[key] = pg.quotient(F.subgroup, E.subgroup)
         return q
 
 
 def _lattice_index(group: Group, subgroups: Sequence[Subgroup]) -> tuple:
     """(up, down, npos, nbelow) over lattice positions, all read from ``holds``:
-    holds[x] marks the positions whose subgroup contains element x.
+    holds[x] marks the positions whose subgroup contains element x.  The
+    context keeps up, down and nbelow; npos only builds nbelow.
 
     up[i] marks the subgroups containing subgroup i, the AND over i's
     greedy generators of the positions holding each; down is up
@@ -375,17 +379,10 @@ def intersect_fields(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> FieldRef:
 
 
 def is_galois(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
-    """E/F Galois iff Subgroup(E) is normal in Subgroup(F); requires F <= E."""
+    """E/F Galois iff Subgroup(E) is normal in Subgroup(F), bit E of
+    ``nbelow[F]``; requires F <= E."""
     ctx._nested(F, E, "is_galois")
-    return ctx.normal_in(E.subgroup, F.subgroup)
-
-
-def galois_group(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> AbstractGroup:
-    """Gal(E/F) = Subgroup(F)/Subgroup(E); requires E/F Galois."""
-    if not is_galois(ctx, E, F):
-        raise GaloisError(
-            f"{E.name}/{F.name} is not Galois; no quotient group")
-    return ctx.quotient_group(E, F)
+    return ctx._nbelow[F.pos] >> E.pos & 1 == 1
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ from .galois import FieldRef, GaloisContext
 from .permgroup import Subgroup
 from .towers import Tower
 
+BF_MAX_INTERVAL = 200  # fields in an interval bf_composition_towers searches
+TOWER_CAP = 4000  # towers enumerate_towers returns at most
+SAMPLE_SEED = 1729  # bf_refinement_predicates' draw of tower pairs
+
 
 class OracleReport(namedtuple(
         "OracleReport", "instance operation agreement counterexample")):
@@ -167,15 +171,14 @@ def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
 # composition towers by exhaustive chain enumeration
 
 
-def bf_composition_towers(ctx: GaloisContext, L: FieldRef, K: FieldRef,
-                          max_interval: int = 200) -> list:
+def bf_composition_towers(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> list:
     """Every strict Galois tower of L/K whose marches are all galsimple."""
     if not K <= L:
         raise gal.GaloisError("bf_composition_towers requires K <= L")
     interval = ctx.interval_fields(K, L)
-    if len(interval) > max_interval:
+    if len(interval) > BF_MAX_INTERVAL:
         raise pg.BoundExceeded(
-            f"interval has {len(interval)} subgroups > {max_interval}")
+            f"interval has {len(interval)} subgroups > {BF_MAX_INTERVAL}")
 
     def steps(F: FieldRef) -> list:
         return [M for M in ctx.interval_fields(F, L)
@@ -221,7 +224,7 @@ def _literal_galois_refinement(e: Tower, f: Tower) -> bool:
 
 
 def enumerate_towers(ctx: GaloisContext, K: FieldRef, L: FieldRef,
-                     max_height: int, cap: int = 4000) -> list:
+                     max_height: int) -> list:
     """All towers of L/K with height <= max_height, in DFS order."""
     if not K <= L:
         raise gal.GaloisError("enumerate_towers requires K <= L")
@@ -229,7 +232,7 @@ def enumerate_towers(ctx: GaloisContext, K: FieldRef, L: FieldRef,
     out: list = []
 
     def extend(prefix: list):
-        if len(out) >= cap:
+        if len(out) >= TOWER_CAP:
             return
         if prefix[-1] == L:
             out.append(Tower(ctx, prefix))
@@ -241,14 +244,13 @@ def enumerate_towers(ctx: GaloisContext, K: FieldRef, L: FieldRef,
                 extend(prefix + [nxt])
 
     extend([K])
-    return out[:cap]
+    return out[:TOWER_CAP]
 
 
 def bf_refinement_predicates(ctx: GaloisContext, max_height: int,
                              base: FieldRef | None = None,
                              top: FieldRef | None = None,
                              sample: int | None = 1000,
-                             seed: int = 1729,
                              instance: str = "?") -> OracleReport:
     """Compare literal RAF evaluation with the towers-module predicates."""
     K = base if base is not None else ctx.base
@@ -256,7 +258,7 @@ def bf_refinement_predicates(ctx: GaloisContext, max_height: int,
     towers = enumerate_towers(ctx, K, L, max_height)
     pairs = [(e, f) for e in towers for f in towers]
     if sample is not None and len(pairs) > sample:
-        rng = random.Random(seed)
+        rng = random.Random(SAMPLE_SEED)
         pairs = rng.sample(pairs, sample)
     for e, f in pairs:
         lit = _literal_refines(e, f)

@@ -83,14 +83,8 @@ class Permutation:
             inv[y] = x
         return Permutation(inv)
 
-    def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
 
     def __hash__(self) -> int:
         return hash(self.images)
@@ -453,25 +447,6 @@ def generate(degree: int, generators: Sequence[Permutation],
     """``Group(degree, generators, bound)``, whose closure checks the
     generator degrees and raises ``BoundExceeded`` past ``bound``."""
     return Group(degree, generators, bound)
-
-
-def group_to_text(G: Group) -> str:
-    """Serialize in the shared text format: degree line + generator lines."""
-    lines = [f"degree: {G.degree}"]
-    lines += [g.cycles() for g in G.generators] or ["()"]
-    return "\n".join(lines) + "\n"
-
-
-def group_from_text(text: str, bound: int = CLOSURE_BOUND) -> Group:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].lower().startswith("degree"):
-        raise PermGroupError("first line must be 'degree: N'")
-    m = re.fullmatch(r"degree\s*:\s*(\d+)", lines[0].lower())
-    if not m:
-        raise PermGroupError(f"bad degree line: {lines[0]!r}")
-    degree = int(m.group(1))
-    gens = [Permutation.from_cycles(ln, degree) for ln in lines[1:]]
-    return generate(degree, gens or [Permutation.identity(degree)], bound=bound)
 
 
 # ---------------------------------------------------------------------------

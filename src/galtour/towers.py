@@ -303,32 +303,21 @@ def induced(t: Tower, L: FieldRef) -> Tower:
 class EquivalenceWitness:
     """sigma in S_m plus, per marche, an explicit quotient isomorphism.
 
-    ``sigma`` is 1-based: marche i of the first tower corresponds to
-    marche sigma[i-1] of the second; ``isos[i-1]`` maps element labels of
-    Gal(F_i/F_{i-1}) to labels of Gal(E_{sigma(i)}/E_{sigma(i)-1}).  Both
+    Built over the marche groups q1, q2 of two Galois towers, as
+    :func:`marche_groups` reads them.  ``sigma`` is 1-based: marche i of
+    the first tower corresponds to marche sigma[i-1] of the second;
+    ``isos[i-1]`` maps element labels of q1[i-1] = Gal(F_i/F_{i-1}) to
+    labels of q2[sigma[i-1]-1] = Gal(E_{sigma(i)}/E_{sigma(i)-1}).  Both
     are verified at construction, each iso once against the quotient
-    tables: the constructor reads them with :func:`marche_groups`, and
-    :meth:`_of_quotients` takes the lists a caller already read from two
-    towers it checked Galois.
+    tables.
     """
 
     __slots__ = ("sigma", "isos")
 
-    def __init__(self, t1: Tower, t2: Tower, sigma: Sequence[int],
+    def __init__(self, q1: Sequence[pg.AbstractGroup],
+                 q2: Sequence[pg.AbstractGroup], sigma: Sequence[int],
                  isos: Sequence[tuple]):
-        sigma = _permutation(sigma, t1.height, t2.height)
-        self._verify(marche_groups(t1), marche_groups(t2), sigma, isos)
-
-    @classmethod
-    def _of_quotients(cls, q1: Sequence[pg.AbstractGroup],
-                      q2: Sequence[pg.AbstractGroup], sigma: Sequence[int],
-                      isos: Sequence[tuple]) -> "EquivalenceWitness":
-        """The witness over the marche groups q1, q2 of two Galois towers."""
-        w = object.__new__(cls)
-        w._verify(q1, q2, _permutation(sigma, len(q1), len(q2)), isos)
-        return w
-
-    def _verify(self, q1, q2, sigma: tuple, isos: Sequence[tuple]) -> None:
+        sigma = _permutation(sigma, len(q1), len(q2))
         isos = tuple(tuple(i) for i in isos)
         for i, a in enumerate(q1):
             if not a.is_isomorphism(q2[sigma[i] - 1], isos[i]):
@@ -398,4 +387,4 @@ def equivalence_witness(t1: Tower, t2: Tower) -> EquivalenceWitness | None:
                 break
         if not found:
             return None
-    return EquivalenceWitness._of_quotients(q1, q2, sigma, isos)
+    return EquivalenceWitness(q1, q2, sigma, isos)

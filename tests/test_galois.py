@@ -165,20 +165,40 @@ def test_sub_extensions_of_galois_are_galois(r26):
 
 def test_galois_group_examples(r26, zeta15):
     K, N = r26.base, r26.top_closure
-    assert gal.galois_group(r26, N, K).order == r26.group.order
-    assert gal.galois_group(r26, K, K).order == 1
+    assert r26.quotient_group(N, K).order == r26.group.order
+    assert r26.quotient_group(K, K).order == 1
     # Gal(Q(zeta15)/Q(sqrt5)) is the Klein four-group
-    q = gal.galois_group(zeta15, zeta15.field_by_name("Q(zeta15)"),
-                         zeta15.field_by_name("Q(sqrt5)"))
+    q = zeta15.quotient_group(zeta15.field_by_name("Q(zeta15)"),
+                              zeta15.field_by_name("Q(sqrt5)"))
     vg = pg.generate(4, [pg.Permutation.from_cycles("(1 2)", 4),
                          pg.Permutation.from_cycles("(3 4)", 4)])
     v4 = pg.quotient(vg.full_subgroup(), vg.trivial_subgroup())
     assert pg.are_isomorphic(q, v4) is not None
 
 
-def test_galois_group_requires_galois(r24):
-    with pytest.raises(gal.GaloisError):
-        gal.galois_group(r24, r24.distinguished, r24.base)
+def test_galois_group_requires_galois():
+    # quotient_group refuses a non-Galois pair and a non-nested one by the
+    # Galois bit, on every call: the cache holds only Galois pairs
+    ctx = gal.GaloisContext(get_ctx("radical:a=2,n=6").group)  # a fresh cache
+    K, N = ctx.base, ctx.top_closure
+    fields = ctx.all_fields()
+    galois = not_nested = 0
+    for F in fields:
+        for E in fields:
+            if F <= E and pg.is_normal(E.subgroup, F.subgroup):
+                assert ctx.quotient_group(E, F).order == gal.degree(ctx, E, F)
+                galois += 1
+                continue
+            not_nested += not F <= E
+            for _ in range(2):
+                with pytest.raises(gal.GaloisError) as refused:
+                    ctx.quotient_group(E, F)
+                assert str(refused.value) == \
+                    f"{E.name}/{F.name} is not Galois; no quotient group"
+    assert galois and not_nested
+    assert all(pg.is_normal(E.subgroup, F.subgroup)
+               for E, F in ((fields[e], fields[f]) for e, f in ctx._quotient_cache))
+    assert ctx.quotient_group(N, K) is ctx.quotient_group(N, K)
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +459,12 @@ def test_normalizer_index_agrees_with_brute_force(name):
     ctx = _index_ctx(name)
     G, subs, fields = ctx.group, ctx.subgroups, ctx.all_fields()
     tab, inv = G.table, G.inverses
+    npos = gal._lattice_index(G, subs)[2]  # built for nbelow, not kept
     for i, A in enumerate(subs):
         # the literal normalizer {g : g A g^-1 = A}
         normalizer = tuple(g for g in range(G.order)
                            if all(A.mask >> tab[tab[g][a]][inv[g]] & 1 for a in A.key))
-        assert subs[ctx._npos[i]].key == normalizer, (name, i)
+        assert subs[npos[i]].key == normalizer, (name, i)
     for A, E in zip(subs, fields):
         for F in ctx.interval_fields(ctx.base, E):
             B = F.subgroup
@@ -472,13 +493,17 @@ def test_normalizer_index_agrees_with_is_normal_on_a_deep_lattice():
     "random:0", "random:1", "random:2", "random:3",
     "radical:a=2,n=20", "cyclo-radical:n=1,d=9,l=2", "radical:a=2,n=24"])
 def test_galois_row_agrees_with_is_normal(name):
-    # bit j of nbelow[f] is set iff subgroup j <= subgroup f is normal in it
+    # bit j of nbelow[f] is set iff subgroup j <= subgroup f is normal in it,
+    # and is_galois and normal_in read that bit for every comparable pair
     ctx = _index_ctx(name)
-    subs = ctx.subgroups
+    subs, fields = ctx.subgroups, ctx.all_fields()
     for f, B in enumerate(subs):
         assert ctx._nbelow[f] & ~ctx._down[f] == 0, (name, f)
         for j in gal._pick(range(f + 1), ctx._down[f]):
-            assert ctx._nbelow[f] >> j & 1 == pg.is_normal(subs[j], B), (name, j, f)
+            normal = pg.is_normal(subs[j], B)
+            assert ctx._nbelow[f] >> j & 1 == normal, (name, j, f)
+            assert gal.is_galois(ctx, fields[j], fields[f]) is normal, (name, j, f)
+            assert ctx.normal_in(subs[j], B) is normal, (name, j, f)
 
 
 def test_normal_in_requires_nested_subgroups(r26):
@@ -563,7 +588,6 @@ def test_field_reads_refuse_refs_of_another_context(reader, foreign):
         "compositum": lambda: gal.compositum(ctx, E, F),
         "intersect_fields": lambda: gal.intersect_fields(ctx, E, F),
         "is_galois": lambda: gal.is_galois(ctx, E, K),
-        "galois_group": lambda: gal.galois_group(ctx, E, K),
         "Quadrilateral": lambda: gal.Quadrilateral(ctx.base, own, N, ctx.base),
         "ecartele_identities": lambda: gal.ecartele_identities(ctx, E, F, E, F),
         "is_galtourable": lambda: dis.is_galtourable(ctx, E, K),

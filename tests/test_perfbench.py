@@ -7,11 +7,13 @@ import hashlib
 import importlib.util
 import json
 import pathlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import galtour.dissociation as dis
-import galtour.galois as gal
 import galtour.towers as tw
 from galtour import cli, presets
 from conftest import get_ctx
@@ -36,7 +38,7 @@ def test_perfbench_spans_install_and_uninstall():
     undo = spans.install(rec)
     try:
         ctx = get_ctx("klein")
-        assert gal.is_galois(ctx, ctx.top_closure, ctx.base)
+        assert ctx.normal_in(ctx.group.trivial_subgroup(), ctx.group.full_subgroup())
         assert rec.counts["galois.normal_in"] == 1
     finally:
         spans.uninstall(undo)
@@ -63,9 +65,10 @@ def test_cli_matches_benchmark_reference(op, capsys):
     assert (code, hashlib.sha256(out).hexdigest()) == (op["exit"], op["stdout_sha256"])
 
 
-def test_session_answers_match_benchmark_reference():
-    # every session_queries op in one process, its names resolved as the
-    # benchmark's set-up does: display names first, then field_by_name
+def _session_replay():
+    # the session_queries reference and a replay of its ops on the loaded
+    # contexts, names resolved as the benchmark's set-up does: display names
+    # first, then field_by_name
     ref = json.loads((PERFBENCH / "reference" / "session_queries.json").read_text())
     ctxs = {inst: presets.load_instance(inst) for inst in ref["instances"]}
     by_name = {inst: {ctx.display_name(f): f for f in ctx.all_fields()}
@@ -74,13 +77,41 @@ def test_session_answers_match_benchmark_reference():
     def field(inst, name):
         return by_name[inst].get(name) or ctxs[inst].field_by_name(name)
 
-    wrong = []
-    for op in ref["ops"]:
-        inst, kind = op["instance"], op["kind"]
-        args = [tw.make_tower(ctxs[inst], [field(inst, n) for n in a])
-                if isinstance(a, list) else field(inst, a) for a in op["args"]]
-        got = WORKLOADS.render_answer(
-            kind, WORKLOADS.call_session_op(dis, ctxs[inst], kind, args))
-        if got != op["answer"]:
-            wrong.append((inst, kind, op["args"], got))
-    assert ref["ops"] and wrong == []
+    def wrong_answers(ops):
+        wrong = []
+        for op in ops:
+            inst, kind = op["instance"], op["kind"]
+            args = [tw.make_tower(ctxs[inst], [field(inst, n) for n in a])
+                    if isinstance(a, list) else field(inst, a) for a in op["args"]]
+            got = WORKLOADS.render_answer(
+                kind, WORKLOADS.call_session_op(dis, ctxs[inst], kind, args))
+            if got != op["answer"]:
+                wrong.append((inst, kind, op["args"], got))
+        return wrong
+    return ref["ops"], wrong_answers
+
+
+def test_session_answers_match_benchmark_reference():
+    ops, wrong_answers = _session_replay()
+    assert ops and wrong_answers(ops) == []
+
+
+def test_shared_contexts_answer_every_thread_alike():
+    # four threads, started together, replay the session ops in the same
+    # order on freshly built contexts they share, so they race for the same
+    # lazy quotient, table and generator fills; a short switch interval
+    # interleaves them finely, and a second round on new contexts races again
+    start, interval = threading.Barrier(4), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(2):
+            WORKLOADS.clear_preset_caches(presets)
+            ops, wrong_answers = _session_replay()
+
+            def replay(_):
+                start.wait()
+                return wrong_answers(ops)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert ops and list(pool.map(replay, range(4))) == [[]] * 4
+    finally:
+        sys.setswitchinterval(interval)

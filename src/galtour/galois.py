@@ -18,7 +18,8 @@ iff bit E of ``nbelow[F]`` is set; the fields of an interval Galois over
 its bottom, and a normal closure, are one AND of two rows, with no
 per-position test.  Only :meth:`GaloisContext.field_of` and
 :meth:`GaloisContext.normal_in` take subgroups.  :mod:`permgroup` only
-builds the group and its lattice and forms quotients.
+builds the group, its lattice with the conjugacy classes and normalizers,
+and forms quotients.
 On top of that sit quadrilaterals (J,K,N,L) with K cap L = J and KL = N,
 parallelograms (all four sides Galois), the diagonal splitting and
 "ecartele" exchange laws, and the inverse antitone bijections R and S
@@ -92,8 +93,11 @@ class GaloisContext:
     Built at construction: the lattice index, i.e. per position in
     ``subgroups`` the up- and down-set bitmasks and the ``nbelow`` bitmask
     of the positions below it that are normal in it, the one stored form
-    of the Galois relation.  Normality of one pair is a bit test; the
-    fields of an interval Galois over its bottom are an AND.
+    of the Galois relation.  It is read from the conjugacy classes that
+    :func:`permgroup.all_subgroups` keeps on the group (each member's
+    generators and the position of its normalizer), with no conjugation
+    or span of its own.  Normality of one pair is a bit test; the fields
+    of an interval Galois over its bottom are an AND.
     Lazily filled: the quotient cache, which holds only Galois pairs.
     Concurrent filling is safe: each entry is a deterministic value,
     written once (a race at most rewrites it).
@@ -122,7 +126,7 @@ class GaloisContext:
             self.names.setdefault(ref, name)
         self.notes = dict(notes or {})
         self._quotient_cache: dict = {}
-        self._up, self._down, _, self._nbelow = _lattice_index(
+        self._up, self._down, self._nbelow = _lattice_index(
             group, self.subgroups)
         self._frozen = True
 
@@ -256,83 +260,42 @@ class GaloisContext:
 
 
 def _lattice_index(group: Group, subgroups: Sequence[Subgroup]) -> tuple:
-    """(up, down, npos, nbelow) over lattice positions, all read from ``holds``:
-    holds[x] marks the positions whose subgroup contains element x.  The
-    context keeps up, down and nbelow; npos only builds nbelow.
+    """(up, down, nbelow) over the positions of ``subgroups``, the lattice
+    :func:`permgroup.all_subgroups` returned for ``group``, read from its
+    classes (``group._classes``: per member, generators and the position
+    of its normalizer) and from ``holds``: holds[x] marks the positions
+    whose subgroup contains element x.
 
     up[i] marks the subgroups containing subgroup i, the AND over i's
-    greedy generators of the positions holding each; down is up
-    transposed (up[i] has no bit below i).  Canonical order is by order
-    first, so the lowest bit of such an AND is the subgroup the elements
-    generate.  npos[i] is the position of the normalizer N_G(i), by
-    orbit-stabilizer under conjugation by G's greedy generators t: the
-    orbits are the conjugacy classes; in each, with u[k] conjugating the
-    representative r to k, the Schreier generators u[t.k]^-1 * t * u[k]
-    generate N_G(r), and u[k] conjugates N_G(r) to N_G(k)
-    (Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, 8.1).
-    nbelow[f] marks the positions j <= f normal in f, i.e. with f in
-    N_G(j): down[f] AND the OR, over the normalizer positions m in up[f],
-    of the positions whose normalizer is m.  Distinct normalizers are few
-    (96 of 5712 subgroups at radical n=60), and the sets of them above a
-    position fewer still (175), so each such OR is formed once.
+    generators of the positions holding each; down is up transposed
+    (up[i] has no bit below i).  nbelow[f] marks the positions j <= f
+    normal in f, i.e. with f in N_G(j): down[f] AND the OR, over the
+    normalizer positions m in up[f], of the positions whose normalizer is
+    m.  Distinct normalizers are few (96 of 5712 subgroups at radical
+    n=60), and the sets of them above a position fewer still (175), so
+    each such OR is formed once.  Nothing is conjugated or spanned here.
     """
     n = len(subgroups)
     holds = [0] * group.order
     for i, sg in enumerate(subgroups):
         for x in sg.key:
             holds[x] |= 1 << i
-    gens = [sg.gens() for sg in subgroups]
-    up, down = [], [0] * n
-    for i, g in enumerate(gens):
-        bits = holds[0]  # the identity: every position
-        for x in g:
-            bits &= holds[x]
-        up.append(bits)
+    up, down = [0] * n, [0] * n
+    same = [0] * n  # same[m]: the positions whose normalizer is m, disjoint
+    for members in group._classes:
+        for i, gens, m in members:
+            bits = holds[0]  # the identity: every position
+            for x in gens:
+                bits &= holds[x]
+            up[i] = bits
+            same[m] |= 1 << i
+    for i, bits in enumerate(up):
         bit, s = 1 << i, bin(bits)[:1:-1]
         j = i  # bit i is the lowest
         while j >= 0:
             down[j] |= bit
             j = s.find("1", j + 1)
-
-    tab, inv, every = group.table, group.inverses, holds[0]
-
-    def generated(elements) -> int:  # the position of the subgroup they generate
-        bits = every
-        for x in elements:
-            bits &= holds[x]
-        return (bits & -bits).bit_length() - 1
-
-    # (t, x -> t x t^-1) for each greedy generator t of G
-    conjugations = [(tab[t], [tab[tab[t][x]][inv[t]] for x in range(group.order)])
-                    for t in gens[-1]]
-    npos = [-1] * n
-    for r in range(n):
-        if npos[r] >= 0:
-            continue
-        orbit, u, schreier = [r], {r: 0}, set()
-        for k in orbit:  # grows while it is walked
-            uk, mask = u[k], subgroups[k].mask
-            for row, conj in conjugations:
-                images = [conj[a] for a in gens[k]]
-                k2 = k  # unless an image leaves S_k
-                for x in images:
-                    if not mask >> x & 1:
-                        k2 = generated(images)
-                        break
-                if k2 in u:
-                    schreier.add(tab[inv[u[k2]]][row[uk]])
-                else:
-                    orbit.append(k2)
-                    u[k2] = row[uk]
-        npos[r] = normalizer = generated(schreier)
-        for k in orbit[1:]:
-            row, ui = tab[u[k]], inv[u[k]]
-            npos[k] = generated([tab[row[a]][ui] for a in gens[normalizer]])
-
-    same = [0] * n  # same[m]: the positions whose normalizer is m, disjoint
-    for j, m in enumerate(npos):
-        same[m] |= 1 << j
-    normalizers = sum(1 << m for m in set(npos))
+    normalizers = sum(1 << m for m, bits in enumerate(same) if bits)
     normal_under: dict = {}  # keyed by the normalizers above f: few distinct
     nbelow = []
     for f in range(n):
@@ -340,7 +303,7 @@ def _lattice_index(group: Group, subgroups: Sequence[Subgroup]) -> tuple:
         if key not in normal_under:
             normal_under[key] = sum(_pick(same, key))
         nbelow.append(down[f] & normal_under[key])
-    return up, down, npos, nbelow
+    return up, down, nbelow
 
 
 def _pick(seq: Sequence, bits: int) -> list:

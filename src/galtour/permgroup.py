@@ -329,13 +329,14 @@ class Group(AbstractGroup):
     composition, so its elements are exactly what they reach
     (:class:`BoundExceeded` past ``bound``).  Labels index ``elements``,
     sorted by image tuple, so the identity has index 0.  The table and the
-    subgroup lattice (:func:`all_subgroups`) are built lazily and cached.
+    subgroup lattice with its conjugacy classes (:func:`all_subgroups`)
+    are built lazily and cached.
     Equality and hashing are by identity: subgroups, field handles and
     memos key on the group object and never hash its table.
     """
 
     __slots__ = ("degree", "generators", "elements", "_index", "_gen_rows",
-                 "_subgroups", "__weakref__")
+                 "_subgroups", "_classes", "__weakref__")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  bound: int = CLOSURE_BOUND):
@@ -376,6 +377,7 @@ class Group(AbstractGroup):
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_gens", None)
         object.__setattr__(self, "_subgroups", None)
+        object.__setattr__(self, "_classes", None)
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -581,10 +583,11 @@ def check_enumeration_bound(order: int, bound: int) -> None:
 def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     """Every subgroup of G, canonically sorted.
 
-    Layered cyclic extension (Neubüser; Holt-Eick-O'Brien, *Handbook of
-    Computational Group Theory*, 8.1): from the trivial subgroup, extend
-    each found subgroup A by each cyclic subgroup <c> of prime-power
-    order p^k not inside A, to a fixpoint.  When c normalizes A and c^p
+    Layered cyclic extension on conjugacy-class representatives
+    (Neubüser; Holt-Eick-O'Brien, *Handbook of Computational Group
+    Theory*, 8.1): from the trivial subgroup, extend one representative
+    A of each class found by each cyclic subgroup <c> of prime-power
+    order p^k not inside A, to a fixpoint.  When c lies in N_G(A) and c^p
     lies in A, the extension is the union of the cosets c^i A for
     0 <= i < p, one row pass each.  In a solvable G only those
     extensions are made: every subgroup H > 1 has a normal subgroup A of
@@ -594,16 +597,28 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     under products, once per double coset: for a, a' in A and y a
     generator of <c>, <A, a*y*a'> = <A, y> = <A, c>, so after that span
     every <c'> whose least generator lies in a double coset A*y*A is
-    skipped.  The lattice is computed once per group and kept on it; the
-    bound is checked on every call.
+    skipped.  The extensions of a conjugate g*A*g^-1 are the conjugates
+    of A's, so each new subgroup fills its whole class at once, by an
+    orbit walk under conjugation by G's greedy generators t
+    (:func:`_conjugacy_class`), whose Schreier generators give N_G(A).
+    Where t carries member i to member j, it carries A's generators
+    conjugated to i and N_G(i) to those of j: a normalizer position is
+    one step along the walk of the normalizer's own class.
+
+    The lattice is computed once per group and kept on it, with its
+    classes in ``G._classes``: one tuple per class, representative first,
+    of ``(position, generators, normalizer position)`` per member, the
+    positions indexing the returned list.  A representative's
+    generators are its greedy ones, another member's their conjugates.
+    The bound is checked on every call.
     """
     check_enumeration_bound(G.order, bound)
     if G._subgroups is not None:
         return list(G._subgroups)
     tab, inv = G.table, G.inverses
     # one entry per cyclic subgroup <c> of prime-power order p^k, c its least
-    # generator: (c, c^p, conjugation by c, the rows of c .. c^(p-1), the
-    # generators c^j of <c>, p not dividing j)
+    # generator: (c, c^p, the rows of c .. c^(p-1), the generators c^j of
+    # <c>, p not dividing j)
     extensions = []
     listed = set()  # the generators of every <c> listed so far
     for c, n in enumerate(G.element_orders()):
@@ -616,25 +631,26 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
             powers.append(tab[powers[-1]][c])
         generators = [x for j, x in enumerate(powers) if j % p]
         listed.update(generators)
-        extensions.append((c, powers[p % n], [tab[x][inv[c]] for x in tab[c]],
-                           [tab[x] for x in powers[1:p]], generators))
+        extensions.append((c, powers[p % n], [tab[x] for x in powers[1:p]],
+                           generators))
     solvable = G.is_solvable()
-    trivial = G.trivial_subgroup()
-    found = {trivial.key: trivial}
-    fresh = [trivial]
-    for A in fresh:
-        members, gens = set(A.key), A.gens()
+    rows = [tab[t] for t in G.gens()]
+    classes = [_conjugacy_class(G, (0,), rows)]
+    found = {(0,): (0, 0)}  # key -> (class, member)
+    for members, _, _, _, normalizer in classes:  # grows while it is walked
+        A, normalizer = members[0], set(normalizer)
+        elements, gens = set(A.key), A.gens()
         # A, the coset unions made from it (a prime-power element of such a
         # union H outside A has its p-th power in A, so it extends A to H)
         # and the double cosets A*y*A of the spanned extensions; each is a
         # union of double cosets of A, so of left cosets x*A
-        covered = set(members)
-        for c, c_p, conj, rows, generators in extensions:
+        covered = set(elements)
+        for c, c_p, rows_c, generators in extensions:
             if c in covered:
                 continue
-            if c_p in members and members.issuperset(map(conj.__getitem__, gens)):
+            if c_p in elements and c in normalizer:
                 key = A.key + tuple(itertools.chain.from_iterable(
-                    map(row.__getitem__, A.key) for row in rows))
+                    map(row.__getitem__, A.key) for row in rows_c))
                 covered.update(key)
             elif solvable:
                 continue
@@ -648,11 +664,78 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
                                 covered.update(map(tab[x].__getitem__, A.key))
             key = tuple(sorted(key))
             if key not in found:
-                found[key] = Subgroup(G, key)
-                fresh.append(found[key])
-    object.__setattr__(G, "_subgroups",
-                       tuple(sorted(found.values(), key=Subgroup.sort_key)))
+                classes.append(_conjugacy_class(G, key, rows))
+                for j, H in enumerate(classes[-1][0]):
+                    found[H.key] = (len(classes) - 1, j)
+    # canonical positions of every member of every class
+    ranked = sorted(((H, c, j) for c, cls in enumerate(classes)
+                     for j, H in enumerate(cls[0])), key=lambda m: m[0].sort_key())
+    position = [[0] * len(cls[0]) for cls in classes]
+    for pos, (_, c, j) in enumerate(ranked):
+        position[c][j] = pos
+    out = []
+    for c, (_, gens, tree, _, normalizer) in enumerate(classes):
+        # conjugating member i by t gives member j, and its normalizer the
+        # normalizer of member j: one step along the normalizer's own class
+        nc, nj = found[normalizer]
+        moves = classes[nc][3]
+        at = [nj]
+        for i, t in tree[1:]:
+            at.append(moves[at[i]][t])
+        out.append(tuple(zip(position[c], gens, [position[nc][j] for j in at])))
+    # classes first: a caller that finds _subgroups set reads them next
+    object.__setattr__(G, "_classes", tuple(out))
+    object.__setattr__(G, "_subgroups", tuple(H for H, _, _ in ranked))
     return list(G._subgroups)
+
+
+def _conjugacy_class(G: Group, key: tuple, rows: Sequence) -> tuple:
+    """The conjugacy class of the subgroup ``key`` by an orbit walk under
+    conjugation by the elements t whose table rows are ``rows``.
+
+    Returns ``(members, gens, tree, moves, normalizer)``, lists indexed
+    by member, the representative Subgroup(key) first.  Member j is
+    reached from member i by conjugating with t, tree[j] = (i, t), and
+    gens[j] are the representative's greedy generators carried along
+    the same edges.  moves[j][t] is the member t*member_j*t^-1; a t that
+    maps gens[j] into member j normalizes it, and is not applied to the
+    whole subgroup.  With u[j] conjugating the representative to member
+    j, the Schreier generators u[moves[j][t]]^-1 * t * u[j] generate
+    N_G(key), returned as its key: a sorted tuple holds the labels in an
+    eighth of the memory of a set.
+    """
+    tab, inv = G.table, G.inverses
+    rep = Subgroup(G, key)
+    members, gens, tree, moves, u = [rep], [rep.gens()], [None], [], [0]
+    index = {key: 0}
+    schreier = set()
+    for j, H in enumerate(members):  # grows while it is walked
+        step = []
+        for t, row in enumerate(rows):
+            x = row[u[j]]  # conjugates the representative to t*H*t^-1
+            images = tuple(_conjugates(row, inv, gens[j]))
+            if all(H.mask >> y & 1 for y in images):
+                i = j
+            else:
+                image = tuple(sorted(_conjugates(row, inv, H.key)))
+                i = index.setdefault(image, len(members))
+            if i == len(members):  # a new member, reached along this edge
+                members.append(Subgroup(G, image))
+                gens.append(images)
+                tree.append((j, t))
+                u.append(x)
+            else:
+                schreier.add(tab[inv[u[i]]][x])
+            step.append(i)
+        moves.append(step)
+    return members, gens, tree, moves, tuple(sorted(G.span(schreier, key)))
+
+
+def _conjugates(row: Sequence[int], inv: Sequence[int], xs: Iterable[int]):
+    """The labels t*x*t^-1 for x in ``xs``, with ``row`` the table row of
+    t, as (t*(t*x)^-1)^-1: four index passes and no column lookup."""
+    at = inv.__getitem__
+    return map(at, map(row.__getitem__, map(at, map(row.__getitem__, xs))))
 
 
 # ---------------------------------------------------------------------------
@@ -737,21 +820,6 @@ def are_isomorphic(G1: AbstractGroup, G2: AbstractGroup,
         if found is not None:
             return found
     return None
-
-
-def is_simple(A: AbstractGroup, bound: int = ISOMORPHISM_BOUND) -> bool:
-    """True iff A has no proper nontrivial normal subgroup.
-
-    Checks that the normal closure of every non-identity element is the
-    whole group; the trivial group is not simple.
-    """
-    if A.order > bound:
-        raise BoundExceeded(f"order exceeds bound {bound}")
-    if A.order == 1:
-        return False
-    conjugators = A.gens()
-    return all(len(A.normal_closure((g,), conjugators)) == A.order
-               for g in range(1, A.order))
 
 
 @lru_cache(maxsize=4096)

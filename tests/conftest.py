@@ -72,6 +72,18 @@ _PRESETS_SMALL = [
     "selmer-serre:n=4",
 ]
 
+
+def is_simple(A: pg.AbstractGroup) -> bool:
+    """Reference: A has no proper nontrivial normal subgroup, i.e. the
+    normal closure of every non-identity element is the whole group; the
+    trivial group is not simple."""
+    if A.order == 1:
+        return False
+    conjugators = A.gens()
+    return all(len(A.normal_closure((g,), conjugators)) == A.order
+               for g in range(1, A.order))
+
+
 _cache: dict = {}
 
 

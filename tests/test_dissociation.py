@@ -16,7 +16,7 @@ import galtour.permgroup as pg
 import galtour.towers as tw
 from galtour import presets
 from galtour.oracle import bf_composition_towers, bf_galtourable, enumerate_towers
-from conftest import contexts_up_to_120, get_ctx, random_galois_tower, small_contexts
+from conftest import contexts_up_to_120, get_ctx, is_simple, random_galois_tower, small_contexts
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_galois_galsimple_iff_group_simple():
             for E in fields:
                 if F <= E and gal.is_galois(ctx, E, F):
                     lhs = dis.is_galsimple(ctx, E, F)
-                    rhs = E != F and pg.is_simple(ctx.quotient_group(E, F))
+                    rhs = E != F and is_simple(ctx.quotient_group(E, F))
                     assert lhs == rhs, (name, E.name, F.name)
 
 
@@ -671,10 +671,11 @@ def test_package_has_no_assert_statements():
 
 
 def test_fresh_context_is_safe_to_share_between_threads():
-    # The lazily filled state (the context's quotient cache and the
-    # isomorphism memo) starts empty on a context built from a dict; four
-    # threads then fill it concurrently.  Group._inv/_orders and
-    # Subgroup._gens are already filled when the context is built.
+    # The lazily filled state (the context's quotient cache, the
+    # isomorphism memo and the greedy generators of every subgroup that
+    # is not its class's representative) starts empty on a context built
+    # from a dict; four threads then fill it concurrently.
+    # Group._inv/_orders are already filled when the context is built.
     spec = gal.to_instance_dict(get_ctx("selmer-serre:n=4"))
 
     def answers(ctx, order):

@@ -459,7 +459,7 @@ def test_normalizer_index_agrees_with_brute_force(name):
     ctx = _index_ctx(name)
     G, subs, fields = ctx.group, ctx.subgroups, ctx.all_fields()
     tab, inv = G.table, G.inverses
-    npos = gal._lattice_index(G, subs)[2]  # built for nbelow, not kept
+    npos = {i: m for members in G._classes for i, _, m in members}
     for i, A in enumerate(subs):
         # the literal normalizer {g : g A g^-1 = A}
         normalizer = tuple(g for g in range(G.order)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import galtour.permgroup as pg
 from galtour.permgroup import Permutation as P
-from conftest import get_ctx
+from conftest import get_ctx, is_simple
+from galtour import presets
 
 
 def S(n):
@@ -238,8 +239,11 @@ def test_all_subgroups_non_solvable_against_layered_oracle(name):
 
 
 def test_all_subgroups_s5_spans_once_per_double_coset(monkeypatch):
-    # each spanned extension <A, c> covers the double cosets A*y*A of the
-    # generators y of <c>: 1 280 spans on S5, against 7 628 when every
+    # only one representative per conjugacy class is extended, and each
+    # spanned extension <A, c> covers the double cosets A*y*A of the
+    # generators y of <c>: 171 spans on S5 for its 19 classes, counting
+    # the greedy generators, the normalizers and the solvability test,
+    # against 1 280 when every subgroup was extended and 7 628 when every
     # <c> outside the coset unions was spanned
     calls = []
     span = pg.AbstractGroup.span
@@ -251,7 +255,7 @@ def test_all_subgroups_s5_spans_once_per_double_coset(monkeypatch):
     g = S(5)
     monkeypatch.setattr(pg.AbstractGroup, "span", counting_span)
     assert len(pg.all_subgroups(g)) == 156
-    assert len(calls) <= 1300
+    assert len(calls) <= 180
 
 
 def test_all_subgroups_bound():
@@ -373,6 +377,58 @@ def test_non_solvable_lattice_keys_match_recorded_digests(name):
     count, digest = NON_SOLVABLE_LATTICE_DIGESTS[name]
     assert len(keys) == count
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+
+
+def test_largest_lattice_keys_match_recorded_digest():
+    # radical:a=2,n=40, past the default enumeration bound: |G| = 640 and
+    # 2 768 subgroups in 548 conjugacy classes; digest as in
+    # LATTICE_DIGESTS, recorded from the enumeration that extended every
+    # subgroup rather than one per class
+    g = presets.load_instance("radical:a=2,n=40", enumeration_bound=640).group
+    keys = [sg.key for sg in pg.all_subgroups(g, bound=640)]
+    assert (g.order, len(keys), len(g._classes)) == (640, 2768, 548)
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == \
+        "05d2395d26ecb1f1f353230e526dc4f72ebdcf71320122dd0fb19c2ab97919aa"
+
+
+def assert_classes_are_literal(g):
+    # oracle: conjugate every member of every class by every element of G
+    subs = pg.all_subgroups(g)
+    tab, inv = g.table, g.inverses
+    conjugations = [[tab[tab[x][a]][inv[x]] for a in range(g.order)]
+                    for x in range(g.order)]
+    positions = []
+    for members in g._classes:
+        keys = {subs[i].key for i, _, _ in members}
+        normalizers = {k: [] for k in keys}
+        for x, conj in enumerate(conjugations):
+            for k in keys:
+                image = tuple(sorted(map(conj.__getitem__, k)))
+                assert image in keys, (g.generators, k, x)
+                if image == k:
+                    normalizers[k].append(x)
+        for i, gens, m in members:
+            assert bfs_closure(g, gens) == set(subs[i].key)
+            assert subs[m].key == tuple(normalizers[subs[i].key])
+        assert len(members) * subs[members[0][2]].order == g.order
+        positions += [i for i, _, _ in members]
+    assert sorted(positions) == list(range(len(subs)))
+
+
+@pytest.mark.parametrize("name", sorted(NON_SOLVABLE) + ["radical:a=2,n=20", "random"])
+def test_subgroup_classes_are_closed_under_conjugation(name):
+    # each class is closed under conjugation by every element of G, and
+    # |class| * |N_G(rep)| = |G|, so it is one orbit; every member's
+    # normalizer position is its literal normalizer, every member's
+    # generators span it, and the classes partition the lattice
+    if name == "random":
+        groups = random_groups(seed=2009, count=14)
+    elif name in NON_SOLVABLE:
+        groups = [NON_SOLVABLE[name]()]
+    else:
+        groups = [get_ctx(name).group]
+    for g in groups:
+        assert_classes_are_literal(g)
 
 
 def literal_is_solvable(g):
@@ -785,13 +841,13 @@ def test_abstract_group_accepts_exactly_the_group_tables_up_to_order_3():
 
 def test_is_simple_examples():
     c5 = abstract(pg.generate(5, [P.from_cycles("(1 2 3 4 5)", 5)]))
-    assert pg.is_simple(c5)
-    assert not pg.is_simple(abstract(S(3)))
+    assert is_simple(c5)
+    assert not is_simple(abstract(S(3)))
     a5 = pg.generate(5, [P.from_cycles("(1 2 3)", 5), P.from_cycles("(3 4 5)", 5)])
     assert a5.order == 60
-    assert pg.is_simple(abstract(a5))
+    assert is_simple(abstract(a5))
     triv = abstract(pg.generate(1, []))
-    assert not pg.is_simple(triv)
+    assert not is_simple(triv)
 
 
 def test_conjugate_subgroups():

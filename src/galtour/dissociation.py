@@ -205,9 +205,10 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
     # r1 and r2 were just checked Galois: read their quotients directly
     q1 = [r1.ctx.quotient_group(hi, lo) for lo, hi in r1.marches()]
     q2 = [r2.ctx.quotient_group(hi, lo) for lo, hi in r2.marches()]
+    m1, m2 = r1.marches(), r2.marches()
     isos = []
     for l in range(1, m * n + 1):
-        phi = pg.isomorphism(q1[l - 1], q2[sigma[l - 1] - 1])
+        phi = r1.ctx.isomorphism(m1[l - 1], m2[sigma[l - 1] - 1])
         if phi is None:
             raise TheoremViolation(f"marche {l} has no isomorphic partner")
         isos.append(phi)

@@ -13,13 +13,14 @@ Gal(N/F).  The context's lattice queries take and return fields:
 composita, field intersections, intervals, covers, Galois steps and
 subnormal closures are read by position from its lattice index (up- and
 down-sets, and the Galois relation as one more row: the positions normal
-in each), and its quotient cache is keyed by position.  E/F is Galois
-iff bit E of ``nbelow[F]`` is set; the fields of an interval Galois over
-its bottom, and a normal closure, are one AND of two rows, with no
-per-position test.  Only :meth:`GaloisContext.field_of` and
-:meth:`GaloisContext.normal_in` take subgroups.  :mod:`permgroup` only
-builds the group, its lattice with the conjugacy classes and normalizers,
-and forms quotients.
+in each), and its quotient cache and isomorphism memo are keyed by
+position.  E/F is Galois iff bit E of ``nbelow[F]`` is set; the fields
+of an interval Galois over its bottom, and a normal closure, are one AND
+of two rows, with no per-position test.  Only
+:meth:`GaloisContext.field_of` and :meth:`GaloisContext.normal_in` take
+subgroups.  :mod:`permgroup` only builds the group, its lattice with the
+conjugacy classes and normalizers, forms quotients and tests them for
+isomorphism.
 On top of that sit quadrilaterals (J,K,N,L) with K cap L = J and KL = N,
 parallelograms (all four sides Galois), the diagonal splitting and
 "ecartele" exchange laws, and the inverse antitone bijections R and S
@@ -98,9 +99,12 @@ class GaloisContext:
     generators and the position of its normalizer), with no conjugation
     or span of its own.  Normality of one pair is a bit test; the fields
     of an interval Galois over its bottom are an AND.
-    Lazily filled: the quotient cache, which holds only Galois pairs.
-    Concurrent filling is safe: each entry is a deterministic value,
-    written once (a race at most rewrites it).
+    Lazily filled, and dropped with the context: the quotient cache,
+    which holds only Galois pairs; the isomorphism memo, keyed by the
+    positions of two marches and holding None for non-isomorphic ones;
+    and the digest names, one order's block at a time.  Concurrent
+    filling is safe: each entry is a deterministic value, written once
+    (a race at most rewrites it).
     """
 
     def __init__(self, group: Group, *, distinguished: Subgroup | None = None,
@@ -126,6 +130,8 @@ class GaloisContext:
             self.names.setdefault(ref, name)
         self.notes = dict(notes or {})
         self._quotient_cache: dict = {}
+        self._iso_cache: dict = {}
+        self._digest_names: dict = {}
         self._up, self._down, self._nbelow = _lattice_index(
             group, self.subgroups)
         self._frozen = True
@@ -154,12 +160,32 @@ class GaloisContext:
         return list(self._fields)
 
     def display_name(self, ref: FieldRef) -> str:
+        """The field's first given name, else its digest name
+        ``H<order>.<hex>``: the first 6 hex digits of the md5 of its
+        subgroup key, or, where another unnamed field shares those, the
+        shortest longer prefix that none shares."""
         self._own(ref)
         if ref in self.names:
             return self.names[ref]
+        if ref.pos not in self._digest_names:
+            self._name_order(ref.subgroup.order)
+        return self._digest_names[ref.pos]
+
+    def _name_order(self, order: int) -> None:
+        """Digest names for the unnamed fields of one order: only those
+        can share a name."""
         import hashlib  # on first use: a CLI call that shows no digest name skips it
-        digest = hashlib.md5(repr(ref.subgroup.key).encode()).hexdigest()[:6]
-        return f"H{ref.subgroup.order}.{digest}"
+        digests = {F.pos: hashlib.md5(repr(F.subgroup.key).encode()).hexdigest()
+                   for F in self._fields
+                   if F.subgroup.order == order and F not in self.names}
+        sharing: dict = {}
+        for d in digests.values():
+            sharing.setdefault(d[:6], []).append(d)
+        for j, d in digests.items():
+            k = 6
+            while any(e != d and e[:k] == d[:k] for e in sharing[d[:6]]):
+                k += 1
+            self._digest_names[j] = f"H{order}.{d[:k]}"
 
     def field_by_name(self, name: str) -> FieldRef:
         if name in self._name_to_field:
@@ -257,6 +283,23 @@ class GaloisContext:
                     f"{E.name}/{F.name} is not Galois; no quotient group")
             q = self._quotient_cache[key] = pg.quotient(F.subgroup, E.subgroup)
         return q
+
+    def isomorphism(self, m1: tuple, m2: tuple) -> tuple | None:
+        """An isomorphism Gal(hi1/lo1) -> Gal(hi2/lo2) of two marches
+        ``(lo, hi)`` as a label map of their quotient groups, or None;
+        cached by the four positions, None included.  Refuses what
+        :meth:`quotient_group` refuses.  No quotient is larger than G."""
+        (lo1, hi1), (lo2, hi2) = m1, m2
+        self._own(lo1, hi1, lo2, hi2)
+        key = (lo1.pos, hi1.pos, lo2.pos, hi2.pos)
+        try:
+            return self._iso_cache[key]
+        except KeyError:
+            phi = pg.are_isomorphic(self.quotient_group(hi1, lo1),
+                                    self.quotient_group(hi2, lo2),
+                                    bound=self.group.order)
+            self._iso_cache[key] = phi
+            return phi
 
 
 def _lattice_index(group: Group, subgroups: Sequence[Subgroup]) -> tuple:

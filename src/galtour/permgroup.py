@@ -4,7 +4,10 @@ Everything downstream (field lattices, towers, dissociation) reduces to
 explicit computations in small permutation groups: closure, subgroup
 enumeration, normality, normal closures, quotients and isomorphism
 testing.  All values are immutable after construction and can be shared
-freely between workers.
+freely between workers.  The module keeps no cache of its own: what is
+memoized lives on the value it describes (a group's inverses, element
+orders and generators), or on the :class:`galois.GaloisContext` that
+asks for quotients and isomorphisms, and goes with it.
 
 Conventions:
   * points are 0-based internally; cycle notation in text I/O is 1-based;
@@ -17,10 +20,8 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 
 CLOSURE_BOUND = 10_000
 SUBGROUP_ENUM_BOUND = 384
@@ -820,18 +821,3 @@ def are_isomorphic(G1: AbstractGroup, G2: AbstractGroup,
         if found is not None:
             return found
     return None
-
-
-@lru_cache(maxsize=4096)
-def _iso_cached(G1: AbstractGroup, G2: AbstractGroup) -> tuple | None:
-    return are_isomorphic(G1, G2, bound=math.inf)
-
-
-def isomorphism(G1: AbstractGroup, G2: AbstractGroup) -> tuple | None:
-    """Memoized :func:`are_isomorphic` with no order cap.
-
-    Memo keys are the groups themselves, which hash and compare by table.
-    Callers pass quotients of a context's group, and that group already
-    passed the subgroup enumeration bound the caller chose.
-    """
-    return _iso_cached(G1, G2)

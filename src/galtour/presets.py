@@ -130,11 +130,21 @@ def in_minus_four_fourth_powers(a: Fraction) -> bool:
 
 
 def _unit_generators(n: int) -> list:
-    """Greedy generating set of (Z/n)*, ascending."""
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    label = {u: i for i, u in enumerate(units)}
-    group = pg.AbstractGroup([[label[u * v % n] for v in units] for u in units])
-    return [units[i] for i in group.greedy_generators(range(len(units)))]
+    """Greedy generating set of (Z/n)*: each unit, ascending, that the
+    ones chosen before it do not span.  The group is abelian, so adding u
+    to a spanned subgroup S gives the cosets S*u^k up to the first u^k in
+    S, multiplied mod n with no table."""
+    chosen, spanned = [], {1}
+    for u in range(2, n):
+        if u in spanned or math.gcd(u, n) != 1:
+            continue
+        chosen.append(u)
+        grown, power = set(spanned), u
+        while power not in spanned:
+            grown.update(s * power % n for s in spanned)
+            power = power * u % n
+        spanned = grown
+    return chosen
 
 
 def _pair_group(d: int, e: int, enumeration_bound: int) -> tuple:

@@ -353,10 +353,10 @@ def marche_groups(t: Tower) -> list:
 def equivalence_witness(t1: Tower, t2: Tower) -> EquivalenceWitness | None:
     """Match marches into isomorphism classes; None when impossible.
 
-    Marches are bucketed by (order, element-order multiset) first;
-    exhaustive isomorphism tests run only inside buckets.  Deterministic:
-    marches are matched in ascending index order to the first available
-    isomorphic partner.
+    Deterministic: marches are matched in ascending index order to the
+    first available isomorphic partner, each pair tested once per context
+    by :meth:`GaloisContext.isomorphism`, which turns down a pair of
+    different orders or element-order multisets before any search.
     """
     if t1.ctx is not t2.ctx:
         raise TowerError("towers belong to different contexts")
@@ -366,25 +366,14 @@ def equivalence_witness(t1: Tower, t2: Tower) -> EquivalenceWitness | None:
         return None
     q1 = marche_groups(t1)
     q2 = marche_groups(t2)
-    m = t1.height
-    buckets: dict = {}
-    for j, g2 in enumerate(q2):
-        buckets.setdefault(g2.iso_invariant(), []).append(j)
-    sigma = [0] * m
-    isos: list = [None] * m
-    taken = set()
-    for i, g1 in enumerate(q1):
-        found = False
-        for j in buckets.get(g1.iso_invariant(), ()):
-            if j in taken:
-                continue
-            phi = pg.isomorphism(g1, q2[j])
-            if phi is not None:
-                sigma[i] = j + 1
-                isos[i] = phi
-                taken.add(j)
-                found = True
+    sigma, isos, taken = [], [], set()
+    for a in t1.marches():
+        for j, b in enumerate(t2.marches()):
+            if j not in taken and (phi := t1.ctx.isomorphism(a, b)) is not None:
                 break
-        if not found:
+        else:
             return None
+        taken.add(j)
+        sigma.append(j + 1)
+        isos.append(phi)
     return EquivalenceWitness(q1, q2, sigma, isos)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import pathlib
 import random
 import sys
@@ -670,11 +671,38 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_freed_contexts_leave_no_group_behind():
+    # every quotient and isomorphism memo lives on its context, so a
+    # long-lived process that drops its contexts keeps none of their groups
+    specs = [gal.to_instance_dict(get_ctx(s))
+             for s in ("radical:a=2,n=6", "radical:a=3,n=4", "selmer-serre:n=4")]
+
+    def live_groups():
+        gc.collect()
+        return sum(isinstance(o, pg.AbstractGroup) for o in gc.get_objects())
+
+    def query(spec):  # what check-equiv and refine ask of a context
+        ctx = presets.from_dict(spec)
+        K, N = ctx.base, ctx.top_closure
+        normal = [F for F in ctx.all_fields() if gal.is_galois(ctx, F, K)]
+        for F in normal:
+            for F2 in normal:
+                t1, t2 = tw.Tower(ctx, [K, F, N]), tw.Tower(ctx, [K, F2, N])
+                assert tw.equivalence_witness(t1, t1) is not None
+                dis.schreier_refine(t1, t2)
+        return len(ctx._quotient_cache)
+
+    before = live_groups()
+    assert all(query(spec) > 0 for spec in specs)
+    assert live_groups() == before
+
+
 def test_fresh_context_is_safe_to_share_between_threads():
-    # The lazily filled state (the context's quotient cache, the
-    # isomorphism memo and the greedy generators of every subgroup that
-    # is not its class's representative) starts empty on a context built
-    # from a dict; four threads then fill it concurrently.
+    # The lazily filled state (the context's quotient cache, its
+    # isomorphism memo and digest names, and the greedy generators of every
+    # subgroup that is not its class's representative) starts empty on a
+    # context built from a dict; four threads then fill the shared
+    # context's memos concurrently.
     # Group._inv/_orders are already filled when the context is built.
     spec = gal.to_instance_dict(get_ctx("selmer-serre:n=4"))
 
@@ -696,12 +724,10 @@ def test_fresh_context_is_safe_to_share_between_threads():
         out["dot"] = gal.to_dot(ctx)
         return out
 
-    pg._iso_cached.cache_clear()
     serial_ctx = presets.from_dict(spec)
     n = len(serial_ctx.subgroups)
     expected = answers(serial_ctx, range(n))
 
-    pg._iso_cached.cache_clear()
     shared = presets.from_dict(spec)
     results = [None] * 4
 

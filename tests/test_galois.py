@@ -534,6 +534,24 @@ def test_subnormal_closure_requires_nested_subgroups(r26):
         r26.subnormal_closure(E, F)
 
 
+def test_digest_names_are_unique_within_a_context():
+    # radical:a=2,n=48 has two fields of order 4 whose digests share the
+    # six hex digits efeeed; each takes the shortest longer prefix
+    ctx = presets.load_instance("radical:a=2,n=48", enumeration_bound=768)
+    fields = ctx.all_fields()
+    names = [F.name for F in fields]
+    assert len(set(names)) == len(names) == 3412
+    # field_by_name returns the first field shown by that name, which with
+    # distinct names is the field's own; checked on the block that collided
+    for F, name in zip(fields, names):
+        if F.subgroup.order == 4:
+            assert ctx.field_by_name(name) is F
+    shared = sorted(n for n in names if n.startswith("H4.efeeed"))
+    assert shared == ["H4.efeeed2", "H4.efeeed8"]
+    assert sum(len(n.partition(".")[2]) != 6 for n in names
+               if n.startswith("H")) == 2
+
+
 def test_names_table_gives_the_first_name_for_display():
     g = pg.generate(4, [pg.Permutation.from_cycles("(1 2)", 4),
                         pg.Permutation.from_cycles("(3 4)", 4)])

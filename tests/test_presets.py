@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -33,6 +34,16 @@ def test_minus_four_fourth_powers():
     assert presets.in_minus_four_fourth_powers(Fraction(-64))  # -4 * 2^4
     assert not presets.in_minus_four_fourth_powers(Fraction(4))
     assert not presets.in_minus_four_fourth_powers(Fraction(-8))
+
+
+def test_unit_generators_agree_with_greedy_generators_of_the_unit_table():
+    for e in range(2, 401):
+        units = [u for u in range(1, e) if math.gcd(u, e) == 1]
+        label = {u: i for i, u in enumerate(units)}
+        group = pg.AbstractGroup([[label[u * v % e] for v in units] for u in units],
+                                 _checked=True)
+        greedy = [units[i] for i in group.greedy_generators(range(len(units)))]
+        assert presets._unit_generators(e) == greedy, e
 
 
 def test_pth_power_by_integer_root_agrees_with_factorization():

@@ -6,19 +6,29 @@ intourability by checking both defining conditions over every
 intermediate field, composition towers by exhaustive chain enumeration,
 and the refinement predicates by direct quantifier evaluation.  The
 literal functions take fields ``(ctx, E, F)`` like the main path and
-share with it only the group's table and inverses, field containment and
-the interval enumeration ``interval_fields``, never the decision logic
-under test: normality is the subgroup-level conjugation scan
-``literal_is_normal`` and subnormality the chain search
-``literal_is_subnormal`` over it.  (The quadrilateral scan is empirical
+share with it only the group's table and inverses, field containment
+(the up- and down-set rows) and the interval enumeration
+``interval_fields``, never the decision logic under test.
+
+Normality is literal: the conjugacy classes of Subgroup(F) are the
+orbits of its elements under conjugation by every b in Subgroup(F), and
+a subgroup M of it is normal iff every class M meets lies inside M.
+Each field's verdicts are one row, a bitmask over lattice positions:
+``normal[f]``, the positions m >= f (as fields) whose subgroup is
+literally normal in Subgroup(f), from one class scan of Subgroup(f);
+and ``reach[f]``, the positions reached from f by literally normal
+steps, {f} with the reach of each m != f in ``normal[f]``.  Subnormality
+is a bit of ``reach``, galsimplicity one AND of ``normal[f]`` with an
+open interval.  ``literal_is_normal(A, B)`` is the same class test on
+two subgroups with no context.  (The quadrilateral scan is empirical
 output, not an oracle, and calls the main path.)
 
-Both keep their verdicts in a module memo (``_literal_normal_memo``,
-``_literal_subnormal_memo``): a ``WeakKeyDictionary`` from the group to
-``{(A.key, B.key): verdict}`` (field positions ``(E.pos, F.pos)`` for
-the latter).  A group's entries go when the group is freed, so the memos
-neither keep groups alive nor answer for a later group created at the
-same address.
+The rows live in one module memo, ``_literal_rows``: a
+``WeakKeyDictionary`` from the group to its element-membership rows
+(``holds[x]``, the positions whose subgroup contains x) and the
+``normal`` and ``reach`` rows filled so far, by position.  A group's
+rows go when the group is freed, so the memo neither keeps groups alive
+nor answers for a later group created at the same address.
 
 Oracles favour clarity over speed and may be exponential; the agreement
 suite aggregates their verdicts into a machine-readable matrix.
@@ -36,7 +46,7 @@ from . import galois as gal
 from . import permgroup as pg
 from . import towers as tw
 from .dissociation import TheoremViolation
-from .galois import FieldRef, GaloisContext
+from .galois import FieldRef, GaloisContext, _pick
 from .permgroup import Subgroup
 from .towers import Tower
 
@@ -69,44 +79,98 @@ class OracleReport(namedtuple(
         return out
 
 
-# read with get and insert only on a miss: setdefault would build a weak
-# reference to the group on every call
-_literal_normal_memo = weakref.WeakKeyDictionary()
-_literal_subnormal_memo = weakref.WeakKeyDictionary()
+# ---------------------------------------------------------------------------
+# literal normality and subnormality, one row per field
+
+
+def _classes(B: Subgroup) -> list:
+    """B's conjugacy classes: the orbit of each element under conjugation
+    by every b in B (no generator shortcut)."""
+    tab, inv = B.parent.table, B.parent.inverses
+    conj = [(tab[b], inv[b]) for b in B.key]
+    left = set(B.key)
+    out = []
+    for x in B.key:
+        if x in left:
+            cls = {tab[row[x]][b_inv] for row, b_inv in conj}
+            left -= cls
+            out.append(cls)
+    return out
 
 
 def literal_is_normal(A: Subgroup, B: Subgroup) -> bool:
-    """Direct conjugation scan over all of A and B (no generator shortcut)."""
-    verdicts = _literal_normal_memo.get(A.parent)
-    if verdicts is None:
-        verdicts = _literal_normal_memo[A.parent] = {}
-    key = (A.key, B.key)
-    hit = verdicts.get(key)
-    if hit is None:
-        tab, inv, members = A.parent.table, A.parent.inverses, set(A.key)
-        hit = all(tab[tab[b][a]][inv[b]] in members
-                  for b in B.key for a in A.key)
-        verdicts[key] = hit
-    return hit
+    """A normal in B: every conjugacy class of B that meets A lies inside
+    A; requires A <= B."""
+    if not A <= B:
+        raise gal.GaloisError("literal_is_normal requires A <= B")
+    members = set(A.key)
+    return all(cls <= members or members.isdisjoint(cls) for cls in _classes(B))
+
+
+# read with get and insert only on a miss: setdefault would build a weak
+# reference to the group on every call
+_literal_rows = weakref.WeakKeyDictionary()
+
+
+def _rows(ctx: GaloisContext) -> tuple:
+    """(holds, normal, reach) of ctx's group: holds[x] marks the positions
+    whose subgroup contains element x; normal and reach map a position to
+    its row, filled on first use."""
+    rows = _literal_rows.get(ctx.group)
+    if rows is None:
+        holds = [0] * ctx.group.order
+        for i, sg in enumerate(ctx.subgroups):
+            for x in sg.key:
+                holds[x] |= 1 << i
+        rows = _literal_rows[ctx.group] = (holds, {}, {})
+    return rows
+
+
+def _normal_row(ctx: GaloisContext, f: int) -> int:
+    """The positions m >= f (as fields) whose subgroup is literally normal
+    in Subgroup(f): those of Subgroup(f)'s subgroups that meet no class of
+    it without containing the class."""
+    holds, normal, _ = _rows(ctx)
+    row = normal.get(f)
+    if row is None:
+        split = 0  # the positions meeting some class they do not contain
+        for cls in _classes(ctx.subgroups[f]):
+            if len(cls) > 1:  # a class of one is never split
+                meets, within = 0, -1
+                for x in cls:
+                    meets |= holds[x]
+                    within &= holds[x]
+                split |= meets & ~within
+        row = normal[f] = ctx._down[f] & ~split
+    return row
+
+
+def _reach_row(ctx: GaloisContext, f: int) -> int:
+    """The positions reached from f by literally normal steps: f, and the
+    reach of each m != f in ``_normal_row(ctx, f)``."""
+    _, _, reach = _rows(ctx)
+    row = reach.get(f)
+    if row is None:
+        row = 1 << f
+        # the row's other positions hold smaller subgroups: all below f
+        for m in _pick(range(f), _normal_row(ctx, f) & ~row):
+            row |= _reach_row(ctx, m)
+        reach[f] = row
+    return row
+
+
+def _interval(ctx: GaloisContext, F: FieldRef, E: FieldRef) -> int:
+    """The positions of the fields M with F <= M <= E; requires F <= E."""
+    ctx._nested(F, E, "interval")
+    return ctx._up[E.pos] & ctx._down[F.pos]
 
 
 def literal_is_subnormal(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """E is reached from F by literal Galois steps: E == F, or some M with
     F < M <= E has Gal(N/M) literally normal in Gal(N/F) and E is reached
-    from M."""
-    if E == F:
-        return True
-    verdicts = _literal_subnormal_memo.get(ctx.group)
-    if verdicts is None:
-        verdicts = _literal_subnormal_memo[ctx.group] = {}
-    key = (E.pos, F.pos)
-    hit = verdicts.get(key)
-    if hit is None:
-        hit = any(M != F and literal_is_normal(M.subgroup, F.subgroup)
-                  and literal_is_subnormal(ctx, E, M)
-                  for M in ctx.interval_fields(F, E))
-        verdicts[key] = hit
-    return hit
+    from M; requires F <= E."""
+    ctx._nested(F, E, "interval")
+    return _reach_row(ctx, F.pos) >> E.pos & 1 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +190,11 @@ def bf_smallest_subnormal(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Field
     Gal(N/E).
 
     The first member of ``ctx.interval_fields(F, E)`` (canonical order,
-    so smallest subgroup first) that passes the chain search; F passes.
+    so smallest subgroup first) that F reaches by literal Galois steps;
+    F itself is reached.
     """
-    return next(M for M in ctx.interval_fields(F, E)
-                if literal_is_subnormal(ctx, M, F))
+    reach = _reach_row(ctx, F.pos)
+    return next(M for M in ctx.interval_fields(F, E) if reach >> M.pos & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +204,8 @@ def bf_smallest_subnormal(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Field
 def _literal_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """E/F galsimple: E != F and no field M strictly between them has
     Gal(N/M) literally normal in Gal(N/F)."""
-    return E != F and not any(
-        M not in (E, F) and literal_is_normal(M.subgroup, F.subgroup)
-        for M in ctx.interval_fields(F, E))
+    inner = _interval(ctx, F, E) & ~(1 << E.pos | 1 << F.pos)
+    return E != F and not _normal_row(ctx, F.pos) & inner
 
 
 def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
@@ -152,14 +216,10 @@ def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
     """
     if not K <= L:
         raise gal.GaloisError("bf_intourability requires K <= L")
-    hits = []
-    for M in ctx.interval_fields(K, L):
-        if not bf_galtourable(ctx, M, K):
-            continue
-        sub_ok = (L == M) or (_literal_galsimple(ctx, L, M)
-                              and not literal_is_normal(L.subgroup, M.subgroup))
-        if sub_ok:
-            hits.append(M)
+    reach = _reach_row(ctx, K.pos)
+    hits = [M for M in ctx.interval_fields(K, L) if reach >> M.pos & 1
+            and (L == M or (_literal_galsimple(ctx, L, M)
+                            and not _normal_row(ctx, M.pos) >> L.pos & 1))]
     if len(hits) != 1:
         raise TheoremViolation(
             f"intourability count = {len(hits)} for {L.name}/{K.name}: "
@@ -181,9 +241,9 @@ def bf_composition_towers(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> list:
             f"interval has {len(interval)} subgroups > {BF_MAX_INTERVAL}")
 
     def steps(F: FieldRef) -> list:
-        return [M for M in ctx.interval_fields(F, L)
-                if literal_is_normal(M.subgroup, F.subgroup)
-                and _literal_galsimple(ctx, M, F)]
+        normal = _normal_row(ctx, F.pos) & ~(1 << F.pos)
+        return [M for M in interval
+                if normal >> M.pos & 1 and _literal_galsimple(ctx, M, F)]
 
     towers: list = []
 
@@ -218,7 +278,7 @@ def _literal_proper(e: Tower, f: Tower) -> bool:
 def _literal_galois_refinement(e: Tower, f: Tower) -> bool:
     for j in range(1, len(e.fields) - 1):
         if all(e.fields[j] != fi for fi in f.fields):
-            if not literal_is_normal(e.fields[j].subgroup, e.fields[j - 1].subgroup):
+            if not _normal_row(e.ctx, e.fields[j - 1].pos) >> e.fields[j].pos & 1:
                 return False
     return True
 
@@ -228,7 +288,9 @@ def enumerate_towers(ctx: GaloisContext, K: FieldRef, L: FieldRef,
     """All towers of L/K with height <= max_height, in DFS order."""
     if not K <= L:
         raise gal.GaloisError("enumerate_towers requires K <= L")
-    interval = ctx.interval_fields(K, L)
+    fields, bits = ctx.all_fields(), _interval(ctx, K, L)
+    # the fields of the interval above each of its fields, in its order
+    above = {F: _pick(fields, ctx._down[F.pos] & bits) for F in _pick(fields, bits)}
     out: list = []
 
     def extend(prefix: list):
@@ -239,9 +301,8 @@ def enumerate_towers(ctx: GaloisContext, K: FieldRef, L: FieldRef,
             # may still grow by repeating L
         if len(prefix) == max_height + 1:
             return
-        for nxt in interval:
-            if prefix[-1] <= nxt:
-                extend(prefix + [nxt])
+        for nxt in above[prefix[-1]]:
+            extend(prefix + [nxt])
 
     extend([K])
     return out[:TOWER_CAP]
@@ -252,15 +313,20 @@ def bf_refinement_predicates(ctx: GaloisContext, max_height: int,
                              top: FieldRef | None = None,
                              sample: int | None = 1000,
                              instance: str = "?") -> OracleReport:
-    """Compare literal RAF evaluation with the towers-module predicates."""
+    """Compare literal RAF evaluation with the towers-module predicates.
+
+    Pair i of the |towers|^2 ordered pairs is (towers[i // n],
+    towers[i % n]); a sample draws indices, so no pair list is built.
+    """
     K = base if base is not None else ctx.base
     L = top if top is not None else ctx.distinguished
     towers = enumerate_towers(ctx, K, L, max_height)
-    pairs = [(e, f) for e in towers for f in towers]
-    if sample is not None and len(pairs) > sample:
-        rng = random.Random(SAMPLE_SEED)
-        pairs = rng.sample(pairs, sample)
-    for e, f in pairs:
+    n = len(towers)
+    picks = range(n * n)
+    if sample is not None and n * n > sample:
+        picks = random.Random(SAMPLE_SEED).sample(picks, sample)
+    for i in picks:
+        e, f = towers[i // n], towers[i % n]
         lit = _literal_refines(e, f)
         main = tw.refinement_witness(e, f) is not None
         if lit != main:

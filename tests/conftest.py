@@ -84,6 +84,38 @@ def is_simple(A: pg.AbstractGroup) -> bool:
                for g in range(1, A.order))
 
 
+def literal_normal_scan(A: pg.Subgroup, B: pg.Subgroup) -> bool:
+    """Reference: A normal in B by the full scan, b*a*b^-1 in A for every
+    a in A and every b in B (|A|*|B| conjugations)."""
+    tab, inv, members = A.parent.table, A.parent.inverses, set(A.key)
+    return all(tab[tab[b][a]][inv[b]] in members
+               for b in B.key for a in A.key)
+
+
+def literal_chain_search(ctx, E, F, seen: dict) -> bool:
+    """Reference: E is reached from F by literal Galois steps, by recursive
+    search: E == F, or some M != F with F <= M <= E has Gal(N/M) normal in
+    Gal(N/F) (``literal_normal_scan``) and E is reached from M.  ``seen``
+    memoizes verdicts by (E.pos, F.pos) across calls on one context."""
+    if E == F:
+        return True
+    key = (E.pos, F.pos)
+    if key not in seen:
+        seen[key] = any(
+            M != F and literal_normal_scan(M.subgroup, F.subgroup)
+            and literal_chain_search(ctx, E, M, seen)
+            for M in ctx.interval_fields(F, E))
+    return seen[key]
+
+
+def literal_galsimple_scan(ctx, E, F) -> bool:
+    """Reference: E/F galsimple by a per-interval test: E != F and no field
+    M strictly between them has Gal(N/M) normal in Gal(N/F)."""
+    return E != F and not any(
+        M not in (E, F) and literal_normal_scan(M.subgroup, F.subgroup)
+        for M in ctx.interval_fields(F, E))
+
+
 _cache: dict = {}
 
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import gc
 import inspect
+import random
+import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 import galtour.dissociation as dis
 import galtour.galois as gal
@@ -15,7 +18,9 @@ import galtour.permgroup as pg
 import galtour.towers as tw
 from galtour import presets
 from galtour.permgroup import Permutation as P
-from conftest import get_ctx, is_simple, small_contexts
+from conftest import (contexts_up_to_120, get_ctx, is_simple,
+                      literal_chain_search, literal_galsimple_scan,
+                      literal_normal_scan, small_contexts)
 
 
 def test_oracle_report_invariant():
@@ -143,8 +148,7 @@ def test_oracles_do_not_call_the_main_path(monkeypatch):
         monkeypatch.setattr(pg, fn, banned)
     for method in ("subnormal_closure", "normal_in", "galois_steps", "covers"):
         monkeypatch.setattr(gal.GaloisContext, method, banned)
-    monkeypatch.setattr(orc, "_literal_normal_memo", {})
-    monkeypatch.setattr(orc, "_literal_subnormal_memo", {})
+    monkeypatch.setattr(orc, "_literal_rows", {})
     for name, ctx in contexts.items():
         K, L = ctx.base, ctx.distinguished
         assert isinstance(orc.bf_galtourable(ctx, L, K), bool), name
@@ -160,18 +164,29 @@ def test_oracles_do_not_call_the_main_path(monkeypatch):
 
 def test_literal_normal_memo_ignores_freed_groups():
     # D4 and C8 share the subgroup key (0, 4): <(1 3)> is not normal in D4,
-    # <r^4> is normal in C8.  A memo keyed by id(group) answered for a C8
-    # allocated where a freed D4 had lived with the stale D4 verdict.
-    for _ in range(50):
+    # <r^4> is normal in C8.  A memo keyed by id(group) answered for a
+    # group allocated where a freed one had lived with the rows of the
+    # other lattice: D4's row at C8's top position is that of a subgroup
+    # of order 2, and C8's rows cover 4 of D4's 10 positions.
+    for _ in range(10):
         d4 = pg.generate(4, [P.from_cycles("(1 2 3 4)", 4), P.from_cycles("(1 3)", 4)])
         refl = d4.generated_subgroup([d4.index_of(P.from_cycles("(1 3)", 4))])
         assert refl.key == (0, 4)
         assert not orc.literal_is_normal(refl, d4.full_subgroup())
-        del d4, refl
+        ctx = gal.GaloisContext(d4)
+        for E in ctx.all_fields():  # fills D4's rows at every position
+            assert orc.literal_is_subnormal(ctx, E, ctx.base)
+        assert not orc._normal_row(ctx, ctx.base.pos) >> ctx.field_of(refl).pos & 1
+        del d4, refl, ctx, E
+        gc.collect()
         c8 = pg.generate(8, [P.from_cycles("(1 2 3 4 5 6 7 8)", 8)])
         half = c8.generated_subgroup([4])
         assert half.key == (0, 4)
         assert orc.literal_is_normal(half, c8.full_subgroup())
+        ctx = gal.GaloisContext(c8)
+        assert orc._normal_row(ctx, ctx.base.pos) >> ctx.field_of(half).pos & 1
+        del c8, half, ctx
+        gc.collect()
 
 
 def test_literal_normal_memo_drops_entries_of_freed_groups():
@@ -179,7 +194,7 @@ def test_literal_normal_memo_drops_entries_of_freed_groups():
     sources = ["klein", "zeta15", "radical:a=2,n=4", "radical:a=2,n=6",
                "selmer-serre:n=3"]
     gc.collect()
-    memos = (orc._literal_normal_memo, orc._literal_subnormal_memo)
+    memos = (orc._literal_rows,)
     before = [set(memo) for memo in memos]  # the groups already in each memo
     refs = []
     for name in sources:
@@ -229,3 +244,101 @@ def test_interval_fields_and_normal_in_agree_with_literal_scans():
                         [M for M in fields if lo <= M.subgroup <= hi], (name, lo.key, hi.key)
                     assert ctx.normal_in(lo, hi) == \
                         orc.literal_is_normal(lo, hi), (name, lo.key, hi.key)
+
+
+def _reference_intourability(ctx, L, K, seen):
+    """The M fields of L/K by the reference scans: K reaches M, and L == M
+    or L/M is galsimple and not Galois."""
+    return [M for M in ctx.interval_fields(K, L)
+            if literal_chain_search(ctx, M, K, seen)
+            and (L == M or (literal_galsimple_scan(ctx, L, M)
+                            and not literal_normal_scan(L.subgroup, M.subgroup)))]
+
+
+def test_literal_rows_agree_with_the_reference_scans():
+    # every comparable pair of the contexts up to order 120, S4 and S5 included
+    for name, ctx in contexts_up_to_120().items():
+        seen: dict = {}
+        for F in ctx.all_fields():
+            above = ctx.interval_fields(F, ctx.top_closure)
+            assert orc._normal_row(ctx, F.pos) == sum(
+                1 << M.pos for M in above
+                if literal_normal_scan(M.subgroup, F.subgroup)), (name, F.name)
+            for E in above:
+                where = (name, E.name, F.name)
+                assert orc.literal_is_normal(E.subgroup, F.subgroup) == \
+                    literal_normal_scan(E.subgroup, F.subgroup), where
+                assert orc.literal_is_subnormal(ctx, E, F) == \
+                    literal_chain_search(ctx, E, F, seen), where
+                assert orc._literal_galsimple(ctx, E, F) == \
+                    literal_galsimple_scan(ctx, E, F), where
+                assert [orc.bf_intourability(ctx, E, F)[0]] == \
+                    _reference_intourability(ctx, E, F, seen), where
+
+
+def test_literal_oracles_refuse_unnested_fields(r26):
+    E, F = r26.field_by_name("Q(sqrt2)"), r26.field_by_name("Q(zeta3)")
+    for literal in (orc.literal_is_subnormal, orc._literal_galsimple,
+                    orc.bf_galtourable, orc.bf_intourability):
+        with pytest.raises(gal.GaloisError):
+            literal(r26, E, F)
+    with pytest.raises(gal.GaloisError):
+        orc.literal_is_normal(E.subgroup, F.subgroup)
+
+
+@st.composite
+def _small_groups(draw):
+    degree = draw(st.integers(min_value=2, max_value=7))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    try:
+        return pg.generate(degree, [P(g) for g in gens], bound=120)
+    except pg.BoundExceeded:
+        assume(False)
+
+
+@settings(max_examples=200)  # the suite profile otherwise, derandomized
+@given(_small_groups())
+def test_literal_rows_and_nbelow_agree_on_random_groups(group):
+    # random generator sets on at most 7 points, |G| <= 120: S5, A5 and
+    # other groups that are not solvable come up
+    event(f"|G| = {group.order}")
+    ctx = gal.GaloisContext(group)
+    for F in ctx.all_fields():
+        scan = sum(1 << M.pos for M in ctx.interval_fields(F, ctx.top_closure)
+                   if literal_normal_scan(M.subgroup, F.subgroup))
+        assert orc._normal_row(ctx, F.pos) == scan
+        assert ctx._nbelow[F.pos] == scan
+
+
+@pytest.mark.parametrize("k", [200, 400, 500])
+def test_index_sampling_draws_the_pairs_of_the_list(k):
+    # random.sample draws from the population's length alone, so sampling
+    # pair indices picks the pairs a sample of the pair list would, both
+    # where random.sample copies the population and where it does not
+    for n in [*range(15, 40), 300]:
+        pairs = [(e, f) for e in range(n) for f in range(n)]
+        if len(pairs) <= k:
+            continue
+        listed = random.Random(orc.SAMPLE_SEED).sample(pairs, k)
+        drawn = random.Random(orc.SAMPLE_SEED).sample(range(n * n), k)
+        assert listed == [(i // n, i % n) for i in drawn], (n, k)
+
+
+def test_oracle_on_c2_to_the_5_times_c3_fits_in_memory():
+    # 748 subgroups, TOWER_CAP towers: a list of every tower pair held
+    # 16 M tuples, over a gigabyte
+    ctx = presets.from_dict({
+        "degree": 13, "fields": {"L": []}, "distinguished": "L",
+        "generators": ["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)",
+                       "(11 12 13)"]})
+    assert len(orc.enumerate_towers(ctx, ctx.base, ctx.distinguished, 3)) \
+        == orc.TOWER_CAP
+    assert orc.run_agreement_suite({"c2^5xc3": ctx})["all_agree"]
+    tracemalloc.start()  # the sampled pairs the suite checked, again
+    try:
+        report = orc.bf_refinement_predicates(ctx, 3, sample=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.agreement
+    assert peak < 100 * 2**20, peak

@@ -429,20 +429,20 @@ class Group(AbstractGroup):
             raise PermGroupError("subgroup must contain the identity (index 0)")
         if min(indices) < 0 or max(indices) >= self.order:
             raise PermGroupError("element index out of range")
-        sub = Subgroup(self, indices)
+        sub = Subgroup(self, tuple(sorted(indices)))
         if len(self.span(sub.gens())) != sub.order:
             raise PermGroupError("element set not closed under composition")
         return sub
 
     def generated_subgroup(self, indices: Iterable[int]) -> "Subgroup":
         """Subgroup generated by the given element indices."""
-        return Subgroup(self, self.span(set(indices)))
+        return Subgroup(self, tuple(sorted(self.span(set(indices)))))
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,))
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, range(self.order))
+        return Subgroup(self, tuple(range(self.order)))
 
 
 def generate(degree: int, generators: Sequence[Permutation],
@@ -462,17 +462,21 @@ class Subgroup:
     The canonical key is the sorted tuple of element indices into the
     parent's canonical element order; equality and hashing are bit-exact
     on it.  ``mask`` is the same set as a bitmask, for membership tests.
-    The constructor trusts its caller: the library passes only sets it
-    has closed, and :meth:`Group.subgroup` checks any other set.
+    The constructor trusts its caller: ``key`` must already be a strictly
+    increasing tuple of labels of a closed set.  The library passes only
+    sets it has closed and sorted, and :meth:`Group.subgroup` checks and
+    sorts any other set.
     """
 
     __slots__ = ("parent", "key", "mask", "order", "_gens")
 
-    def __init__(self, parent: Group, indices: Iterable[int]):
-        key = tuple(sorted(set(indices)))
+    def __init__(self, parent: Group, key: tuple):
+        mask = 0
+        for i in key:
+            mask |= 1 << i
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "mask", sum(1 << i for i in key))
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "order", len(key))
         object.__setattr__(self, "_gens", None)
 
@@ -524,7 +528,7 @@ def join(A: Subgroup, B: Subgroup) -> Subgroup:
     if A.order < B.order:
         A, B = B, A
     G = A.parent
-    return Subgroup(G, G.span(A.gens() + B.gens(), A.key))
+    return Subgroup(G, tuple(sorted(G.span(A.gens() + B.gens(), A.key))))
 
 
 def is_normal(A: Subgroup, B: Subgroup) -> bool:
@@ -550,7 +554,7 @@ def normal_closure(H: Subgroup, B: Subgroup) -> Subgroup:
     if not H <= B:
         raise PermGroupError("normal_closure requires H <= B")
     G = H.parent
-    return Subgroup(G, G.normal_closure(H.gens(), B.gens()))
+    return Subgroup(G, tuple(sorted(G.normal_closure(H.gens(), B.gens()))))
 
 
 def subnormal_closure(H: Subgroup, B: Subgroup) -> tuple:
@@ -601,7 +605,8 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
     skipped.  The extensions of a conjugate g*A*g^-1 are the conjugates
     of A's, so each new subgroup fills its whole class at once, by an
     orbit walk under conjugation by G's greedy generators t
-    (:func:`_conjugacy_class`), whose Schreier generators give N_G(A).
+    (:func:`_conjugacy_class`), whose Schreier generators give N_G(A);
+    each t's conjugation map x -> t*x*t^-1 is built once per enumeration.
     Where t carries member i to member j, it carries A's generators
     conjugated to i and N_G(i) to those of j: a normalizer position is
     one step along the walk of the normalizer's own class.
@@ -635,7 +640,13 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
         extensions.append((c, powers[p % n], [tab[x] for x in powers[1:p]],
                            generators))
     solvable = G.is_solvable()
-    rows = [tab[t] for t in G.gens()]
+    # per greedy generator t: its table row and its conjugation map
+    # x -> t*x*t^-1, built as (t*(t*x)^-1)^-1 in four index passes over G
+    at = inv.__getitem__
+    rows = []
+    for t in G.gens():
+        row = tab[t]
+        rows.append((row, tuple(map(at, map(row.__getitem__, map(at, row))))))
     classes = [_conjugacy_class(G, (0,), rows)]
     found = {(0,): (0, 0)}  # key -> (class, member)
     for members, _, _, _, normalizer in classes:  # grows while it is walked
@@ -691,8 +702,10 @@ def all_subgroups(G: Group, bound: int = SUBGROUP_ENUM_BOUND) -> list:
 
 
 def _conjugacy_class(G: Group, key: tuple, rows: Sequence) -> tuple:
-    """The conjugacy class of the subgroup ``key`` by an orbit walk under
-    conjugation by the elements t whose table rows are ``rows``.
+    """The conjugacy class of the subgroup ``key`` (a sorted tuple of
+    labels) by an orbit walk under conjugation by elements t of G, each
+    given in ``rows`` as the pair (table row of t, conjugation map of t),
+    the map's entry x being the label of t*x*t^-1.
 
     Returns ``(members, gens, tree, moves, normalizer)``, lists indexed
     by member, the representative Subgroup(key) first.  Member j is
@@ -700,10 +713,11 @@ def _conjugacy_class(G: Group, key: tuple, rows: Sequence) -> tuple:
     gens[j] are the representative's greedy generators carried along
     the same edges.  moves[j][t] is the member t*member_j*t^-1; a t that
     maps gens[j] into member j normalizes it, and is not applied to the
-    whole subgroup.  With u[j] conjugating the representative to member
-    j, the Schreier generators u[moves[j][t]]^-1 * t * u[j] generate
-    N_G(key), returned as its key: a sorted tuple holds the labels in an
-    eighth of the memory of a set.
+    whole subgroup: the test stops at the first generator mapped outside.
+    With u[j] conjugating the representative to member j, the Schreier
+    generators u[moves[j][t]]^-1 * t * u[j] generate N_G(key), returned
+    as its key: a sorted tuple holds the labels in an eighth of the
+    memory of a set.
     """
     tab, inv = G.table, G.inverses
     rep = Subgroup(G, key)
@@ -712,17 +726,19 @@ def _conjugacy_class(G: Group, key: tuple, rows: Sequence) -> tuple:
     schreier = set()
     for j, H in enumerate(members):  # grows while it is walked
         step = []
-        for t, row in enumerate(rows):
+        mask = H.mask
+        for t, (row, conj) in enumerate(rows):
             x = row[u[j]]  # conjugates the representative to t*H*t^-1
-            images = tuple(_conjugates(row, inv, gens[j]))
-            if all(H.mask >> y & 1 for y in images):
-                i = j
+            for y in gens[j]:
+                if not mask >> conj[y] & 1:
+                    image = tuple(sorted(map(conj.__getitem__, H.key)))
+                    i = index.setdefault(image, len(members))
+                    break
             else:
-                image = tuple(sorted(_conjugates(row, inv, H.key)))
-                i = index.setdefault(image, len(members))
+                i = j
             if i == len(members):  # a new member, reached along this edge
                 members.append(Subgroup(G, image))
-                gens.append(images)
+                gens.append(tuple(map(conj.__getitem__, gens[j])))
                 tree.append((j, t))
                 u.append(x)
             else:
@@ -730,13 +746,6 @@ def _conjugacy_class(G: Group, key: tuple, rows: Sequence) -> tuple:
             step.append(i)
         moves.append(step)
     return members, gens, tree, moves, tuple(sorted(G.span(schreier, key)))
-
-
-def _conjugates(row: Sequence[int], inv: Sequence[int], xs: Iterable[int]):
-    """The labels t*x*t^-1 for x in ``xs``, with ``row`` the table row of
-    t, as (t*(t*x)^-1)^-1: four index passes and no column lookup."""
-    at = inv.__getitem__
-    return map(at, map(row.__getitem__, map(at, map(row.__getitem__, xs))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import galtour.permgroup as pg
 from galtour.permgroup import Permutation as P
-from conftest import get_ctx, is_simple
+from conftest import _PRESETS_SMALL, get_ctx, is_simple
 from galtour import presets
 
 
@@ -355,6 +355,63 @@ def test_all_subgroups_keys_match_recorded_digests(selector):
     assert digest == LATTICE_DIGESTS[selector]
 
 
+# SHA-256 of repr(G._classes) after all_subgroups(G): per class, per
+# member, (position, generators, normalizer position), as returned by the
+# walk that conjugated each label in four index passes
+CLASSES_DIGESTS = {
+    "radical:a=2,n=12":
+        "aa9e1363b37dad5cc5f7e469e842be72f544d6d1a0658e2b2b6bdf30d36013d1",
+    "radical:a=2,n=16":
+        "804a565ddce377b9b652845e4492b70a30a5b0b5fd42ccd8c18b2f9b4330c40c",
+    "radical:a=2,n=20":
+        "2acefeec21d01c8e0e238034819927ab08f54aa52ff02b0121cf610f3bee0244",
+    "radical:a=2,n=24":
+        "c081d9ce5d80f006e5f9de0838bc2739eb3cffe5357191651646491225e18875",
+    "selmer-serre:n=5":
+        "6e0cb16b19dc7fe13358cc4ea4e46797becc775db49eb4384d4c19280a411a7e",
+}
+
+
+@pytest.mark.parametrize("selector", sorted(CLASSES_DIGESTS))
+def test_subgroup_classes_match_recorded_digests(selector):
+    g = get_ctx(selector).group
+    pg.all_subgroups(g)
+    digest = hashlib.sha256(repr(g._classes).encode()).hexdigest()
+    assert digest == CLASSES_DIGESTS[selector]
+
+
+def assert_keys_are_canonical(subgroups):
+    for H in subgroups:
+        assert all(a < b for a, b in zip(H.key, H.key[1:])), H.key
+        assert H.mask == sum(1 << i for i in H.key) and H.order == len(H.key)
+
+
+@pytest.mark.parametrize("name", sorted(set(LATTICE_DIGESTS) | set(_PRESETS_SMALL))
+                         + ["random"])
+def test_every_subgroup_the_enumeration_builds_has_a_canonical_key(name, monkeypatch):
+    # Subgroup trusts its key: every one that all_subgroups builds, on a
+    # fresh copy of the group, class members included, holds a strictly
+    # increasing key and that key's mask
+    if name == "random":
+        groups = random_groups(seed=2009, count=14)
+    else:
+        groups = [get_ctx(name).group]
+    built = []
+    init = pg.Subgroup.__init__
+
+    def recording(self, parent, key):
+        init(self, parent, key)
+        built.append(self)
+
+    monkeypatch.setattr(pg.Subgroup, "__init__", recording)
+    for G in groups:
+        g = pg.generate(G.degree, G.generators)
+        del built[:]
+        subs = pg.all_subgroups(g, bound=g.order)
+        assert {H.key for H in built} == {H.key for H in subs}
+        assert_keys_are_canonical(built)
+
+
 # (subgroup count, digest as in LATTICE_DIGESTS), as returned when every
 # cyclic extension outside the coset unions was spanned
 NON_SOLVABLE_LATTICE_DIGESTS = {
@@ -482,11 +539,37 @@ def test_subgroup_rejects_each_bad_set_with_its_reason():
     g = S(3)
     c3 = g.index_of(P.from_cycles("(1 2 3)", 3))
     for indices, message in [([1, 2], "must contain the identity"),
+                             ([2, 1, 2], "must contain the identity"),
                              ([0, 6], "index out of range"),
+                             ([6, 0, 6], "index out of range"),
                              ([0, -1], "index out of range"),
-                             ([0, c3], "not closed under composition")]:
+                             ([0, c3], "not closed under composition"),
+                             ([c3, 0, c3], "not closed under composition")]:
         with pytest.raises(pg.PermGroupError, match=message):
             g.subgroup(indices)
+
+
+@pytest.mark.parametrize("make", [lambda: S(4),
+                                  lambda: get_ctx("radical:a=2,n=12").group],
+                         ids=["S4", "radical:a=2,n=12"])
+def test_subgroup_constructors_sort_and_dedupe_their_labels(make):
+    # the checked constructor and generated_subgroup take labels in any
+    # order, repeated, from any iterable, and give the key and mask of
+    # sorted input; join and normal_closure sort their spans too
+    g = make()
+    rng = random.Random(g.order)
+    lattice = pg.all_subgroups(g)
+    full = g.full_subgroup()
+    assert_keys_are_canonical([full, g.trivial_subgroup()])
+    for H in lattice:
+        labels = list(H.key) + rng.choices(H.key, k=3)
+        rng.shuffle(labels)
+        gens = list(H.gens()[::-1]) * 2
+        for got in (g.subgroup(labels), g.subgroup(iter(labels)),
+                    g.generated_subgroup(labels), g.generated_subgroup(gens)):
+            assert (got.key, got.mask, got.order) == (H.key, H.mask, H.order)
+        K = rng.choice(lattice)
+        assert_keys_are_canonical([pg.join(H, K), pg.normal_closure(H, full)])
 
 
 def test_subgroup_membership_is_false_for_every_int_outside_it():

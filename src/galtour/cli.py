@@ -122,7 +122,7 @@ def cmd_tower_check(args, ctx) -> int:
         "height": t.height,
         "strict": strict,
         "galois_tower": tw.is_galois_tower(t),
-        "galtourable_tower": tw.is_galtourable_tower(t),
+        "galtourable_tower": dis.is_galtourable_tower(t),
         "height_bound_ok": tw.height_bound_check(t) if strict else None,
         "composition_tower": dis.is_composition_tower(ctx, t),
     }

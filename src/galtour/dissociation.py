@@ -5,7 +5,8 @@ the group bridge: inside the closure, a Galois tower from F to E is the
 same thing as a chain Gal(N/F) |> ... |> Gal(N/E) with each step normal
 in the previous one, so E/F is galtourable exactly when Gal(N/E) is
 subnormal in Gal(N/F), and the subnormal closure's descent chain doubles
-as an explicit witness tower.  Every lattice read speaks fields, by
+as an explicit witness tower: walked once, and checked a strict Galois
+tower once, where it is made.  Every lattice read speaks fields, by
 position in the context's lattice index: the subnormal closure
 (:meth:`GaloisContext.subnormal_closure`) walks intervals of the index
 and returns its chain as fields, and galsimplicity and the Jordan-Holder
@@ -46,17 +47,23 @@ def is_galtourable(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     return ctx.subnormal_closure(E, F)[0] == E
 
 
+def is_galtourable_tower(t: Tower) -> bool:
+    """Every marche of t is galtourable."""
+    return all(is_galtourable(t.ctx, b, a) for a, b in t.marches())
+
+
 def galois_tower_witness(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Tower:
     """A strict Galois tower from F to E, read off the subnormal descent."""
     closure, chain = ctx.subnormal_closure(E, F)
     if closure != E:
         raise gal.GaloisError(f"{E.name}/{F.name} is not galtourable")
-    return _checked_descent(Tower(ctx, chain))
+    return _checked_descent(ctx, chain, F, E)
 
 
-def _checked_descent(t: Tower) -> Tower:
-    """t itself, checked a strict Galois tower."""
-    if not (tw.is_strict(t) and tw.is_galois_tower(t)):
+def _checked_descent(ctx: GaloisContext, chain: list, F: FieldRef, M: FieldRef) -> Tower:
+    """The descent chain, checked a strict Galois tower from F to M."""
+    t = Tower(ctx, chain)
+    if not (t.base == F and t.top == M and tw.is_strict(t) and tw.is_galois_tower(t)):
         raise TheoremViolation("subnormal descent is not a strict Galois tower")
     return t
 
@@ -100,12 +107,12 @@ def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Dissoci
     """The unique M with M/K galtourable and L/M trivial or galsimple non-Galois.
 
     Computed as the field of the subnormal closure of Subgroup(L) in
-    Subgroup(K); both defining conditions are then re-verified
-    independently, and any failure is raised as :class:`TheoremViolation`.
+    Subgroup(K).  Its descent, checked a strict Galois tower from K to M,
+    proves M/K galtourable and is the report's witness; L/M is checked
+    trivial or galsimple non-Galois.  Failures raise :class:`TheoremViolation`.
     """
     M, chain = ctx.subnormal_closure(L, K)
-    if not is_galtourable(ctx, M, K):
-        raise TheoremViolation(f"M(L/K) = {M.name} is not galtourable over {K.name}")
+    witness = _checked_descent(ctx, chain, K, M)
     if L == M:
         sub_kind = "trivial"
     elif is_galsimple(ctx, L, M) and not gal.is_galois(ctx, L, M):
@@ -114,7 +121,7 @@ def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Dissoci
         raise TheoremViolation(
             f"L/M = {L.name}/{M.name} is neither trivial nor galsimple non-Galois")
     degrees = TourabilityDegree(gal.degree(ctx, M, K), gal.degree(ctx, L, M))
-    return DissociationReport(M, degrees, True, sub_kind, Tower(ctx, chain))
+    return DissociationReport(M, degrees, True, sub_kind, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +320,7 @@ def _jordanholder(t: Tower) -> Tower:
 
 def composition_tower_galois(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Tower:
     """A Galois composition tower of a galtourable extension L/K."""
-    return galjordanholder_refine(galois_tower_witness(ctx, L, K))
+    return _jordanholder(galois_tower_witness(ctx, L, K))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +359,7 @@ def _induced_prefix(ctx: GaloisContext, c: Tower, M: FieldRef) -> Tower | None:
 def is_elevation_tower(ctx: GaloisContext, e: Tower) -> bool:
     """e is an elevation tower iff induced by a galtourable tower of M(L/K)/K."""
     prefix = _induced_prefix(ctx, e, intourability_field(ctx, e.top, e.base).M)
-    return prefix is not None and tw.is_galtourable_tower(prefix)
+    return prefix is not None and is_galtourable_tower(prefix)
 
 
 def is_composition_tower(ctx: GaloisContext, c: Tower) -> bool:
@@ -371,14 +378,14 @@ def composition_tower_general(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> T
 
     M(L/K) is computed once.  Its report's witness, the subnormal descent
     of Subgroup(L) in Subgroup(K), is the descent of Subgroup(M(L/K)) too
-    (the normal closure of either in each term is the same), so it is
-    checked a strict Galois tower as :func:`galois_tower_witness` checks
-    its own and refined by Jordan-Holder, whose output is checked a
-    composition tower.  The result is then checked to be induced from
-    exactly that tower: each theorem check runs once per value.
+    (the normal closure of either in each term is the same), and
+    :func:`intourability_field` has checked it a strict Galois tower from
+    K to M(L/K).  It is refined by Jordan-Holder, whose output is checked
+    a composition tower, and the result is then checked to be induced
+    from exactly that tower: each theorem check runs once per value.
     """
     rep = intourability_field(ctx, L, K)
-    comp = _jordanholder(_checked_descent(rep.witness_tower))
+    comp = _jordanholder(rep.witness_tower)
     out = tw.induced(comp, L)
     prefix = _induced_prefix(ctx, out, rep.M)
     if prefix is None or prefix.fields != comp.fields:

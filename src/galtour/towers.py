@@ -115,16 +115,12 @@ def make_tower(ctx: GaloisContext, fields: Sequence[FieldRef],
 
 
 def is_strict(t: Tower) -> bool:
-    return all(a != b for a, b in t.marches())
+    # fields are non-decreasing, so a repeated field is a repeated marche
+    return len(set(t.fields)) == len(t.fields)
 
 
 def is_galois_tower(t: Tower) -> bool:
     return all(gal.is_galois(t.ctx, b, a) for a, b in t.marches())
-
-
-def is_galtourable_tower(t: Tower) -> bool:
-    from . import dissociation  # one source of truth for the decision
-    return all(dissociation.is_galtourable(t.ctx, b, a) for a, b in t.marches())
 
 
 def big_omega(n: int) -> int:
@@ -233,7 +229,7 @@ def strict_associated(f: Tower) -> Tower:
         if x != kept[-1]:
             kept.append(x)
     s = Tower(f.ctx, kept)
-    if refinement_witness(f, s) is None or not is_trivial_refinement(f, s):
+    if refinement_witness(f, s) is None or _new_field_positions(f, s):
         raise TheoremViolation("tower does not refine its strict associate trivially")
     return s
 

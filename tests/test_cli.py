@@ -337,7 +337,8 @@ def test_theorem_violation_exits_3_without_traceback(capsys, monkeypatch):
     # a failed check inside towers must reach the CLI as the one
     # TheoremViolation class the CLI catches, not as a traceback
     assert dis.TheoremViolation is tw.TheoremViolation
-    monkeypatch.setattr(tw, "is_trivial_refinement", lambda e, f: False)
+    # strict_associated then finds a new field in its own trivial refinement
+    monkeypatch.setattr(tw, "_new_field_positions", lambda e, f: [1])
     code, out, err = run(capsys, "refine", "radical:a=2,n=4", "--strict",
                          "--tower", '["K","Q(sqrt2)","N"]',
                          "--tower", '["K","Q(zeta4)","N"]')

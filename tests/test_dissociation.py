@@ -15,7 +15,7 @@ import galtour.dissociation as dis
 import galtour.galois as gal
 import galtour.permgroup as pg
 import galtour.towers as tw
-from galtour import presets
+from galtour import cli, presets
 from galtour.oracle import bf_composition_towers, bf_galtourable, enumerate_towers
 from conftest import contexts_up_to_120, get_ctx, is_simple, random_galois_tower, small_contexts
 
@@ -191,6 +191,36 @@ def test_report_records_are_immutable_values(r24):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
             record.extra = None
+
+
+# forgeries of a subnormal descent that keep its closure M
+FORGED_WALKS = {
+    "repeated-field": lambda chain: chain[:1] + chain,
+    "non-galois-step": lambda chain: [chain[0], chain[-1]],
+    "cut-short": lambda chain: chain[:-1],
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGED_WALKS))
+def test_intourability_field_checks_its_walk(forgery, capsys, monkeypatch):
+    # the walk for M(L/K) is its only proof that M/K is galtourable, and
+    # its chain is the witness the report returns
+    ctx = get_ctx("radical:a=2,n=4")
+    K, L = ctx.base, ctx.distinguished
+    rep = dis.intourability_field(ctx, L, K)
+    assert [f.name for f in rep.witness_tower.fields] == ["Q", "Q(sqrt2)", "Q(4rt2)"]
+    subnormal_closure = gal.GaloisContext.subnormal_closure
+
+    def forged(self, E, F):
+        M, chain = subnormal_closure(self, E, F)
+        return M, FORGED_WALKS[forgery](chain)
+    monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", forged)
+    with pytest.raises(tw.TheoremViolation,
+                       match="subnormal descent is not a strict Galois tower"):
+        dis.intourability_field(ctx, L, K)
+    assert cli.main(["m-field", "radical:a=2,n=4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "theorem violation" in err
 
 
 def test_intourability_galtourable_case(r24):
@@ -439,7 +469,7 @@ def test_elevation_examples(r26):
     mtower, ind = dis.elevation_tower(r26, f)
     assert [x.name for x in mtower.fields] == ["Q", "Q", "Q(sqrt2)"]
     assert [x.name for x in ind.fields] == ["Q", "Q", "Q(sqrt2)", "Q(6rt2)"]
-    assert tw.is_galtourable_tower(mtower)
+    assert dis.is_galtourable_tower(mtower)
     two = tw.make_tower(r26, [K, r26.distinguished])
     m2, _ = dis.elevation_tower(r26, two)
     assert m2.fields == (K, dis.intourability_field(
@@ -471,7 +501,7 @@ def test_elevation_characterization_two_sided(r26):
     induced_set = {
         tw.induced(t, L)
         for t in enumerate_towers(r26, K, M, 3)
-        if tw.is_galtourable_tower(t)
+        if dis.is_galtourable_tower(t)
     }
     for c in enumerate_towers(r26, K, L, 4):
         assert dis.is_elevation_tower(r26, c) == (c in induced_set), c
@@ -559,14 +589,33 @@ def test_composition_tower_general_checks_each_marche_once(monkeypatch):
     calls = _count_is_galois(monkeypatch)
     out = dis.composition_tower_general(ctx, L, K)
     comp = tw.make_tower(ctx, out.fields[:-1])
-    # L/M non-Galois, then the witness and its Jordan-Holder refinement
+    # the witness, L/M non-Galois, then the Jordan-Holder refinement
     assert len(calls) == 5
-    assert calls == [(M, L)] + list(rep.witness_tower.marches() + comp.marches())
+    assert calls == list(rep.witness_tower.marches()) + [(M, L)] + list(comp.marches())
     assert reports == [(ctx, L, K)]
-    # both walks are intourability_field's own: its closure and its
-    # galtourability re-check; the witness is not walked a third time
-    assert walks == [(K, L), (K, M)]
+    # the one walk is intourability_field's closure, whose checked chain
+    # is the witness: M/K is not walked again
+    assert walks == [(K, L)]
     assert out.fields[-2:] == (M, L)
+
+
+def test_composition_tower_galois_checks_each_marche_once(monkeypatch):
+    ctx = get_ctx("radical:a=2,n=4")
+    K, L = ctx.base, ctx.distinguished
+    witness = dis.galois_tower_witness(ctx, L, K)
+    walks = []
+    subnormal_closure = gal.GaloisContext.subnormal_closure
+
+    def counted_walk(self, E, F):
+        walks.append((F, E))
+        return subnormal_closure(self, E, F)
+    monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", counted_walk)
+    calls = _count_is_galois(monkeypatch)
+    comp = dis.composition_tower_galois(ctx, L, K)
+    # the witness once, then its Jordan-Holder refinement once
+    assert walks == [(K, L)]
+    assert calls == list(witness.marches() + comp.marches())
+    assert comp.top == L and comp.height == 2
 
 
 def test_is_composition_tower_checks_each_prefix_marche_once(monkeypatch):
@@ -574,24 +623,26 @@ def test_is_composition_tower_checks_each_prefix_marche_once(monkeypatch):
     K, L = ctx.base, ctx.distinguished
     c = dis.composition_tower_general(ctx, L, K)
     prefix = tw.make_tower(ctx, c.fields[:-1])
+    witness = dis.intourability_field(ctx, L, K).witness_tower
     calls = _count_is_galois(monkeypatch)
     assert dis.is_composition_tower(ctx, c)
-    assert calls == [(prefix.top, L)] + list(prefix.marches())
+    # M(L/K)'s witness and L/M, then the prefix
+    assert calls == list(witness.marches()) + [(prefix.top, L)] + list(prefix.marches())
 
 
 def test_composition_tower_general_refusals(monkeypatch):
     r26, r24 = get_ctx("radical:a=2,n=6"), get_ctx("radical:a=2,n=4")
     K, L = r26.base, r26.distinguished
     rep = dis.intourability_field(r26, L, K)
-    intourability_field = dis.intourability_field
+    subnormal_closure = gal.GaloisContext.subnormal_closure
     for forged in ([K, K, rep.M], [K, r26.field_by_name("Q(3rt2)")]):
-        # a witness that is not strict, or not Galois
-        monkeypatch.setattr(dis, "intourability_field", lambda *a, w=forged: (
-            intourability_field(*a)._replace(witness_tower=tw.make_tower(r26, w))))
+        # a walk whose descent is not strict, or not Galois
+        monkeypatch.setattr(gal.GaloisContext, "subnormal_closure",
+                            lambda self, E, F, w=forged: (w[-1], w))
         with pytest.raises(tw.TheoremViolation,
                            match="subnormal descent is not a strict Galois tower"):
             dis.composition_tower_general(r26, L, K)
-    monkeypatch.setattr(dis, "intourability_field", intourability_field)
+    monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", subnormal_closure)
     induced_prefix = dis._induced_prefix
     for forge in (lambda p: None, lambda p: tw.make_tower(r26, (K,) + p.fields)):
         # an induced tower whose prefix is missing or differs

@@ -175,7 +175,7 @@ def test_literal_normal_memo_ignores_freed_groups():
         assert not orc.literal_is_normal(refl, d4.full_subgroup())
         ctx = gal.GaloisContext(d4)
         for E in ctx.all_fields():  # fills D4's rows at every position
-            assert orc.literal_is_subnormal(ctx, E, ctx.base)
+            assert orc.bf_galtourable(ctx, E, ctx.base)
         assert not orc._normal_row(ctx, ctx.base.pos) >> ctx.field_of(refl).pos & 1
         del d4, refl, ctx, E
         gc.collect()
@@ -268,7 +268,7 @@ def test_literal_rows_agree_with_the_reference_scans():
                 where = (name, E.name, F.name)
                 assert orc.literal_is_normal(E.subgroup, F.subgroup) == \
                     literal_normal_scan(E.subgroup, F.subgroup), where
-                assert orc.literal_is_subnormal(ctx, E, F) == \
+                assert orc.bf_galtourable(ctx, E, F) == \
                     literal_chain_search(ctx, E, F, seen), where
                 assert orc._literal_galsimple(ctx, E, F) == \
                     literal_galsimple_scan(ctx, E, F), where
@@ -278,8 +278,7 @@ def test_literal_rows_agree_with_the_reference_scans():
 
 def test_literal_oracles_refuse_unnested_fields(r26):
     E, F = r26.field_by_name("Q(sqrt2)"), r26.field_by_name("Q(zeta3)")
-    for literal in (orc.literal_is_subnormal, orc._literal_galsimple,
-                    orc.bf_galtourable, orc.bf_intourability):
+    for literal in (orc._literal_galsimple, orc.bf_galtourable, orc.bf_intourability):
         with pytest.raises(gal.GaloisError):
             literal(r26, E, F)
     with pytest.raises(gal.GaloisError):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
+import pathlib
 import re
 
 import pytest
@@ -24,7 +26,19 @@ from conftest import get_ctx
 def test_make_tower_trivial(r26):
     t = tw.make_tower(r26, [r26.base], base=r26.base, top=r26.base)
     assert t.height == 0
-    assert tw.is_strict(t) and tw.is_galois_tower(t) and tw.is_galtourable_tower(t)
+    assert tw.is_strict(t) and tw.is_galois_tower(t) and dis.is_galtourable_tower(t)
+
+
+def test_towers_imports_nothing_from_dissociation():
+    # dissociation imports towers and owns galtourability: no import cycle
+    tree = ast.parse(pathlib.Path(tw.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+    assert names and not any("dissociation" in n for n in names)
 
 
 def test_make_tower_allows_repetitions(r26):
@@ -161,6 +175,17 @@ def test_strict_associated_examples(r26):
     assert tw.strict_associated(strict) == strict
     padded = tw.make_tower(r26, [K, K, s2, s2, L])
     assert tw.strict_associated(padded) == strict
+
+
+def test_strict_associated_reads_one_refinement_witness(r26, monkeypatch):
+    padded = tw.make_tower(r26, [r26.base, r26.base, r26.field_by_name("Q(sqrt2)"),
+                                 r26.distinguished])
+    calls = []
+    refinement_witness = tw.refinement_witness
+    monkeypatch.setattr(tw, "refinement_witness",
+                        lambda e, f: calls.append((e, f)) or refinement_witness(e, f))
+    s = tw.strict_associated(padded)
+    assert calls == [(padded, s)]
 
 
 def test_strict_associated_marches_are_marches_of_original():

@@ -9,10 +9,9 @@ reader of stdout closed it early.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import dissociation as dis
 from . import galois as gal
@@ -30,6 +29,7 @@ TOWER_QUOTE = 40  # characters of a bad --tower text its error quotes
 
 
 def _parse_tower(ctx, text: str) -> tw.Tower:
+    import json  # on use: the verbs without a tower never load it
     try:
         names = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -44,6 +44,7 @@ def _parse_tower(ctx, text: str) -> tw.Tower:
 
 def _emit(args, payload: dict, text_lines: list) -> None:
     if args.json:
+        import json
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -207,6 +208,7 @@ def cmd_oracle(args, ctx) -> int:
     from . import oracle as orc  # only this verb needs it
     matrix = orc.run_agreement_suite({args.instance: ctx})
     if args.json:
+        import json
         print(json.dumps(matrix, indent=2, sort_keys=True))
     else:
         for inst in sorted(matrix["instances"]):
@@ -221,66 +223,172 @@ def cmd_oracle(args, ctx) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# argv
+
+INSTANCE_HELP = ("preset (radical:a=2,n=6 | cyclo-radical:n=2,d=3,l=3 "
+                 "| selmer-serre:n=5 | file:<path>) or instance file path")
+
+# option -> (type of its value, None for a flag; help line)
+OPTIONS = {
+    "help": (None, "show this help message and exit"),
+    "json": (None, "JSON output"),
+    "bound": (int, "override the subgroup enumeration bound"),
+    "field": (str, "field name"),
+    "tower": (str, "tower as a JSON list of field names"),
+    "strict": (None, "return strict associated refinements"),
+    "dot": (str, "write DOT to this path"),
+}
+
+# verb -> (handler, help line, options in usage order, times --tower is given)
+VERBS = {
+    "analyze": (cmd_analyze, "per-field dissociation report",
+                ("json", "bound", "field"), 0),
+    "m-field": (cmd_m_field, "intourability field of L/K",
+                ("json", "bound", "field"), 0),
+    "tower-check": (cmd_tower_check, "validate and classify a tower",
+                    ("json", "bound", "tower"), 1),
+    "refine": (cmd_refine, "common Galois refinements",
+               ("json", "bound", "tower", "strict"), 2),
+    "compose": (cmd_compose, "composition tower of L/K",
+                ("json", "bound", "field"), 0),
+    "elevate": (cmd_elevate, "elevation tower of a tower",
+                ("json", "bound", "tower"), 1),
+    "check-equiv": (cmd_check_equiv, "equivalence of two towers",
+                    ("json", "bound", "tower"), 2),
+    "lattice": (cmd_lattice, "field lattice as DOT", ("json", "bound", "dot"), 0),
+    "oracle": (cmd_oracle, "oracle agreement suite", ("json", "bound"), 0),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="galtour",
-        description="Galois tower calculus over explicit finite permutation groups")
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _usage(verb: str | None) -> str:
+    if verb is None:
+        return f"usage: galtour [-h] {{{','.join(VERBS)}}} ..."
+    words = []
+    for name in VERBS[verb][2]:
+        word = f"--{name}" if OPTIONS[name][0] is None else f"--{name} {name.upper()}"
+        words.append(word if name == "tower" else f"[{word}]")
+    return f"usage: galtour {verb} [-h] {' '.join(words)} instance"
 
-    def common(p, towers=0, field=False):
-        p.add_argument("instance",
-                       help="preset (radical:a=2,n=6 | cyclo-radical:n=2,d=3,l=3 "
-                            "| selmer-serre:n=5 | file:<path>) or instance file path")
-        p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--bound", type=int, default=None,
-                       help="override the subgroup enumeration bound")
-        if field:
-            p.add_argument("--field", default=None, help="field name")
-        if towers:
-            p.add_argument("--tower", action="append", required=True,
-                           help="tower as a JSON list of field names"
-                            + (" (give twice)" if towers == 2 else ""))
-        return p
 
-    common(sub.add_parser("analyze", help="per-field dissociation report"),
-           field=True).set_defaults(func=cmd_analyze)
-    common(sub.add_parser("m-field", help="intourability field of L/K"),
-           field=True).set_defaults(func=cmd_m_field)
-    common(sub.add_parser("tower-check", help="validate and classify a tower"),
-           towers=1).set_defaults(func=cmd_tower_check, nt=1)
-    p = common(sub.add_parser("refine", help="common Galois refinements"),
-               towers=2)
-    p.add_argument("--strict", action="store_true",
-                   help="return strict associated refinements")
-    p.set_defaults(func=cmd_refine, nt=2)
-    common(sub.add_parser("compose", help="composition tower of L/K"),
-           field=True).set_defaults(func=cmd_compose)
-    common(sub.add_parser("elevate", help="elevation tower of a tower"),
-           towers=1).set_defaults(func=cmd_elevate, nt=1)
-    common(sub.add_parser("check-equiv", help="equivalence of two towers"),
-           towers=2).set_defaults(func=cmd_check_equiv, nt=2)
-    p = common(sub.add_parser("lattice", help="field lattice as DOT"))
-    p.add_argument("--dot", default=None, help="write DOT to this path")
-    p.set_defaults(func=cmd_lattice)
-    common(sub.add_parser("oracle", help="oracle agreement suite")
-           ).set_defaults(func=cmd_oracle)
-    return parser
+def _help(verb: str | None):
+    """Print the usage and a line for each verb, or for each argument of
+    ``verb``, on stdout, and exit 0."""
+    if verb is None:
+        title = "Galois tower calculus over explicit finite permutation groups"
+        rows = [("verbs:", "")] + [(v, VERBS[v][1]) for v in VERBS]
+    else:
+        _, title, options, towers = VERBS[verb]
+        rows = [("arguments:", ""), ("instance", INSTANCE_HELP)]
+        for name in ("help",) + options:
+            kind, text = OPTIONS[name]
+            head = "-h, --help" if name == "help" else f"--{name}"
+            if kind is not None:
+                head += f" {name.upper()}"
+            if name == "tower" and towers == 2:
+                text += " (give twice)"
+            rows.append((head, text))
+    lines = [_usage(verb), "", title, "", rows[0][0]]
+    lines += [f"  {head:<15} {text}" for head, text in rows[1:]]
+    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.flush()  # a closed stdout raises here, inside main's try
+    raise SystemExit(0)
+
+
+def _fail(verb: str | None, reason: str):
+    sys.stderr.write(f"{_usage(verb)}\ngaltour: error: {reason}\n")
+    raise SystemExit(2)
+
+
+def _is_option(word: str) -> bool:
+    return word.startswith("-") and word != "-"
+
+
+def _option(word: str, names: tuple, verb: str | None) -> str:
+    """The name in ``names`` that the long option ``word`` spells out, or
+    the only one that it begins."""
+    stem = word[2:]
+    hits = [stem] if stem in names else [n for n in names if stem and n.startswith(stem)]
+    if len(hits) != 1:
+        _fail(verb, f"unrecognized arguments: {word}")
+    return hits[0]
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The verb, instance and options of one command line, read against
+    VERBS and OPTIONS.
+
+    An option is ``--name value`` or ``--name=value``, its name cut to any
+    unique prefix; options go before or after the instance, and ``--``
+    ends them.  A repeated option keeps its last value, except ``--tower``,
+    which collects each.  A value given as the next word may not begin
+    with ``-``.  ``-h``/``--help`` prints help and exits 0; bad input
+    prints the usage and the reason on stderr and exits 2.
+    """
+    if not argv:
+        _fail(None, "the following arguments are required: verb")
+    verb = argv[0]
+    if verb == "-h" or verb.startswith("--") and _option(verb, ("help",), None):
+        _help(None)  # _option exits 2 on any option but --help
+    if verb not in VERBS:
+        _fail(None, f"argument verb: invalid choice: {verb!r} "
+                    f"(choose from {', '.join(VERBS)})")
+    options, towers = ("help",) + VERBS[verb][2], VERBS[verb][3]
+    args = SimpleNamespace(verb=verb, instance=None, json=False, bound=None,
+                           field=None, tower=None, strict=False, dot=None)
+    words, positional = iter(argv[1:]), []
+    for word in words:
+        if word == "--":
+            positional.extend(words)
+        elif not _is_option(word):
+            positional.append(word)
+        elif word == "-h":
+            _help(verb)
+        elif not word.startswith("--"):
+            _fail(verb, f"unrecognized arguments: {word}")
+        else:
+            key, given, value = word.partition("=")
+            name = _option(key, options, verb)
+            kind = OPTIONS[name][0]
+            if kind is None:
+                if given:
+                    _fail(verb, f"argument --{name}: ignored explicit argument {value!r}")
+                if name == "help":
+                    _help(verb)
+                setattr(args, name, True)
+                continue
+            if not given:
+                value = next(words, None)
+                if value is None or _is_option(value):
+                    _fail(verb, f"argument --{name}: expected one argument")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(verb, f"argument --{name}: invalid int value: {value!r}")
+            if name == "tower":
+                value = (args.tower or []) + [value]
+            setattr(args, name, value)
+    missing = [what for what, absent in (("instance", not positional),
+                                         ("--tower", towers and args.tower is None))
+               if absent]
+    if missing:
+        _fail(verb, f"the following arguments are required: {', '.join(missing)}")
+    if len(positional) > 1:
+        _fail(verb, f"unrecognized arguments: {' '.join(positional[1:])}")
+    args.instance = positional[0]
+    return args
 
 
 def main(argv: list | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    nt = getattr(args, "nt", None)
-    if nt is not None and len(args.tower) != nt:
-        print(f"error: expected --tower given {nt} time(s), got {len(args.tower)}",
-              file=sys.stderr)
-        return 2
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        handler, _, _, towers = VERBS[args.verb]
+        if towers and len(args.tower) != towers:
+            print(f"error: expected --tower given {towers} time(s), "
+                  f"got {len(args.tower)}", file=sys.stderr)
+            return 2
         ctx = presets.load_instance(args.instance, enumeration_bound=args.bound)
-        code = args.func(args, ctx)
+        code = handler(args, ctx)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:

@@ -32,7 +32,6 @@ workers.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator, Sequence
 
 from . import permgroup as pg
@@ -589,4 +588,5 @@ def to_instance_dict(ctx: GaloisContext) -> dict:
 
 
 def to_instance_json(ctx: GaloisContext) -> str:
+    import json  # on use: no CLI verb writes an instance file
     return json.dumps(to_instance_dict(ctx), indent=2, sort_keys=True) + "\n"

@@ -21,10 +21,8 @@ enumeration bound; only this combinatorial fingerprint is documented.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache, wraps
 
 from . import galois as gal
@@ -114,8 +112,9 @@ def integer_root(x: int, p: int) -> int:
     return r
 
 
-def is_rational_pth_power(a: Fraction, p: int) -> bool:
-    """a in Q^p: |numerator| and denominator (coprime) are exact p-th powers."""
+def is_rational_pth_power(a, p: int) -> bool:
+    """a in Q^p, for an int or a Fraction a: |numerator| and denominator
+    (coprime) are exact p-th powers."""
     if a == 0:
         return True
     if a < 0 and p % 2 == 0:
@@ -124,9 +123,10 @@ def is_rational_pth_power(a: Fraction, p: int) -> bool:
                for x in (abs(a.numerator), a.denominator))
 
 
-def in_minus_four_fourth_powers(a: Fraction) -> bool:
-    """a in -4 Q^4, i.e. -a/4 is a fourth power of a rational."""
-    return a < 0 and is_rational_pth_power(-a / 4, 4)
+def in_minus_four_fourth_powers(a) -> bool:
+    """a in -4 Q^4, i.e. -a/4 = -4a/2^4 is a fourth power of a rational:
+    so is -4a, which stays an int for an int a."""
+    return a < 0 and is_rational_pth_power(-4 * a, 4)
 
 
 def _unit_generators(n: int) -> list:
@@ -179,14 +179,15 @@ def _pair_group(d: int, e: int, enumeration_bound: int) -> tuple:
 # radical contexts: Q(zeta_n, a^(1/n)) / Q
 
 
-def _radical_name(a: Fraction, m: int) -> str:
+def _radical_name(a, m: int) -> str:
     return f"Q(sqrt{a})" if m == 2 else f"Q({m}rt{a})"
 
 
 @_cached
-def radical_context(a: Fraction, n: int, *,
+def radical_context(a, n: int, *,
                     enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND) -> GaloisContext:
-    """Closure context for Q(zeta_n, a^(1/n)) / Q.
+    """Closure context for Q(zeta_n, a^(1/n)) / Q, for an int or a Fraction
+    a; equal radicands give the same context and cache entry.
 
     Refused unless X^n - a is irreducible over Q: n >= 2, a != 0, a not a
     p-th power for p | n, and a outside -4*Q^4 when 4 | n.  Elements are
@@ -288,7 +289,7 @@ def cyclo_radical_context(n: int, d: int, l: int, *,
         if n2 > 2:
             names[f"Q(zeta{n2},{d // delta}rt{l})"] = sub
         else:
-            names[_radical_name(Fraction(l), d // delta)] = sub
+            names[_radical_name(l, d // delta)] = sub
     # F_n: preimage of the least valid H of order phi(n^2)/n
     q = euler_phi(n2) // n
     target = E.order * q
@@ -393,6 +394,7 @@ def from_file(path: str,
             seen.add(k)
         return dict(pairs)
 
+    import json  # on use: a preset never loads it
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.loads(fh.read(), object_pairs_hook=no_dup_pairs)
@@ -422,18 +424,22 @@ def _parse_params(text: str, keys: str) -> dict:
     return out
 
 
-def _radicand(text: str) -> Fraction:
-    """``Fraction(text)``, refused first if the decimal exponent alone gives
+def _radicand(text: str):
+    """``int(text)`` for an integer text.  Any other text is
+    ``Fraction(text)``, refused first if the decimal exponent alone gives
     a numerator or denominator of more than RADICAND_BITS bits, since
     Fraction builds 10**exponent before any size check.  An exponent e
     does so once e > RADICAND_BITS + len(text): 10**m has more than m
     bits, and the mantissa's digits cancel fewer than len(text) of its
     powers of ten (a zero mantissa is refused too)."""
+    if re.fullmatch(r"\s*[+-]?\d+\s*", text):
+        return int(text)  # no fractions (and decimal) import for an integer
     m = re.search(r"[eE][-+]?(\d[\d_]*)\s*\Z", text)
     if m:
         exponent = m.group(1).replace("_", "").lstrip("0") or "0"
         if len(exponent) > 20 or int(exponent) > RADICAND_BITS + len(text):
             raise PresetError(f"radicand a has more than {RADICAND_BITS} bits")
+    from fractions import Fraction
     return Fraction(text)
 
 

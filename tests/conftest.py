@@ -116,6 +116,46 @@ def literal_galsimple_scan(ctx, E, F) -> bool:
         for M in ctx.interval_fields(F, E))
 
 
+def build_parser():
+    """Reference: the argparse parser the CLI used before its verb table,
+    for comparing parse results (``verb``, ``instance`` and the options)."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="galtour",
+        description="Galois tower calculus over explicit finite permutation groups")
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    def common(p, towers=0, field=False):
+        p.add_argument("instance",
+                       help="preset (radical:a=2,n=6 | cyclo-radical:n=2,d=3,l=3 "
+                            "| selmer-serre:n=5 | file:<path>) or instance file path")
+        p.add_argument("--json", action="store_true", help="JSON output")
+        p.add_argument("--bound", type=int, default=None,
+                       help="override the subgroup enumeration bound")
+        if field:
+            p.add_argument("--field", default=None, help="field name")
+        if towers:
+            p.add_argument("--tower", action="append", required=True,
+                           help="tower as a JSON list of field names"
+                            + (" (give twice)" if towers == 2 else ""))
+        return p
+
+    common(sub.add_parser("analyze", help="per-field dissociation report"), field=True)
+    common(sub.add_parser("m-field", help="intourability field of L/K"), field=True)
+    common(sub.add_parser("tower-check", help="validate and classify a tower"), towers=1)
+    p = common(sub.add_parser("refine", help="common Galois refinements"), towers=2)
+    p.add_argument("--strict", action="store_true",
+                   help="return strict associated refinements")
+    common(sub.add_parser("compose", help="composition tower of L/K"), field=True)
+    common(sub.add_parser("elevate", help="elevation tower of a tower"), towers=1)
+    common(sub.add_parser("check-equiv", help="equivalence of two towers"), towers=2)
+    p = common(sub.add_parser("lattice", help="field lattice as DOT"))
+    p.add_argument("--dot", default=None, help="write DOT to this path")
+    common(sub.add_parser("oracle", help="oracle agreement suite"))
+    return parser
+
+
 _cache: dict = {}
 
 

@@ -17,6 +17,7 @@ import galtour.dissociation as dis
 import galtour.galois as gal
 import galtour.towers as tw
 from galtour import cli, presets
+from conftest import build_parser
 
 REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -311,6 +312,97 @@ def test_integers_past_the_digit_limit_are_input_errors(tmp_path, capsys, where)
     assert (code, out) == (2, ""), err
 
 
+PARSED = {"verb": None, "instance": None, "json": False, "bound": None,
+          "field": None, "tower": None, "strict": False, "dot": None}
+
+EDGE_ARGV = [
+    ["refine", "radical:a=2,n=4", '--tower=["K","N"]', "--tower", '["K","N"]'],
+    ["analyze", "--json", "--field", "Q(sqrt2)", "radical:a=2,n=6"],
+    ["m-field", "--bound=100", "radical:a=2,n=6", "--json"],
+    ["analyze", "radical:a=2,n=6", "--bound", "5", "--bound=7",
+     "--field", "Q", "--field=N", "--json", "--json"],
+    ["refine", "--tow", '["K","N"]', "radical:a=2,n=4", "--str", "--tow=[]", "--str"],
+    ["check-equiv", "radical:a=2,n=6", "--t", "[]", "--to", "[]", "--tower", "[]"],
+    ["lattice", "radical:a=2,n=4", "--do", "out.dot", "--js", "--b", "9"],
+    ["compose", "--fi=", "--", "-radical"],
+    ["analyze", "radical:a=2,n=6", "--bound", " 1_000 "],
+    ["oracle", "selmer-serre:n=3"],
+]
+
+
+def _parsed(args) -> dict:
+    return {name: getattr(args, name, default) for name, default in PARSED.items()}
+
+
+def _reference_argv() -> list:
+    return [op["argv"] for name in ("cli_lattice", "cli_towers")
+            for op in json.loads((REFERENCE / f"{name}.json").read_text())["ops"]]
+
+
+def test_parser_matches_the_argparse_reference():
+    reference = build_parser()
+    argvs = _reference_argv() + EDGE_ARGV
+    assert len(argvs) == 394 + len(EDGE_ARGV)
+    for argv in argvs:
+        assert _parsed(cli.parse_args(argv)) == _parsed(reference.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate", "radical:a=2,n=6"],
+    ["--json", "analyze", "radical:a=2,n=6"],
+    ["analyze", "--json"],
+    ["analyze", "radical:a=2,n=6", "radical:a=2,n=4"],
+    ["analyze", "radical:a=2,n=6", "-x"],
+    ["lattice", "radical:a=2,n=4", "--field", "Q"],
+    ["refine", "radical:a=2,n=4", "--tower", '["K","N"]', "--field", "Q"],
+    ["analyze", "radical:a=2,n=6", "--field"],
+    ["tower-check", "radical:a=2,n=6", "--tower", "--json"],
+    ["analyze", "radical:a=2,n=6", "--bound", "six"],
+    ["tower-check", "radical:a=2,n=6"],
+    ["analyze", "radical:a=2,n=6", "--json=yes"],
+], ids=["no-verb", "unknown-verb", "option-before-verb", "no-instance",
+        "extra-positional", "short-option", "foreign-option", "foreign-option-2",
+        "no-value", "option-as-value", "non-int-bound", "no-tower", "flag-value"])
+def test_bad_argv_exits_2_with_both_parsers(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: galtour") and error.startswith("galtour: error: ")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", [None, *cli.VERBS])
+def test_help_lists_every_verb_and_each_option_of_a_verb(capsys, verb):
+    for flag in ("-h", "--help", "--he"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([flag] if verb is None else [verb, "radical:a=2,n=6", flag])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        heads = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        if verb is None:
+            assert heads == list(cli.VERBS)
+        else:
+            assert out.startswith(f"usage: galtour {verb} [-h] ")
+            assert heads == ["instance", "-h,", *(f"--{o}" for o in cli.VERBS[verb][2])]
+
+
+def test_cold_call_loads_json_only_for_a_tower():
+    # argparse, fractions (with decimal) and json cost about 5 ms of a cold call
+    probe = ("import sys; from galtour import cli; cli.main(sys.argv[1:]); "
+             "sys.stderr.write(' '.join(m for m in "
+             "('argparse', 'fractions', 'decimal', 'json') if m in sys.modules))")
+    for argv, loaded in ((["lattice", "radical:a=2,n=4"], ""),
+                         (["tower-check", "radical:a=2,n=4", "--tower", '["Q","N"]'],
+                          "json")):
+        proc = _python("-S", "-c", probe, *argv)
+        assert (proc.returncode, proc.stderr) == (0, loaded), argv
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", "radical:a=2,n=6", "--frobnicate"])
@@ -398,6 +490,7 @@ def test_optimized_mode_prints_the_same(argv):
 @pytest.mark.parametrize("argv", [
     ["analyze", "radical:a=2,n=6"],   # fits the buffer: the final flush fails
     ["lattice", "radical:a=2,n=12"],  # a write inside the verb fails
+    ["refine", "--help"],             # help is written before any instance
 ])
 def test_closed_stdout_exits_141_with_nothing_on_stderr(argv, tmp_path):
     # the reader is gone before the first write, so every write fails

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fractions
 import json
 import math
 import re
@@ -34,6 +35,23 @@ def test_minus_four_fourth_powers():
     assert presets.in_minus_four_fourth_powers(Fraction(-64))  # -4 * 2^4
     assert not presets.in_minus_four_fourth_powers(Fraction(4))
     assert not presets.in_minus_four_fourth_powers(Fraction(-8))
+    assert presets.in_minus_four_fourth_powers(Fraction(-1, 4))  # -4 * (1/2)^4
+    assert presets.in_minus_four_fourth_powers(-64)
+    assert not presets.in_minus_four_fourth_powers(-3)
+
+
+@pytest.mark.parametrize("a", [2, -3, -4, -64])
+def test_int_and_fraction_radicands_give_one_context(a):
+    # -a / 4 was true division: an int radicand at 4 | n raised AttributeError
+    def outcome(radicand):
+        try:
+            ctx = presets.radical_context.__wrapped__(radicand, 4)  # uncached
+        except PresetError as exc:
+            return str(exc)
+        return gal.to_instance_dict(ctx), ctx.notes, gal.to_dot(ctx)
+    assert outcome(a) == outcome(Fraction(a))
+    if a in (2, -3):
+        assert presets.radical_context(a, 4) is presets.radical_context(Fraction(a), 4)
 
 
 def test_unit_generators_agree_with_greedy_generators_of_the_unit_table():
@@ -213,9 +231,17 @@ def test_radicand_exponent_is_refused_before_fraction(monkeypatch, a):
         if text == a:
             raise AssertionError(f"Fraction({text[:20]!r}) expands the exponent")
         return Fraction(text, *rest)
-    monkeypatch.setattr(presets, "Fraction", fraction)
+    monkeypatch.setattr(fractions, "Fraction", fraction)
     with pytest.raises(PresetError, match="radicand a has more than 14000 bits"):
         presets.load_instance(f"radical:a={a},n=6")
+
+
+@pytest.mark.parametrize("text", ["2", " 2 ", "+2", "-8", "0", "1_000", "2.0", "1e3",
+                                  "25e-1", "1/2", "-1/3"])
+def test_radicand_is_an_int_for_integer_text_and_equals_its_fraction(text):
+    a = presets._radicand(text)
+    assert (a, str(a)) == (Fraction(text), str(Fraction(text)))
+    assert type(a) is (int if re.fullmatch(r"\s*[+-]?\d+\s*", text) else Fraction)
 
 
 def test_radicand_exponent_within_the_bound_is_parsed():

@@ -27,7 +27,7 @@ print("both are Galois towers:", tw.is_galois_tower(t1), tw.is_galois_tower(t2))
 # refinement predicates
 f = tw.make_tower(ctx, [K, N])
 print("\ntower 1 refines [K, N] with witness",
-      tw.refinement_witness(t1, f).indices)
+      tw.refinement_witness(t1, f))
 print("proper refinement:", tw.is_proper_refinement(t1, f))
 print("Galois refinement:", tw.is_galois_refinement(t1, f))
 

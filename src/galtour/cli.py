@@ -144,11 +144,8 @@ def cmd_refine(args, ctx) -> int:
     t2 = _parse_tower(ctx, args.tower[1])
     refine = dis.schreier_refine_strict if args.strict else dis.schreier_refine
     r1, r2, witness = refine(t1, t2)
-    # the refinement has checked r1 Galois: read its quotients directly
-    q1 = [ctx.quotient_group(hi, lo) for lo, hi in r1.marches()]
-    marches = [{"marche": i + 1, "to": witness.sigma[i],
-                "group": _group_class(q1[i])}
-               for i in range(r1.height)]
+    marches = [{"marche": i + 1, "to": witness.sigma[i], "group": _group_class(q)}
+               for i, q in enumerate(tw.marche_groups(r1))]
     payload = {"refined1": [f.name for f in r1.fields],
                "refined2": [f.name for f in r2.fields],
                "sigma": list(witness.sigma),

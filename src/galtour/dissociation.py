@@ -62,8 +62,11 @@ def galois_tower_witness(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Tower:
 
 def _checked_descent(ctx: GaloisContext, chain: list, F: FieldRef, M: FieldRef) -> Tower:
     """The descent chain, checked a strict Galois tower from F to M."""
-    t = Tower(ctx, chain)
-    if not (t.base == F and t.top == M and tw.is_strict(t) and tw.is_galois_tower(t)):
+    try:
+        t = Tower(ctx, chain)
+    except tw.TowerError:  # a non-monotone chain
+        t = None
+    if t is None or not (t.base == F and t.top == M and tw.is_strict(t) and tw.is_galois_tower(t)):
         raise TheoremViolation("subnormal descent is not a strict Galois tower")
     return t
 
@@ -209,9 +212,7 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
     if not (tw.is_galois_tower(r1) and tw.is_galois_tower(r2)):
         raise TheoremViolation("refinement formulas produced a non-Galois tower")
     sigma = schreier_sigma(m, n)
-    # r1 and r2 were just checked Galois: read their quotients directly
-    q1 = [r1.ctx.quotient_group(hi, lo) for lo, hi in r1.marches()]
-    q2 = [r2.ctx.quotient_group(hi, lo) for lo, hi in r2.marches()]
+    q1, q2 = tw.marche_groups(r1), tw.marche_groups(r2)
     m1, m2 = r1.marches(), r2.marches()
     isos = []
     for l in range(1, m * n + 1):
@@ -271,16 +272,11 @@ def butterfly_parallelogram_check(t1: Tower, t2: Tower) -> bool:
 # composition towers (Galois case)
 
 
-def _is_composition_galois(t: Tower) -> bool:
-    """Strict with every marche galsimple; the caller has checked t Galois."""
-    return tw.is_strict(t) and all(is_galsimple(t.ctx, hi, lo) for lo, hi in t.marches())
-
-
 def is_composition_tower_galois(t: Tower) -> bool:
     """Strict Galois tower with every marche galsimple."""
     if not tw.is_galois_tower(t):
         raise tw.TowerError("not a Galois tower")
-    return _is_composition_galois(t)
+    return tw.is_strict(t) and all(is_galsimple(t.ctx, hi, lo) for lo, hi in t.marches())
 
 
 def galjordanholder_refine(t: Tower) -> Tower:
@@ -291,17 +287,11 @@ def galjordanholder_refine(t: Tower) -> Tower:
     Galois step inside the marche, whose subgroup is the least maximal
     proper normal subgroup still containing the marche's top subgroup.
     Raises :class:`~galtour.towers.TowerError` unless t is a strict Galois
-    tower; the refinement is then checked to refine t and to be a
-    composition tower, each once.
+    tower; the refinement is then checked to be a Galois tower, to refine
+    t and to be a composition tower, each once.
     """
     if not tw.is_strict(t) or not tw.is_galois_tower(t):
         raise tw.TowerError("galjordanholder_refine requires a strict Galois tower")
-    return _jordanholder(t)
-
-
-def _jordanholder(t: Tower) -> Tower:
-    """:func:`galjordanholder_refine` on a tower the caller has checked
-    strict and Galois."""
     ctx = t.ctx
     fields = [t.base]
     for lo, hi in t.marches():
@@ -310,7 +300,12 @@ def _jordanholder(t: Tower) -> Tower:
             if not steps:
                 raise TheoremViolation("no proper normal subgroup in a non-simple step")
             fields.append(steps[0])
-    out = Tower(ctx, fields)
+    try:
+        out = Tower(ctx, fields)
+    except tw.TowerError as exc:
+        raise TheoremViolation(f"Jordan-Holder refinement: {exc}") from exc
+    if not tw.is_galois_tower(out):
+        raise TheoremViolation("Jordan-Holder refinement is not a Galois tower")
     if tw.refinement_witness(out, t) is None:
         raise TheoremViolation("Jordan-Holder refinement does not refine its input")
     if not is_composition_tower_galois(out):
@@ -320,7 +315,7 @@ def _jordanholder(t: Tower) -> Tower:
 
 def composition_tower_galois(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Tower:
     """A Galois composition tower of a galtourable extension L/K."""
-    return _jordanholder(galois_tower_witness(ctx, L, K))
+    return galjordanholder_refine(galois_tower_witness(ctx, L, K))
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +360,12 @@ def is_elevation_tower(ctx: GaloisContext, e: Tower) -> bool:
 def is_composition_tower(ctx: GaloisContext, c: Tower) -> bool:
     """c is induced by a Galois composition tower of M(L/K)/K.
 
-    The prefix below M(L/K) is checked Galois once, marche by marche,
-    then strict with every marche galsimple.
+    The prefix below M(L/K) must be a Galois tower, strict with every
+    marche galsimple.
     """
     prefix = _induced_prefix(ctx, c, intourability_field(ctx, c.top, c.base).M)
     return (prefix is not None and tw.is_galois_tower(prefix)
-            and _is_composition_galois(prefix))
+            and is_composition_tower_galois(prefix))
 
 
 def composition_tower_general(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Tower:
@@ -385,7 +380,7 @@ def composition_tower_general(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> T
     from exactly that tower: each theorem check runs once per value.
     """
     rep = intourability_field(ctx, L, K)
-    comp = _jordanholder(rep.witness_tower)
+    comp = galjordanholder_refine(rep.witness_tower)
     out = tw.induced(comp, L)
     prefix = _induced_prefix(ctx, out, rep.M)
     if prefix is None or prefix.fields != comp.fields:

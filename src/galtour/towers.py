@@ -38,10 +38,11 @@ class Tower:
     """Non-decreasing field sequence F_0 <= ... <= F_m in one context.
 
     Each containment is one bit of the context's up-sets, the bit
-    ``FieldRef.__le__`` reads; the marches are built once, here.
+    ``FieldRef.__le__`` reads, and each Galois verdict the bit of ``nbelow``
+    that ``gal.is_galois`` reads; the marches and their AND are built here.
     """
 
-    __slots__ = ("ctx", "fields", "_marches")
+    __slots__ = ("ctx", "fields", "_marches", "_galois")
 
     def __init__(self, ctx: GaloisContext, fields: Sequence[FieldRef]):
         fields = tuple(fields)
@@ -51,14 +52,16 @@ class Tower:
             if f.ctx is not ctx:
                 raise TowerError("tower fields belong to a different context")
         marches = tuple(zip(fields, fields[1:]))
-        up = ctx._up
+        up, nbelow, galois = ctx._up, ctx._nbelow, True
         for a, b in marches:
             if not up[b.pos] >> a.pos & 1:
                 raise TowerError(
                     f"non-monotone tower: {a.name} not contained in {b.name}")
+            galois = galois and nbelow[a.pos] >> b.pos & 1 == 1
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "_marches", marches)
+        object.__setattr__(self, "_galois", galois)
 
     def __setattr__(self, *a):
         raise AttributeError("Tower is immutable")
@@ -120,7 +123,7 @@ def is_strict(t: Tower) -> bool:
 
 
 def is_galois_tower(t: Tower) -> bool:
-    return all(gal.is_galois(t.ctx, b, a) for a, b in t.marches())
+    return t._galois  # every marche Galois, read when t was built
 
 
 def big_omega(n: int) -> int:
@@ -139,29 +142,9 @@ def height_bound_check(t: Tower) -> bool:
 # refinements
 
 
-class RefinementWitness:
-    """Strictly increasing indices j_0 < ... < j_m with E_{j_i} = F_i."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices: Sequence[int]):
-        indices = tuple(indices)
-        if any(a >= b for a, b in zip(indices, indices[1:])):
-            raise TowerError("witness indices must be strictly increasing")
-        object.__setattr__(self, "indices", indices)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RefinementWitness is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, RefinementWitness) and other.indices == self.indices
-
-    def __repr__(self) -> str:
-        return f"RefinementWitness{self.indices}"
-
-
-def refinement_witness(e: Tower, f: Tower) -> RefinementWitness | None:
-    """The lexicographically smallest witness that e refines f, else None.
+def refinement_witness(e: Tower, f: Tower) -> tuple | None:
+    """The lexicographically smallest witness that e refines f, the
+    indices j_0 < ... < j_m with E_{j_i} = F_i, else None.
 
     Greedy earliest-match: map F_i to the smallest admissible index.  If
     any witness exists the greedy one does too (choosing an earlier
@@ -184,7 +167,7 @@ def refinement_witness(e: Tower, f: Tower) -> RefinementWitness | None:
             return None
         indices.append(j)
         j += 1
-    return RefinementWitness(indices)
+    return tuple(indices)
 
 
 def _new_field_positions(e: Tower, f: Tower) -> list:

@@ -123,20 +123,32 @@ def test_refine_rejects_non_galois_tower(capsys):
     assert "Q(3rt2)" in err
 
 
-def test_plain_refine_reads_no_marche_groups(capsys, monkeypatch):
-    # schreier_refine has checked r1 Galois; the verb reads its quotients
+def test_plain_refine_asks_is_galois_of_input_and_printed_marches(capsys, monkeypatch):
+    # the input check names a non-Galois marche and Tower.pretty marks each
+    # printed marche; the refined towers' own verdicts are read, not asked
     ops = [op for op in json.loads((REFERENCE / "cli_towers.json").read_text())["ops"]
            if op["verb"] == "refine" and "--strict" not in op["argv"]]
     assert len(ops) == 39
-    calls = []
-    marche_groups = tw.marche_groups
-    monkeypatch.setattr(tw, "marche_groups", lambda t: calls.append(t) or marche_groups(t))
+
+    def names(towers):
+        return [(lo.name, hi.name) for t in towers for lo, hi in t.marches()]
+    expected = []
     for op in ops:
+        args = cli.parse_args(op["argv"])
+        ctx = presets.load_instance(args.instance)
+        t1, t2 = (cli._parse_tower(ctx, t) for t in args.tower)
+        expected.append(names((t1, t2) + dis.schreier_refine(t1, t2)[:2]))
+    calls = []
+    is_galois = gal.is_galois
+    monkeypatch.setattr(gal, "is_galois",
+                        lambda ctx, E, F: calls.append((F.name, E.name)) or is_galois(ctx, E, F))
+    for op, want in zip(ops, expected):
         code = cli.main(op["argv"])
         out = capsys.readouterr().out.encode("utf-8")
         assert (code, hashlib.sha256(out).hexdigest()) == \
             (op["exit"], op["stdout_sha256"]), op["argv"]
-    assert calls == []
+        assert calls == want, op["argv"]
+        calls.clear()
 
 
 def test_deeply_nested_tower_json_exits_2(capsys):
@@ -436,6 +448,31 @@ def test_theorem_violation_exits_3_without_traceback(capsys, monkeypatch):
                          "--tower", '["K","Q(zeta4)","N"]')
     assert code == 3 and out == ""
     assert "theorem violation" in err and "Traceback" not in err
+
+
+def test_non_monotone_descent_exits_3(capsys, monkeypatch):
+    # a non-monotone descent ended as the Tower's user error, exit 2
+    ctx = presets.load_instance("radical:a=2,n=12")
+    chain = [ctx.base, ctx.field_by_name("Q(sqrt2)"), ctx.field_by_name("Q(zeta3)")]
+    monkeypatch.setattr(gal.GaloisContext, "subnormal_closure",
+                        lambda self, E, F: (chain[-1], chain))
+    code, out, err = run(capsys, "m-field", "radical:a=2,n=12")
+    assert code == 3 and out == ""
+    assert err == ("theorem violation (internal bug): "
+                   "subnormal descent is not a strict Galois tower\n")
+
+
+def test_non_galois_jordanholder_step_exits_3(capsys, monkeypatch):
+    # a non-Galois refinement ended as is_composition_tower_galois's user error, exit 2
+    ctx = presets.load_instance("radical:a=2,n=6")
+    K, X = ctx.base, ctx.field_by_name("Q(3rt2)")
+    galois_steps = gal.GaloisContext.galois_steps
+    monkeypatch.setattr(gal.GaloisContext, "galois_steps",
+                        lambda self, F, E: [X] if F == K else galois_steps(self, F, E))
+    code, out, err = run(capsys, "compose", "radical:a=2,n=6", "--field", "N")
+    assert code == 3 and out == ""
+    assert err == ("theorem violation (internal bug): "
+                   "Jordan-Holder refinement is not a Galois tower\n")
 
 
 def test_refine_large_marche_not_capped(capsys):

@@ -589,9 +589,11 @@ def test_composition_tower_general_checks_each_marche_once(monkeypatch):
     calls = _count_is_galois(monkeypatch)
     out = dis.composition_tower_general(ctx, L, K)
     comp = tw.make_tower(ctx, out.fields[:-1])
-    # the witness, L/M non-Galois, then the Jordan-Holder refinement
-    assert len(calls) == 5
-    assert calls == list(rep.witness_tower.marches()) + [(M, L)] + list(comp.marches())
+    # the witness and the Jordan-Holder refinement read their towers'
+    # verdicts; only L/M non-Galois is asked
+    assert calls == [(M, L)]
+    assert tw.is_galois_tower(comp)
+    assert tw.refinement_witness(comp, rep.witness_tower) is not None
     assert reports == [(ctx, L, K)]
     # the one walk is intourability_field's closure, whose checked chain
     # is the witness: M/K is not walked again
@@ -612,9 +614,11 @@ def test_composition_tower_galois_checks_each_marche_once(monkeypatch):
     monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", counted_walk)
     calls = _count_is_galois(monkeypatch)
     comp = dis.composition_tower_galois(ctx, L, K)
-    # the witness once, then its Jordan-Holder refinement once
+    # the witness walked once; it and its Jordan-Holder refinement read
+    # their towers' verdicts
     assert walks == [(K, L)]
-    assert calls == list(witness.marches() + comp.marches())
+    assert calls == []
+    assert tw.refinement_witness(comp, witness) is not None
     assert comp.top == L and comp.height == 2
 
 
@@ -626,8 +630,9 @@ def test_is_composition_tower_checks_each_prefix_marche_once(monkeypatch):
     witness = dis.intourability_field(ctx, L, K).witness_tower
     calls = _count_is_galois(monkeypatch)
     assert dis.is_composition_tower(ctx, c)
-    # M(L/K)'s witness and L/M, then the prefix
-    assert calls == list(witness.marches()) + [(prefix.top, L)] + list(prefix.marches())
+    # L/M only: M(L/K)'s witness and the prefix read their verdicts
+    assert prefix.top == witness.top
+    assert calls == [(prefix.top, L)]
 
 
 def test_composition_tower_general_refusals(monkeypatch):

@@ -16,7 +16,7 @@ import galtour.galois as gal
 import galtour.permgroup as pg
 import galtour.towers as tw
 from galtour.oracle import enumerate_towers
-from conftest import get_ctx
+from conftest import contexts_up_to_120, get_ctx
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +85,14 @@ def test_identity_witness(r26):
     L, K = r26.distinguished, r26.base
     t = tw.make_tower(r26, [K, r26.field_by_name("Q(sqrt2)"), L])
     w = tw.refinement_witness(t, t)
-    assert w.indices == (0, 1, 2)
+    assert w == (0, 1, 2)
 
 
 def test_basic_witness(r26):
     L, K = r26.distinguished, r26.base
     e = tw.make_tower(r26, [K, r26.field_by_name("Q(sqrt2)"), L])
     f = tw.make_tower(r26, [K, L])
-    assert tw.refinement_witness(e, f).indices == (0, 2)
+    assert tw.refinement_witness(e, f) == (0, 2)
     # a shorter tower never refines a taller one (RAF1)
     assert tw.refinement_witness(f, e) is None
 
@@ -109,7 +109,7 @@ def test_witness_is_lexicographically_smallest(r26):
     e = tw.make_tower(r26, [K, K, K])
     f = tw.make_tower(r26, [K, K])
     # all witnesses: (0,1), (0,2), (1,2); greedy picks (0,1)
-    assert tw.refinement_witness(e, f).indices == (0, 1)
+    assert tw.refinement_witness(e, f) == (0, 1)
 
 
 def test_proper_trivial_galois_refinement(r26):
@@ -162,6 +162,17 @@ def test_galois_refinement_of_galois_tower_is_galois_tower():
                 if tw.refinement_witness(e, f) is not None \
                         and tw.is_galois_refinement(e, f):
                     assert tw.is_galois_tower(e), (name, e, f)
+
+
+def test_galois_verdict_read_at_build_matches_each_marche():
+    seen = dict.fromkeys(itertools.product((True, False), repeat=2), 0)
+    for name, ctx in contexts_up_to_120().items():
+        for t in enumerate_towers(ctx, ctx.base, ctx.top_closure, 3):
+            verdict = all(gal.is_galois(ctx, b, a) for a, b in t.marches())
+            assert tw.is_galois_tower(t) is verdict, (name, t)
+            seen[verdict, tw.is_strict(t)] += 1
+    # Galois and non-Galois towers, each with and without repeated fields
+    assert min(seen.values()) > 0, seen
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +291,7 @@ def test_res_rat_of_refinement_refines_res_rat():
         if w is None:
             continue
         for r in range(f.height + 1):
-            jr = w.indices[r]
+            jr = w[r]
             assert tw.refinement_witness(tw.res(e, jr), tw.res(f, r)) is not None
             assert tw.refinement_witness(tw.rat(e, jr), tw.rat(f, r)) is not None
             if tw.is_galois_refinement(e, f):
@@ -367,8 +378,8 @@ def test_marche_groups_check_each_marche_once(r26, monkeypatch):
     is_galois = gal.is_galois
     monkeypatch.setattr(gal, "is_galois", counted)
     groups = tw.marche_groups(t)
-    # one Galois check per marche
-    assert checked == list(t.marches())
+    # the verdict was read when t was built
+    assert checked == []
     assert [q.order for q in groups] == [2, 6]
 
 
@@ -384,12 +395,13 @@ def test_schreier_refine_and_equivalence_check_each_marche_once(r26, monkeypatch
     is_galois = gal.is_galois
     monkeypatch.setattr(gal, "is_galois", counted)
     r1, r2, _ = dis.schreier_refine(t1, t2)
-    # 2 + 2 on the inputs, 4 + 4 on the refined towers; the witness reuses them
-    assert len(calls) == 12
-    assert calls == list(t1.marches() + t2.marches() + r1.marches() + r2.marches())
+    # the input check asks the 2 + 2 input marches, to name a non-Galois
+    # one; the refined towers read their verdicts
+    assert calls == list(t1.marches() + t2.marches())
+    assert r1.height == r2.height == 4
     calls.clear()
     assert tw.equivalence_witness(t1, t1) is not None
-    assert calls == list(t1.marches() + t1.marches())
+    assert calls == []
 
 
 def test_witness_constructor_verifies_every_iso(r24):

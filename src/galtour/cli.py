@@ -4,11 +4,13 @@ Verbs: analyze, m-field, tower-check, refine, compose, elevate,
 check-equiv, lattice, oracle.  Outputs are byte-identical across runs
 for fixed inputs.  Exit codes: 0 ok, 2 user/input error, 3 internal
 theorem violation (always a bug report, never user error), 141 when the
-reader of stdout closed it early.
+reader of stdout closed it early.  ``main`` returns the code; the
+``galtour`` script and ``python -m galtour.cli`` end through ``run``.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 from types import SimpleNamespace
@@ -401,5 +403,35 @@ def main(argv: list | None = None) -> int:
         return 2
 
 
+def run():
+    """End the process with the exit code of ``main()`` on this process's
+    argv, once the ``atexit`` handlers have run and the output is flushed.
+
+    ``os._exit`` skips the interpreter's teardown, which frees the
+    context, its lattice and every module one object at a time and costs
+    more than a typical verb.  The handlers run before the final flush,
+    as in Python's own shutdown, so what they print is not lost.  A final
+    flush that fails is mapped as ``main`` maps it, with one error line
+    at most: a full stdout keeps its bytes, so it fails in ``main`` and
+    again here.  An exception that ``main`` does not catch takes Python's
+    own path, a traceback and exit 1.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # help, or a bad command line
+        code = exc.code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141
+    except OSError as exc:
+        if code == 0:  # else main has reported its error, often this one
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -22,12 +23,12 @@ from conftest import build_parser
 REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
-def _python(*args, timeout=None, stdout=subprocess.PIPE):
+def _python(*args, timeout=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """Run a fresh interpreter that imports this source tree of galtour."""
     src = os.path.dirname(os.path.dirname(galtour.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True,
+                          stderr=stderr, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=timeout)
 
 
@@ -529,8 +530,10 @@ def test_optimized_mode_prints_the_same(argv):
     ["lattice", "radical:a=2,n=12"],  # a write inside the verb fails
     ["refine", "--help"],             # help is written before any instance
 ])
-def test_closed_stdout_exits_141_with_nothing_on_stderr(argv, tmp_path):
-    # the reader is gone before the first write, so every write fails
+def test_closed_stdout_exits_141_with_nothing_on_stderr(argv, tmp_path, monkeypatch):
+    # the reader is gone before the first write, so every write fails;
+    # stdout is buffered, as by default, whatever this environment says
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -541,6 +544,95 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(argv, tmp_path):
     # an OSError while reading input is still an input error
     proc = _python("-m", "galtour.cli", "analyze", f"file:{tmp_path / 'missing.json'}")
     assert proc.returncode == 2 and proc.stderr.startswith("error: ")
+
+
+FORGED_VIOLATION = ("galtour.towers._new_field_positions", "lambda e, f: [1]")
+FORGED_KEY_ERROR = ("galtour.presets.load_instance", "lambda *a, **k: {}['forged']")
+
+
+@pytest.mark.parametrize("argv, forge, code", [
+    (["-h"], None, 0),
+    (["analyze", "radical:a=2,n=6", "--frobnicate"], None, 2),
+    (["analyze", "radical:a=2,n=6,d=3"], None, 2),
+    (["refine", "radical:a=2,n=4", "--strict", "--tower", '["K","Q(sqrt2)","N"]',
+      "--tower", '["K","Q(zeta4)","N"]'], FORGED_VIOLATION, 3),
+    (["m-field", "radical:a=2,n=6"], FORGED_KEY_ERROR, 1),
+], ids=["help", "bad-argv", "bad-selector", "theorem-violation", "key-error"])
+def test_fresh_process_exits_as_in_process_main_returns(capsys, monkeypatch, argv,
+                                                        forge, code):
+    # cli.run ends the process with os._exit, past the interpreter's
+    # teardown; its code, stdout and stderr are still those of cli.main
+    if forge is None:
+        proc = _python("-m", "galtour.cli", *argv)
+    else:
+        target, source = forge
+        proc = _python("-c", f"import galtour.presets, galtour.towers; {target} = {source}; "
+                             "from galtour import cli; cli.run()", *argv)
+        monkeypatch.setattr(target, eval(source))
+    traceback = None
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # help, or a bad command line
+        got = exc.code
+    except KeyError as exc:  # a library bug: Python prints the traceback
+        got, traceback = 1, f"\nKeyError: {exc}\n"
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, got) == (got, out, code)
+    if traceback is None:
+        assert proc.stderr == err
+    else:
+        assert err == "" and proc.stderr.endswith(traceback)
+        assert proc.stderr.startswith("Traceback (most recent call last):\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["analyze", "radical:a=2,n=6"], ["-h"]],
+                         ids=["analyze", "help"])
+def test_stdout_on_a_full_device_exits_2_with_one_error_line(capsys, monkeypatch, argv):
+    # a buffered stdout, the default, keeps the bytes that it failed to
+    # write, and used to fail once more at exit (exit 120); -u has no buffer
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    with open("/dev/full", "w") as full:
+        procs = [_python(*flags, "-m", "galtour.cli", *argv, stdout=full)
+                 for flags in ([], ["-u"])]
+    with io.FileIO("/dev/full", "w") as raw:
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert (code, err) == (2, "error: [Errno 28] No space left on device\n")
+    assert [(proc.returncode, proc.stderr) for proc in procs] == [(code, err)] * 2
+
+
+def test_fresh_process_runs_atexit_handlers_before_the_final_flush(monkeypatch):
+    # coverage and profilers save their data from atexit handlers, and
+    # what a handler prints to a buffered stdout must not be lost
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    wrapper = ("import atexit, sys; "
+               "atexit.register(print, 'stdout at exit'); "
+               "atexit.register(print, 'stderr at exit', file=sys.stderr); "
+               "from galtour import cli; cli.run()")
+    argv = ["m-field", "radical:a=2,n=6"]
+    proc = _python("-c", wrapper, *argv, stderr=subprocess.STDOUT)
+    plain = _python("-m", "galtour.cli", *argv)
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert (proc.returncode, proc.stdout) == (
+        0, plain.stdout + "stderr at exit\nstdout at exit\n")
+
+
+def _first_reference_op_per_verb():
+    ops = {}
+    for workload in ("cli_lattice", "cli_towers"):
+        for op in json.loads((REFERENCE / f"{workload}.json").read_text())["ops"]:
+            ops.setdefault(op["verb"], op)
+    return list(ops.values())
+
+
+@pytest.mark.parametrize("op", _first_reference_op_per_verb(), ids=lambda op: op["verb"])
+def test_fresh_process_matches_benchmark_reference(op):
+    # as the benchmark runs each op: a process of its own, ended by cli.run
+    proc = _python("-m", "galtour.cli", *op["argv"])
+    digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
+    assert (proc.returncode, digest) == (op["exit"], op["stdout_sha256"]), proc.stderr
 
 
 def test_cli_import_loads_only_what_every_verb_runs():

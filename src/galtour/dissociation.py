@@ -31,7 +31,6 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import galois as gal
-from . import permgroup as pg
 from . import towers as tw
 from .galois import FieldRef, GaloisContext
 from .permgroup import Subgroup
@@ -92,7 +91,7 @@ class TourabilityDegree(namedtuple("TourabilityDegree", "gal int")):
 
 class DissociationReport(namedtuple(
         "DissociationReport",
-        "M degrees quotient_is_galtourable sub_kind witness_tower")):
+        "M degrees sub_kind witness_tower")):
     """M(L/K) with its degrees; sub_kind is "trivial" or "galsimple_non_galois"."""
     __slots__ = ()
 
@@ -118,13 +117,15 @@ def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Dissoci
     witness = _checked_descent(ctx, chain, K, M)
     if L == M:
         sub_kind = "trivial"
+    elif not M <= L:
+        raise TheoremViolation(f"M = {M.name} is not contained in L = {L.name}")
     elif is_galsimple(ctx, L, M) and not gal.is_galois(ctx, L, M):
         sub_kind = "galsimple_non_galois"
     else:
         raise TheoremViolation(
             f"L/M = {L.name}/{M.name} is neither trivial nor galsimple non-Galois")
     degrees = TourabilityDegree(gal.degree(ctx, M, K), gal.degree(ctx, L, M))
-    return DissociationReport(M, degrees, True, sub_kind, witness)
+    return DissociationReport(M, degrees, sub_kind, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,10 @@ def _schreier_tower(t1: Tower, t2: Tower) -> Tower:
     ctx, T1, T2, n = t1.ctx, t1.fields, t2.fields, t2.height
     out = [gal.intersect_fields(ctx, T1[q + 1], gal.compositum(ctx, T1[q], T2[r]))
            for q, r in (divmod(l, n) for l in range(t1.height * n))]
-    return Tower(ctx, out + [t1.top])
+    try:
+        return Tower(ctx, out + [t1.top])
+    except tw.TowerError:  # a non-monotone chain
+        raise TheoremViolation("refinement formulas built a non-monotone chain") from None
 
 
 def schreier_sigma(m: int, n: int) -> tuple:

@@ -101,7 +101,8 @@ class GaloisContext:
     Lazily filled, and dropped with the context: the quotient cache,
     which holds only Galois pairs; the isomorphism memo, keyed by the
     positions of two marches and holding None for non-isomorphic ones;
-    and the digest names, one order's block at a time.  Concurrent
+    the digest names, one order's block at a time; and the literal
+    oracle's rows, which only :mod:`oracle` fills and reads.  Concurrent
     filling is safe: each entry is a deterministic value, written once
     (a race at most rewrites it).
     """
@@ -131,6 +132,7 @@ class GaloisContext:
         self._quotient_cache: dict = {}
         self._iso_cache: dict = {}
         self._digest_names: dict = {}
+        self._literal_rows: dict = {}  # filled and read by oracle alone
         self._up, self._down, self._nbelow = _lattice_index(
             group, self.subgroups)
         self._frozen = True
@@ -206,16 +208,19 @@ class GaloisContext:
         if not self._up[E.pos] >> F.pos & 1:
             raise GaloisError(f"{what} requires F <= E as fields")
 
+    def _interval(self, F: FieldRef, E: FieldRef) -> int:
+        """The positions of the fields M with F <= M <= E; requires F <= E."""
+        self._nested(F, E, "interval")
+        return self._up[E.pos] & self._down[F.pos]
+
     def interval_fields(self, F: FieldRef, E: FieldRef) -> list:
         """Fields M with F <= M <= E, canonical order; requires F <= E."""
-        self._nested(F, E, "interval")
-        return _pick(self._fields, self._up[E.pos] & self._down[F.pos])
+        return _pick(self._fields, self._interval(F, E))
 
     def interval_size(self, F: FieldRef, E: FieldRef) -> int:
         """The number of fields M with F <= M <= E, counted without building
         them; requires F <= E."""
-        self._nested(F, E, "interval")
-        return (self._up[E.pos] & self._down[F.pos]).bit_count()
+        return self._interval(F, E).bit_count()
 
     def covers(self, F: FieldRef) -> list:
         """The minimal fields strictly above F, canonical order: the proper

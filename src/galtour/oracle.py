@@ -23,12 +23,12 @@ open interval.  ``literal_is_normal(A, B)`` is the same class test on
 two subgroups with no context.  (The quadrilateral scan is empirical
 output, not an oracle, and calls the main path.)
 
-The rows live in one module memo, ``_literal_rows``: a
-``WeakKeyDictionary`` from the group to its element-membership rows
-(``holds[x]``, the positions whose subgroup contains x) and the
-``normal`` and ``reach`` rows filled so far, by position.  A group's
-rows go when the group is freed, so the memo neither keeps groups alive
-nor answers for a later group created at the same address.
+The rows live on the context they describe, in its memo
+``ctx._literal_rows``, which only this module fills and reads: under
+``"holds"`` the element-membership rows (``holds[x]``, the positions
+whose subgroup contains x), and under ``("normal", f)`` and
+``("reach", f)`` the rows of position f.  Each is filled on first use,
+written once, and freed with the context.
 
 Oracles favour clarity over speed and may be exponential; the agreement
 suite aggregates their verdicts into a machine-readable matrix.
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import weakref
 from collections import namedtuple
 
 from . import dissociation as dis
@@ -52,6 +51,7 @@ from .towers import Tower
 
 BF_MAX_INTERVAL = 200  # fields in an interval bf_composition_towers searches
 TOWER_CAP = 4000  # towers enumerate_towers returns at most
+MAX_HEIGHT = 3  # the height of the towers run_agreement_suite compares
 SAMPLE_SEED = 1729  # bf_refinement_predicates' draw of tower pairs
 
 
@@ -107,32 +107,26 @@ def literal_is_normal(A: Subgroup, B: Subgroup) -> bool:
     return all(cls <= members or members.isdisjoint(cls) for cls in _classes(B))
 
 
-# read with get and insert only on a miss: setdefault would build a weak
-# reference to the group on every call
-_literal_rows = weakref.WeakKeyDictionary()
-
-
-def _rows(ctx: GaloisContext) -> tuple:
-    """(holds, normal, reach) of ctx's group: holds[x] marks the positions
-    whose subgroup contains element x; normal and reach map a position to
-    its row, filled on first use."""
-    rows = _literal_rows.get(ctx.group)
-    if rows is None:
+def _holds(ctx: GaloisContext) -> list:
+    """holds[x] marks the positions whose subgroup contains element x."""
+    holds = ctx._literal_rows.get("holds")
+    if holds is None:
         holds = [0] * ctx.group.order
         for i, sg in enumerate(ctx.subgroups):
             for x in sg.key:
                 holds[x] |= 1 << i
-        rows = _literal_rows[ctx.group] = (holds, {}, {})
-    return rows
+        ctx._literal_rows["holds"] = holds
+    return holds
 
 
 def _normal_row(ctx: GaloisContext, f: int) -> int:
     """The positions m >= f (as fields) whose subgroup is literally normal
     in Subgroup(f): those of Subgroup(f)'s subgroups that meet no class of
     it without containing the class."""
-    holds, normal, _ = _rows(ctx)
-    row = normal.get(f)
+    rows = ctx._literal_rows
+    row = rows.get(("normal", f))
     if row is None:
+        holds = _holds(ctx)
         split = 0  # the positions meeting some class they do not contain
         for cls in _classes(ctx.subgroups[f]):
             if len(cls) > 1:  # a class of one is never split
@@ -141,28 +135,22 @@ def _normal_row(ctx: GaloisContext, f: int) -> int:
                     meets |= holds[x]
                     within &= holds[x]
                 split |= meets & ~within
-        row = normal[f] = ctx._down[f] & ~split
+        row = rows["normal", f] = ctx._down[f] & ~split
     return row
 
 
 def _reach_row(ctx: GaloisContext, f: int) -> int:
     """The positions reached from f by literally normal steps: f, and the
     reach of each m != f in ``_normal_row(ctx, f)``."""
-    _, _, reach = _rows(ctx)
-    row = reach.get(f)
+    rows = ctx._literal_rows
+    row = rows.get(("reach", f))
     if row is None:
         row = 1 << f
         # the row's other positions hold smaller subgroups: all below f
         for m in _pick(range(f), _normal_row(ctx, f) & ~row):
             row |= _reach_row(ctx, m)
-        reach[f] = row
+        rows["reach", f] = row
     return row
-
-
-def _interval(ctx: GaloisContext, F: FieldRef, E: FieldRef) -> int:
-    """The positions of the fields M with F <= M <= E; requires F <= E."""
-    ctx._nested(F, E, "interval")
-    return ctx._up[E.pos] & ctx._down[F.pos]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +184,7 @@ def bf_smallest_subnormal(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Field
 def _literal_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """E/F galsimple: E != F and no field M strictly between them has
     Gal(N/M) literally normal in Gal(N/F)."""
-    inner = _interval(ctx, F, E) & ~(1 << E.pos | 1 << F.pos)
+    inner = ctx._interval(F, E) & ~(1 << E.pos | 1 << F.pos)
     return E != F and not _normal_row(ctx, F.pos) & inner
 
 
@@ -280,7 +268,7 @@ def enumerate_towers(ctx: GaloisContext, K: FieldRef, L: FieldRef,
     """All towers of L/K with height <= max_height, in DFS order."""
     if not K <= L:
         raise gal.GaloisError("enumerate_towers requires K <= L")
-    fields, bits = ctx.all_fields(), _interval(ctx, K, L)
+    fields, bits = ctx.all_fields(), ctx._interval(K, L)
     # the fields of the interval above each of its fields, in its order
     above = {F: _pick(fields, ctx._down[F.pos] & bits) for F in _pick(fields, bits)}
     out: list = []
@@ -413,8 +401,7 @@ def _agree_intourability(ctx, instance) -> OracleReport:
     return OracleReport(instance, "intourability", True)
 
 
-def run_agreement_suite(instances: dict, max_height: int = 3,
-                        sample: int = 500) -> dict:
+def run_agreement_suite(instances: dict, sample: int = 500) -> dict:
     """Oracle-vs-main agreement matrix over named contexts.
 
     Returns a JSON-ready dict; ``all_agree`` is the CI gate.
@@ -427,7 +414,7 @@ def run_agreement_suite(instances: dict, max_height: int = 3,
                             dis.is_galtourable, bf_galtourable),
             _agree_pairwise(ctx, name, "is_galsimple",
                             dis.is_galsimple, _literal_galsimple),
-            bf_refinement_predicates(ctx, max_height, sample=sample,
+            bf_refinement_predicates(ctx, MAX_HEIGHT, sample=sample,
                                      instance=name),
             _agree_intourability(ctx, name),
         ]

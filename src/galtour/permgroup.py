@@ -332,12 +332,12 @@ class Group(AbstractGroup):
     sorted by image tuple, so the identity has index 0.  The table and the
     subgroup lattice with its conjugacy classes (:func:`all_subgroups`)
     are built lazily and cached.
-    Equality and hashing are by identity: subgroups, field handles and
-    memos key on the group object and never hash its table.
+    Equality and hashing are by identity: subgroups and field handles key
+    on the group object and never hash its table.
     """
 
     __slots__ = ("degree", "generators", "elements", "_index", "_gen_rows",
-                 "_subgroups", "_classes", "__weakref__")
+                 "_subgroups", "_classes")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  bound: int = CLOSURE_BOUND):

@@ -25,7 +25,6 @@ import math
 import re
 from functools import lru_cache, wraps
 
-from . import galois as gal
 from . import permgroup as pg
 from .galois import GaloisContext
 from .permgroup import Permutation

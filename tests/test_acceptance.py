@@ -195,7 +195,7 @@ def test_criterion_10_general_dissociation():
 
 def test_criterion_11_oracle_agreement_matrix():
     instances = contexts_up_to_120()
-    matrix = orc.run_agreement_suite(instances, max_height=3, sample=400)
+    matrix = orc.run_agreement_suite(instances, sample=400)
     assert matrix["all_agree"], matrix
     ops = {"is_galtourable", "is_galsimple", "refinement_predicates",
            "intourability"}

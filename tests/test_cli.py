@@ -476,6 +476,36 @@ def test_non_galois_jordanholder_step_exits_3(capsys, monkeypatch):
                    "Jordan-Holder refinement is not a Galois tower\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["m-field"], ["compose"], ["elevate", "--tower", '["K","Q(3rt2)","Q(6rt2)"]'],
+])
+def test_subnormal_closure_outside_l_exits_3(capsys, monkeypatch, argv):
+    # a closure not below L ended as galois_steps' user error, exit 2
+    ctx = presets.load_instance("radical:a=2,n=6")
+    chain = [ctx.base, ctx.field_by_name("Q(zeta3)")]
+    monkeypatch.setattr(gal.GaloisContext, "subnormal_closure",
+                        lambda self, E, F: (chain[-1], chain))
+    code, out, err = run(capsys, argv[0], "radical:a=2,n=6", *argv[1:])
+    assert code == 3 and out == ""
+    assert err.startswith("theorem violation (internal bug): M = Q(zeta3) is not contained in L")
+    assert "Traceback" not in err
+
+
+def test_non_monotone_schreier_refinement_exits_3(capsys, monkeypatch):
+    # a non-monotone refinement ended as the Tower's user error, exit 2
+    intersect_fields, calls = gal.intersect_fields, []
+
+    def forged(ctx, E, F):
+        calls.append(1)
+        return ctx.top_closure if len(calls) == 1 else intersect_fields(ctx, E, F)
+    monkeypatch.setattr(gal, "intersect_fields", forged)
+    code, out, err = run(capsys, "refine", "radical:a=2,n=6",
+                         "--tower", '["Q","Q(zeta3)","N"]', "--tower", '["Q","Q(sqrt2)","N"]')
+    assert code == 3 and out == ""
+    assert err == ("theorem violation (internal bug): "
+                   "refinement formulas built a non-monotone chain\n")
+
+
 def test_refine_large_marche_not_capped(capsys):
     # |G| = 220: the marche groups are quotients of a context that already
     # passed the enumeration bound, so no isomorphism cap applies

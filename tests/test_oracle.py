@@ -5,8 +5,11 @@ from __future__ import annotations
 import gc
 import inspect
 import random
+import sys
+import threading
 import tracemalloc
 import weakref
+from collections.abc import MutableMapping, MutableSequence, MutableSet
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -125,7 +128,7 @@ def test_question_scan_parallelogram_subcase():
 def test_agreement_suite_runs():
     instances = {name: ctx for name, ctx in small_contexts().items()
                  if ctx.group.order <= 24}
-    matrix = orc.run_agreement_suite(instances, max_height=3, sample=200)
+    matrix = orc.run_agreement_suite(instances, sample=200)
     assert matrix["all_agree"]
     for name in instances:
         ops = matrix["instances"][name]
@@ -148,7 +151,8 @@ def test_oracles_do_not_call_the_main_path(monkeypatch):
         monkeypatch.setattr(pg, fn, banned)
     for method in ("subnormal_closure", "normal_in", "galois_steps", "covers"):
         monkeypatch.setattr(gal.GaloisContext, method, banned)
-    monkeypatch.setattr(orc, "_literal_rows", {})
+    for ctx in contexts.values():
+        ctx._literal_rows.clear()
     for name, ctx in contexts.items():
         K, L = ctx.base, ctx.distinguished
         assert isinstance(orc.bf_galtourable(ctx, L, K), bool), name
@@ -190,24 +194,46 @@ def test_literal_normal_memo_ignores_freed_groups():
 
 
 def test_literal_normal_memo_drops_entries_of_freed_groups():
-    # the memo must not keep a group alive, nor its entries once it is freed
+    # the rows live on their context and go with it: nothing keeps a
+    # context alive, and the oracle module holds no memo of its own
     sources = ["klein", "zeta15", "radical:a=2,n=4", "radical:a=2,n=6",
                "selmer-serre:n=3"]
-    gc.collect()
-    memos = (orc._literal_rows,)
-    before = [set(memo) for memo in memos]  # the groups already in each memo
     refs = []
     for name in sources:
         ctx = presets.from_dict(gal.to_instance_dict(get_ctx(name)))
         assert orc.run_agreement_suite({name: ctx}, sample=50)["all_agree"]
-        for memo in memos:
-            assert memo.get(ctx.group), name
-        refs.append(weakref.ref(ctx.group))
+        assert ctx._literal_rows, name
+        refs.append(weakref.ref(ctx))
         del ctx
     gc.collect()
     assert [r for r in refs if r() is not None] == []
-    for memo, old in zip(memos, before):
-        assert set(memo) <= old
+    assert [name for name, value in vars(orc).items() if not name.startswith("__")
+            and isinstance(value, (MutableMapping, MutableSequence, MutableSet))] == []
+
+
+def test_agreement_suite_on_one_context_shared_by_four_threads():
+    # four threads fill the rows of one fresh context at once; a race may
+    # rewrite an entry, never change a verdict
+    def fresh():
+        return presets.from_dict(gal.to_instance_dict(get_ctx("radical:a=2,n=12")))
+    expected = orc.run_agreement_suite({"r12": fresh()}, sample=50)
+    ctx, barrier, results = fresh(), threading.Barrier(4), [None] * 4
+
+    def work(i):
+        barrier.wait()
+        results[i] = orc.run_agreement_suite({"r12": ctx}, sample=50)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert expected["all_agree"]
+    assert results == [expected] * 4
 
 
 def test_normal_closure_is_least_literally_normal_overgroup():

@@ -206,18 +206,13 @@ def cmd_lattice(args, ctx) -> int:
 def cmd_oracle(args, ctx) -> int:
     from . import oracle as orc  # only this verb needs it
     matrix = orc.run_agreement_suite({args.instance: ctx})
-    if args.json:
-        import json
-        print(json.dumps(matrix, indent=2, sort_keys=True))
-    else:
-        for inst in sorted(matrix["instances"]):
-            for op, cell in matrix["instances"][inst].items():
-                status = "agree" if cell["agreement"] else "DISAGREE"
-                line = f"{inst} {op}: {status}"
-                if not cell["agreement"]:
-                    line += f"  [{cell['counterexample']}]"
-                print(line)
-        print(f"all_agree: {_yesno(matrix['all_agree'])}")
+    lines = []
+    for inst in sorted(matrix["instances"]):
+        for op, cell in matrix["instances"][inst].items():
+            status = "agree" if cell["agreement"] else f"DISAGREE  [{cell['counterexample']}]"
+            lines.append(f"{inst} {op}: {status}")
+    lines.append(f"all_agree: {_yesno(matrix['all_agree'])}")
+    _emit(args, matrix, lines)
     return 0 if matrix["all_agree"] else 3
 
 

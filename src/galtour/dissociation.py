@@ -22,6 +22,10 @@ permutation, Galois composition towers and their Jordan-Holder style
 equivalence, elevation towers, and the general composition towers of an
 arbitrary finite extension obtained by inducing from M(L/K)/K.
 
+Each construction checks what its theorem guarantees; a tower or witness
+it computed is built through ``towers._computed``, so a refusal is a
+:class:`TheoremViolation`, never the caller's :class:`TowerError`.
+
 Everything is a pure function over immutable contexts.
 """
 
@@ -61,12 +65,10 @@ def galois_tower_witness(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Tower:
 
 def _checked_descent(ctx: GaloisContext, chain: list, F: FieldRef, M: FieldRef) -> Tower:
     """The descent chain, checked a strict Galois tower from F to M."""
-    try:
-        t = Tower(ctx, chain)
-    except tw.TowerError:  # a non-monotone chain
-        t = None
-    if t is None or not (t.base == F and t.top == M and tw.is_strict(t) and tw.is_galois_tower(t)):
-        raise TheoremViolation("subnormal descent is not a strict Galois tower")
+    message = "subnormal descent is not a strict Galois tower"
+    t = tw._computed(Tower, ctx, chain, message=message)
+    if not (t.base == F and t.top == M and tw.is_strict(t) and tw.is_galois_tower(t)):
+        raise TheoremViolation(message)
     return t
 
 
@@ -169,10 +171,8 @@ def _schreier_tower(t1: Tower, t2: Tower) -> Tower:
     ctx, T1, T2, n = t1.ctx, t1.fields, t2.fields, t2.height
     out = [gal.intersect_fields(ctx, T1[q + 1], gal.compositum(ctx, T1[q], T2[r]))
            for q, r in (divmod(l, n) for l in range(t1.height * n))]
-    try:
-        return Tower(ctx, out + [t1.top])
-    except tw.TowerError:  # a non-monotone chain
-        raise TheoremViolation("refinement formulas built a non-monotone chain") from None
+    return tw._computed(Tower, ctx, out + [t1.top],
+                        message="refinement formulas built a non-monotone chain")
 
 
 def schreier_sigma(m: int, n: int) -> tuple:
@@ -224,8 +224,8 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
         if phi is None:
             raise TheoremViolation(f"marche {l} has no isomorphic partner")
         isos.append(phi)
-    witness = tw.EquivalenceWitness(q1, q2, sigma, isos)
-    return r1, r2, witness
+    return r1, r2, tw._computed(tw.EquivalenceWitness, q1, q2, sigma, isos,
+                                message="refinement witness does not verify")
 
 
 def schreier_refine_strict(t1: Tower, t2: Tower) -> tuple:
@@ -301,13 +301,11 @@ def galjordanholder_refine(t: Tower) -> Tower:
     for lo, hi in t.marches():
         while fields[-1] != hi:
             steps = ctx.galois_steps(fields[-1], hi)
-            if not steps:
-                raise TheoremViolation("no proper normal subgroup in a non-simple step")
+            if not steps or not steps[0] <= hi:
+                raise TheoremViolation("Jordan-Holder found no Galois step inside a marche")
             fields.append(steps[0])
-    try:
-        out = Tower(ctx, fields)
-    except tw.TowerError as exc:
-        raise TheoremViolation(f"Jordan-Holder refinement: {exc}") from exc
+    out = tw._computed(Tower, ctx, fields,
+                       message="Jordan-Holder refinement is not monotone")
     if not tw.is_galois_tower(out):
         raise TheoremViolation("Jordan-Holder refinement is not a Galois tower")
     if tw.refinement_witness(out, t) is None:
@@ -333,15 +331,11 @@ def elevation_tower(ctx: GaloisContext, f: Tower) -> tuple:
     second output: the induced tower of L/K (first output itself when L/K
     is galtourable).
     """
-    K = f.base
-    mfields = [intourability_field(ctx, Fi, K).M for Fi in f.fields]
-    for a, b in zip(mfields, mfields[1:]):
-        if not a <= b:
-            raise TheoremViolation("elevation fields are not non-decreasing")
-    mtower = Tower(ctx, mfields)
-    for lo, hi in mtower.marches():
-        if not is_galtourable(ctx, hi, lo):
-            raise TheoremViolation("elevation marche is not galtourable")
+    mfields = [intourability_field(ctx, Fi, f.base).M for Fi in f.fields]
+    mtower = tw._computed(Tower, ctx, mfields,
+                          message="elevation fields are not non-decreasing")
+    if not is_galtourable_tower(mtower):
+        raise TheoremViolation("elevation marche is not galtourable")
     return mtower, tw.induced(mtower, f.top)
 
 

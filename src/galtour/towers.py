@@ -28,10 +28,18 @@ class TowerError(Exception):
 
 
 class TheoremViolation(Exception):
-    """An internal consistency check guaranteed by a theorem failed.
+    """A check guaranteed by a theorem failed, or a tower or witness the
+    library computed was refused (:func:`_computed`).  Seeing this is
+    always a bug report, never a user error."""
 
-    Seeing this is always a bug report, never a user error.
-    """
+
+def _computed(build, *args, message: str):
+    """``build(*args)`` on values the library computed: a TowerError
+    there is a broken guarantee, raised as ``TheoremViolation(message)``."""
+    try:
+        return build(*args)
+    except TowerError as exc:
+        raise TheoremViolation(message) from exc
 
 
 class Tower:
@@ -355,4 +363,5 @@ def equivalence_witness(t1: Tower, t2: Tower) -> EquivalenceWitness | None:
         taken.add(j)
         sigma.append(j + 1)
         isos.append(phi)
-    return EquivalenceWitness(q1, q2, sigma, isos)
+    return _computed(EquivalenceWitness, q1, q2, sigma, isos,
+                     message="equivalence witness does not verify")

@@ -16,6 +16,7 @@ import pytest
 import galtour
 import galtour.dissociation as dis
 import galtour.galois as gal
+import galtour.permgroup as pg
 import galtour.towers as tw
 from galtour import cli, presets
 from conftest import build_parser
@@ -246,6 +247,17 @@ def test_oracle_verb(capsys):
     code, out, _ = run(capsys, "oracle", "radical:a=2,n=6", "--json")
     assert code == 0
     assert json.loads(out)["all_agree"] is True
+
+
+def test_oracle_disagreement_exits_3_in_text_and_json(capsys, monkeypatch):
+    monkeypatch.setattr(tw, "is_trivial_refinement", lambda e, f: False)
+    code, out, _ = run(capsys, "oracle", "radical:a=2,n=6")
+    assert code == 3
+    bad = [line for line in out.splitlines() if "DISAGREE" in line]
+    assert len(bad) == 1 and bad[0].startswith("radical:a=2,n=6 refinement_predicates: DISAGREE  [")
+    assert out.endswith("all_agree: no\n")
+    code, out, _ = run(capsys, "oracle", "radical:a=2,n=6", "--json")
+    assert code == 3 and json.loads(out)["all_agree"] is False
 
 
 def test_instance_file(capsys, tmp_path):
@@ -504,6 +516,61 @@ def test_non_monotone_schreier_refinement_exits_3(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("theorem violation (internal bug): "
                    "refinement formulas built a non-monotone chain\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["refine", "--tower", '["Q","Q(zeta3)","N"]', "--tower", '["Q","Q(sqrt2)","N"]'],
+     "refinement witness does not verify"),
+    (["check-equiv", "--tower", '["Q","Q(zeta12)","N"]', "--tower", '["Q","Q(zeta12)","N"]'],
+     "equivalence witness does not verify"),
+])
+def test_forged_marche_isomorphism_exits_3(capsys, monkeypatch, argv, message):
+    # the context's isomorphism, refused by EquivalenceWitness, ended as a
+    # user error, exit 2
+    are_isomorphic = pg.are_isomorphic
+
+    def forged(*args, **kwargs):  # swap the images of two labels
+        phi = are_isomorphic(*args, **kwargs)
+        return phi if phi is None or len(phi) < 2 else (phi[1], phi[0]) + phi[2:]
+    monkeypatch.setattr(pg, "are_isomorphic", forged)
+    memo = presets.load_instance("radical:a=2,n=12")._iso_cache
+    memo.clear()  # the shared context may hold true isomorphisms already
+    try:
+        code, out, err = run(capsys, argv[0], "radical:a=2,n=12", *argv[1:])
+    finally:
+        memo.clear()  # and must not keep forged ones
+    assert code == 3 and out == ""
+    assert err == f"theorem violation (internal bug): {message}\n"
+
+
+def test_jordanholder_step_outside_its_marche_exits_3(capsys, monkeypatch):
+    # a step above the marche's top ended as galois_steps' user error, exit 2
+    galois_steps = gal.GaloisContext.galois_steps
+    monkeypatch.setattr(gal.GaloisContext, "galois_steps", lambda self, F, E: (
+        [self.top_closure] if F == self.base else []) + galois_steps(self, F, E))
+    code, out, err = run(capsys, "compose", "radical:a=2,n=6")
+    assert code == 3 and out == ""
+    assert err == ("theorem violation (internal bug): "
+                   "Jordan-Holder found no Galois step inside a marche\n")
+
+
+@pytest.mark.parametrize("forgery,message", [
+    ("m_field", "elevation fields are not non-decreasing"),
+    ("galtourable", "elevation marche is not galtourable"),
+])
+def test_forged_elevation_exits_3(capsys, monkeypatch, forgery, message):
+    if forgery == "m_field":  # M(Q(3rt2)/K) read as Q(zeta3), not below M(Q(6rt2)/K)
+        ctx = presets.load_instance("radical:a=2,n=6")
+        X, Z = ctx.field_by_name("Q(3rt2)"), ctx.field_by_name("Q(zeta3)")
+        field = dis.intourability_field
+        monkeypatch.setattr(dis, "intourability_field", lambda c, L, K: (
+            field(c, L, K)._replace(M=Z) if L == X else field(c, L, K)))
+    else:
+        monkeypatch.setattr(dis, "is_galtourable", lambda ctx, E, F: False)
+    code, out, err = run(capsys, "elevate", "radical:a=2,n=6",
+                         "--tower", '["K","Q(3rt2)","Q(6rt2)"]')
+    assert code == 3 and out == ""
+    assert err == f"theorem violation (internal bug): {message}\n"
 
 
 def test_refine_large_marche_not_capped(capsys):

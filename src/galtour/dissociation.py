@@ -5,8 +5,10 @@ the group bridge: inside the closure, a Galois tower from F to E is the
 same thing as a chain Gal(N/F) |> ... |> Gal(N/E) with each step normal
 in the previous one, so E/F is galtourable exactly when Gal(N/E) is
 subnormal in Gal(N/F), and the subnormal closure's descent chain doubles
-as an explicit witness tower: walked once, and checked a strict Galois
-tower once, where it is made.  Every lattice read speaks fields, by
+as an explicit witness tower.  M(L/K) is walked, and its witness checked
+a strict Galois tower, once per (L, K) per context: the checked report
+is kept on the context, and the Galois tower witness of a galtourable
+L/K is that report's witness.  Every lattice read speaks fields, by
 position in the context's lattice index: the subnormal closure
 (:meth:`GaloisContext.subnormal_closure`) walks intervals of the index
 and returns its chain as fields, and galsimplicity and the Jordan-Holder
@@ -56,20 +58,11 @@ def is_galtourable_tower(t: Tower) -> bool:
 
 
 def galois_tower_witness(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Tower:
-    """A strict Galois tower from F to E, read off the subnormal descent."""
-    closure, chain = ctx.subnormal_closure(E, F)
-    if closure != E:
+    """A strict Galois tower from F to E: the witness of M(E/F) = E."""
+    rep = intourability_field(ctx, E, F)
+    if rep.M != E:
         raise gal.GaloisError(f"{E.name}/{F.name} is not galtourable")
-    return _checked_descent(ctx, chain, F, E)
-
-
-def _checked_descent(ctx: GaloisContext, chain: list, F: FieldRef, M: FieldRef) -> Tower:
-    """The descent chain, checked a strict Galois tower from F to M."""
-    message = "subnormal descent is not a strict Galois tower"
-    t = tw._computed(Tower, ctx, chain, message=message)
-    if not (t.base == F and t.top == M and tw.is_strict(t) and tw.is_galois_tower(t)):
-        raise TheoremViolation(message)
-    return t
+    return rep.witness_tower
 
 
 def is_simple_ext(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
@@ -114,9 +107,21 @@ def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Dissoci
     Subgroup(K).  Its descent, checked a strict Galois tower from K to M,
     proves M/K galtourable and is the report's witness; L/M is checked
     trivial or galsimple non-Galois.  Failures raise :class:`TheoremViolation`.
+    The checked report is kept on the context by the positions of L and K,
+    and a repeated call returns it; a refusal is never kept.
     """
+    if L.ctx is not ctx or K.ctx is not ctx:  # before the memo is read
+        ctx._own(L, K)
+    key = (L.pos, K.pos)
+    rep = ctx._report_cache.get(key)
+    if rep is not None:
+        return rep
     M, chain = ctx.subnormal_closure(L, K)
-    witness = _checked_descent(ctx, chain, K, M)
+    message = "subnormal descent is not a strict Galois tower"
+    witness = tw._computed(Tower, ctx, chain, message=message)
+    if not (witness.base == K and witness.top == M and tw.is_strict(witness)
+            and tw.is_galois_tower(witness)):
+        raise TheoremViolation(message)
     if L == M:
         sub_kind = "trivial"
     elif not M <= L:
@@ -127,7 +132,8 @@ def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Dissoci
         raise TheoremViolation(
             f"L/M = {L.name}/{M.name} is neither trivial nor galsimple non-Galois")
     degrees = TourabilityDegree(gal.degree(ctx, M, K), gal.degree(ctx, L, M))
-    return DissociationReport(M, degrees, sub_kind, witness)
+    rep = ctx._report_cache[key] = DissociationReport(M, degrees, sub_kind, witness)
+    return rep
 
 
 # ---------------------------------------------------------------------------

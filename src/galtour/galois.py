@@ -101,8 +101,10 @@ class GaloisContext:
     Lazily filled, and dropped with the context: the quotient cache,
     which holds only Galois pairs; the isomorphism memo, keyed by the
     positions of two marches and holding None for non-isomorphic ones;
-    the digest names, one order's block at a time; and the literal
-    oracle's rows, which only :mod:`oracle` fills and reads.  Concurrent
+    the digest names, one order's block at a time; the checked
+    M(L/K) reports, keyed by the positions of L and K, which only
+    :mod:`dissociation` fills and reads; and the literal oracle's rows,
+    which only :mod:`oracle` fills and reads.  Concurrent
     filling is safe: each entry is a deterministic value, written once
     (a race at most rewrites it).
     """
@@ -132,6 +134,7 @@ class GaloisContext:
         self._quotient_cache: dict = {}
         self._iso_cache: dict = {}
         self._digest_names: dict = {}
+        self._report_cache: dict = {}  # filled and read by dissociation alone
         self._literal_rows: dict = {}  # filled and read by oracle alone
         self._up, self._down, self._nbelow = _lattice_index(
             group, self.subgroups)

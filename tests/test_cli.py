@@ -469,6 +469,7 @@ def test_non_monotone_descent_exits_3(capsys, monkeypatch):
     chain = [ctx.base, ctx.field_by_name("Q(sqrt2)"), ctx.field_by_name("Q(zeta3)")]
     monkeypatch.setattr(gal.GaloisContext, "subnormal_closure",
                         lambda self, E, F: (chain[-1], chain))
+    ctx._report_cache.clear()  # a memoized M(L/K) would hide the forged walk
     code, out, err = run(capsys, "m-field", "radical:a=2,n=12")
     assert code == 3 and out == ""
     assert err == ("theorem violation (internal bug): "
@@ -497,6 +498,7 @@ def test_subnormal_closure_outside_l_exits_3(capsys, monkeypatch, argv):
     chain = [ctx.base, ctx.field_by_name("Q(zeta3)")]
     monkeypatch.setattr(gal.GaloisContext, "subnormal_closure",
                         lambda self, E, F: (chain[-1], chain))
+    ctx._report_cache.clear()  # a memoized M(L/K) would hide the forged walk
     code, out, err = run(capsys, argv[0], "radical:a=2,n=6", *argv[1:])
     assert code == 3 and out == ""
     assert err.startswith("theorem violation (internal bug): M = Q(zeta3) is not contained in L")

@@ -215,12 +215,55 @@ def test_intourability_field_checks_its_walk(forgery, capsys, monkeypatch):
         M, chain = subnormal_closure(self, E, F)
         return M, FORGED_WALKS[forgery](chain)
     monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", forged)
+    ctx._report_cache.clear()  # the memoized report would hide the forged walk
     with pytest.raises(tw.TheoremViolation,
                        match="subnormal descent is not a strict Galois tower"):
         dis.intourability_field(ctx, L, K)
+    assert (L.pos, K.pos) not in ctx._report_cache  # a refusal is never kept
     assert cli.main(["m-field", "radical:a=2,n=4"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "theorem violation" in err
+
+
+def test_intourability_field_is_checked_once_per_pair(monkeypatch):
+    # a repeated M(L/K), and the Galois tower witness of the same pair, are
+    # read from the context's memo: no walk, no Galois test, the same report
+    r12, r24 = get_ctx("radical:a=2,n=12"), get_ctx("radical:a=2,n=4")
+    reports = {ctx: dis.intourability_field(ctx, ctx.distinguished, ctx.base)
+               for ctx in (r12, r24)}
+    walks = []
+    subnormal_closure = gal.GaloisContext.subnormal_closure
+    monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", lambda self, E, F: (
+        walks.append((F, E)) or subnormal_closure(self, E, F)))
+    calls = _count_is_galois(monkeypatch)
+    for ctx, rep in reports.items():
+        assert dis.intourability_field(ctx, ctx.distinguished, ctx.base) is rep
+    assert dis.galois_tower_witness(r24, r24.distinguished, r24.base) \
+        is reports[r24].witness_tower
+    with pytest.raises(gal.GaloisError, match="is not galtourable"):
+        dis.galois_tower_witness(r12, r12.distinguished, r12.base)
+    assert walks == [] and calls == []
+    # a refused pair is refused again, and never kept
+    for _ in range(2):
+        with pytest.raises(gal.GaloisError, match="requires F <= E"):
+            dis.intourability_field(r12, r12.base, r12.distinguished)
+    assert (r12.base.pos, r12.distinguished.pos) not in r12._report_cache
+
+
+def test_memoized_report_refuses_fields_of_another_context():
+    # the memo is keyed by positions, which mean the same fields in a
+    # second context of the same spec; its refs are refused before the read
+    spec = gal.to_instance_dict(get_ctx("radical:a=2,n=4"))
+    ctx1, ctx2 = presets.from_dict(spec), presets.from_dict(spec)
+    rep = dis.intourability_field(ctx1, ctx1.distinguished, ctx1.base)
+    assert (ctx2.distinguished.pos, ctx2.base.pos) in ctx1._report_cache
+    for L, K in [(ctx2.distinguished, ctx2.base), (ctx1.distinguished, ctx2.base),
+                 (ctx2.distinguished, ctx1.base)]:
+        for fn in (dis.intourability_field, dis.galois_tower_witness):
+            with pytest.raises(gal.GaloisError, match="different contexts"):
+                fn(ctx1, L, K)
+    assert ctx2._report_cache == {}
+    assert dis.intourability_field(ctx1, ctx1.distinguished, ctx1.base) is rep
 
 
 def test_intourability_galtourable_case(r24):
@@ -587,6 +630,7 @@ def test_composition_tower_general_checks_each_marche_once(monkeypatch):
     monkeypatch.setattr(dis, "intourability_field", counted_report)
     monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", counted_walk)
     calls = _count_is_galois(monkeypatch)
+    ctx._report_cache.clear()  # count a miss: a memo hit walks and asks nothing
     out = dis.composition_tower_general(ctx, L, K)
     comp = tw.make_tower(ctx, out.fields[:-1])
     # the witness and the Jordan-Holder refinement read their towers'
@@ -613,6 +657,7 @@ def test_composition_tower_galois_checks_each_marche_once(monkeypatch):
         return subnormal_closure(self, E, F)
     monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", counted_walk)
     calls = _count_is_galois(monkeypatch)
+    ctx._report_cache.clear()  # count a miss: a memo hit walks and asks nothing
     comp = dis.composition_tower_galois(ctx, L, K)
     # the witness walked once; it and its Jordan-Holder refinement read
     # their towers' verdicts
@@ -629,10 +674,15 @@ def test_is_composition_tower_checks_each_prefix_marche_once(monkeypatch):
     prefix = tw.make_tower(ctx, c.fields[:-1])
     witness = dis.intourability_field(ctx, L, K).witness_tower
     calls = _count_is_galois(monkeypatch)
+    ctx._report_cache.clear()  # count a miss: a memo hit asks nothing
     assert dis.is_composition_tower(ctx, c)
     # L/M only: M(L/K)'s witness and the prefix read their verdicts
     assert prefix.top == witness.top
     assert calls == [(prefix.top, L)]
+    # a second call reads M(L/K)'s report from the memo
+    calls.clear()
+    assert dis.is_composition_tower(ctx, c)
+    assert calls == []
 
 
 def test_composition_tower_general_refusals(monkeypatch):
@@ -644,6 +694,7 @@ def test_composition_tower_general_refusals(monkeypatch):
         # a walk whose descent is not strict, or not Galois
         monkeypatch.setattr(gal.GaloisContext, "subnormal_closure",
                             lambda self, E, F, w=forged: (w[-1], w))
+        r26._report_cache.clear()  # the memoized report would hide the forged walk
         with pytest.raises(tw.TheoremViolation,
                            match="subnormal descent is not a strict Galois tower"):
             dis.composition_tower_general(r26, L, K)
@@ -728,7 +779,7 @@ def test_package_has_no_assert_statements():
 
 
 def test_freed_contexts_leave_no_group_behind():
-    # every quotient and isomorphism memo lives on its context, so a
+    # every quotient, isomorphism and M(L/K) memo lives on its context, so a
     # long-lived process that drops its contexts keeps none of their groups
     specs = [gal.to_instance_dict(get_ctx(s))
              for s in ("radical:a=2,n=6", "radical:a=3,n=4", "selmer-serre:n=4")]
@@ -741,6 +792,7 @@ def test_freed_contexts_leave_no_group_behind():
         ctx = presets.from_dict(spec)
         K, N = ctx.base, ctx.top_closure
         normal = [F for F in ctx.all_fields() if gal.is_galois(ctx, F, K)]
+        assert all(dis.intourability_field(ctx, F, K).M == F for F in normal)
         for F in normal:
             for F2 in normal:
                 t1, t2 = tw.Tower(ctx, [K, F, N]), tw.Tower(ctx, [K, F2, N])
@@ -755,10 +807,10 @@ def test_freed_contexts_leave_no_group_behind():
 
 def test_fresh_context_is_safe_to_share_between_threads():
     # The lazily filled state (the context's quotient cache, its
-    # isomorphism memo and digest names, and the greedy generators of every
-    # subgroup that is not its class's representative) starts empty on a
-    # context built from a dict; four threads then fill the shared
-    # context's memos concurrently.
+    # isomorphism memo, reports of M(L/K) and digest names, and the greedy
+    # generators of every subgroup that is not its class's representative)
+    # starts empty on a context built from a dict; four threads then fill
+    # the shared context's memos concurrently.
     # Group._inv/_orders are already filled when the context is built.
     spec = gal.to_instance_dict(get_ctx("selmer-serre:n=4"))
 

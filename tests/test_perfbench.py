@@ -96,6 +96,20 @@ def test_session_answers_match_benchmark_reference():
     assert ops and wrong_answers(ops) == []
 
 
+def test_session_answers_match_twice_in_one_process():
+    # the second replay on the same contexts is served from their memos of
+    # M(L/K), which the first filled from empty and the second leaves as is
+    WORKLOADS.clear_preset_caches(presets)
+    ops, wrong_answers = _session_replay()
+    ctxs = [presets.load_instance(inst) for inst in sorted({op["instance"] for op in ops})]
+    assert all(ctx._report_cache == {} for ctx in ctxs)
+    assert ops and wrong_answers(ops) == []
+    memos = [dict(ctx._report_cache) for ctx in ctxs]
+    assert all(memos)
+    assert wrong_answers(ops) == []
+    assert [ctx._report_cache for ctx in ctxs] == memos
+
+
 def test_shared_contexts_answer_every_thread_alike():
     # four threads, started together, replay the session ops in the same
     # order on freshly built contexts they share, so they race for the same

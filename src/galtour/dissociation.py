@@ -203,10 +203,7 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
     per marche.  The theorem guarantees each isomorphism exists; a failed
     search is raised as :class:`TheoremViolation`.
     """
-    if t1.ctx is not t2.ctx:
-        raise tw.TowerError("towers belong to different contexts")
-    if t1.base != t2.base or t1.top != t2.top:
-        raise tw.TowerError("towers must share the same extension")
+    tw._same_extension(t1, t2, "towers must share the same extension")
     for t in (t1, t2):
         for lo, hi in t.marches():
             if not gal.is_galois(t.ctx, hi, lo):
@@ -399,8 +396,7 @@ def equivalence_general(ctx: GaloisContext, c1: Tower, c2: Tower) -> tuple:
     to their M(L/K) prefixes and delegates to the Galois-tower notion.
     The final non-Galois marche carries no group and is not compared.
     """
-    if c1.base != c2.base or c1.top != c2.top:
-        raise tw.TowerError("towers must share the same extension")
+    tw._same_extension(c1, c2, "towers must share the same extension")
     M = intourability_field(ctx, c1.top, c1.base).M
     prefixes = []
     for c in (c1, c2):

@@ -226,13 +226,17 @@ class GaloisContext:
         return self._interval(F, E).bit_count()
 
     def covers(self, F: FieldRef) -> list:
-        """The minimal fields strictly above F, canonical order: the proper
-        subgroups j of Subgroup(F) whose up-set meets the others in j alone."""
+        """The minimal fields strictly above F, canonical order: the fields
+        of the maximal proper subgroups of Subgroup(F)."""
         self._own(F)
-        i = F.pos
-        below = self._down[i] & ~(1 << i)
-        return [self._fields[j] for j in _pick(range(i), below)
-                if below & self._up[j] == 1 << j]
+        return self._minimal(self._down[F.pos] & ~(1 << F.pos))
+
+    def _minimal(self, bits: int) -> list:
+        """The minimal fields among the positions ``bits``, canonical order:
+        the positions j whose up-set meets ``bits`` in j alone."""
+        up = self._up
+        return [self._fields[j] for j in _pick(range(len(up)), bits)
+                if up[j] & bits == 1 << j]
 
     def normal_in(self, A: Subgroup, B: Subgroup) -> bool:
         """A normal in B, bit A of ``nbelow[B]``; requires A <= B."""
@@ -248,10 +252,7 @@ class GaloisContext:
         A5's field to the closure passes many fields.
         """
         self._nested(F, E, "galois_steps")
-        f = F.pos
-        galois = self._up[E.pos] & self._nbelow[f] & ~(1 << f)
-        return [self._fields[j] for j in _pick(range(f), galois)
-                if self._up[j] & galois == 1 << j]
+        return self._minimal(self._up[E.pos] & self._nbelow[F.pos] & ~(1 << F.pos))
 
     def subnormal_closure(self, E: FieldRef, F: FieldRef) -> tuple:
         """Iterate normal closures of Subgroup(E) down from Subgroup(F) to a
@@ -529,12 +530,12 @@ def quotient_quadrilaterals(ctx: GaloisContext, par: Quadrilateral) -> Iterator[
             yield Quadrilateral(par.J, E, compositum(ctx, E, F), F)
 
 
-def _check_sub_quadrilateral(ctx, par, sub):
+def _check_sub_quadrilateral(par, sub):
     if sub.N != par.N or not (par.K <= sub.K <= par.N) or not (par.L <= sub.L <= par.N):
         raise GaloisError("not a sub-quadrilateral of the given parallelogram")
 
 
-def _check_quotient_quadrilateral(ctx, par, quot):
+def _check_quotient_quadrilateral(par, quot):
     if quot.J != par.J or not (par.J <= quot.K <= par.K) or not (par.J <= quot.L <= par.L):
         raise GaloisError("not a quotient quadrilateral of the given parallelogram")
 
@@ -542,7 +543,7 @@ def _check_quotient_quadrilateral(ctx, par, quot):
 def bijection_R(ctx: GaloisContext, par: Quadrilateral,
                 sub: Quadrilateral) -> Quadrilateral:
     """R: (M,E,N,F) |-> (J, K cap F, M, E cap L); inverse of :func:`bijection_S`."""
-    _check_sub_quadrilateral(ctx, par, sub)
+    _check_sub_quadrilateral(par, sub)
     E, F = sub.K, sub.L
     return Quadrilateral(par.J,
                          intersect_fields(ctx, par.K, F),
@@ -553,7 +554,7 @@ def bijection_R(ctx: GaloisContext, par: Quadrilateral,
 def bijection_S(ctx: GaloisContext, par: Quadrilateral,
                 quot: Quadrilateral) -> Quadrilateral:
     """S: (J,E,C,F) |-> (C, KF, N, EL); inverse of :func:`bijection_R`."""
-    _check_quotient_quadrilateral(ctx, par, quot)
+    _check_quotient_quadrilateral(par, quot)
     E, F = quot.K, quot.L
     return Quadrilateral(quot.N,
                          compositum(ctx, par.K, F),

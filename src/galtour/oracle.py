@@ -7,8 +7,9 @@ intermediate field, composition towers by exhaustive chain enumeration,
 and the refinement predicates by direct quantifier evaluation.  The
 literal functions take fields ``(ctx, E, F)`` like the main path and
 share with it only the group's table and inverses, field containment
-(the up- and down-set rows) and the interval enumeration
-``interval_fields``, never the decision logic under test.
+(the up- and down-set rows, and ``ctx._nested``, which refuses F not
+below E) and the interval enumeration ``interval_fields``, never the
+decision logic under test.
 
 Normality is literal: the conjugacy classes of Subgroup(F) are the
 orbits of its elements under conjugation by every b in Subgroup(F), and
@@ -194,8 +195,7 @@ def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
     Returns ``(M, count)``; any count other than one is a theorem
     violation and raised as such.
     """
-    if not K <= L:
-        raise gal.GaloisError("bf_intourability requires K <= L")
+    ctx._nested(K, L, "bf_intourability")
     reach = _reach_row(ctx, K.pos)
     hits = [M for M in ctx.interval_fields(K, L) if reach >> M.pos & 1
             and (L == M or (_literal_galsimple(ctx, L, M)
@@ -213,8 +213,7 @@ def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
 
 def bf_composition_towers(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> list:
     """Every strict Galois tower of L/K whose marches are all galsimple."""
-    if not K <= L:
-        raise gal.GaloisError("bf_composition_towers requires K <= L")
+    ctx._nested(K, L, "bf_composition_towers")
     interval = ctx.interval_fields(K, L)
     if len(interval) > BF_MAX_INTERVAL:
         raise pg.BoundExceeded(
@@ -266,8 +265,7 @@ def _literal_galois_refinement(e: Tower, f: Tower) -> bool:
 def enumerate_towers(ctx: GaloisContext, K: FieldRef, L: FieldRef,
                      max_height: int) -> list:
     """All towers of L/K with height <= max_height, in DFS order."""
-    if not K <= L:
-        raise gal.GaloisError("enumerate_towers requires K <= L")
+    ctx._nested(K, L, "enumerate_towers")
     fields, bits = ctx.all_fields(), ctx._interval(K, L)
     # the fields of the interval above each of its fields, in its order
     above = {F: _pick(fields, ctx._down[F.pos] & bits) for F in _pick(fields, bits)}
@@ -289,21 +287,19 @@ def enumerate_towers(ctx: GaloisContext, K: FieldRef, L: FieldRef,
 
 
 def bf_refinement_predicates(ctx: GaloisContext, max_height: int,
-                             base: FieldRef | None = None,
-                             top: FieldRef | None = None,
-                             sample: int | None = 1000,
+                             sample: int = 500,
                              instance: str = "?") -> OracleReport:
-    """Compare literal RAF evaluation with the towers-module predicates.
+    """Compare literal RAF evaluation with the towers-module predicates
+    on the towers of L/K, the context's distinguished field over its base.
 
     Pair i of the |towers|^2 ordered pairs is (towers[i // n],
-    towers[i % n]); a sample draws indices, so no pair list is built.
+    towers[i % n]); when there are more than ``sample`` pairs, ``sample``
+    indices are drawn, so no pair list is built.
     """
-    K = base if base is not None else ctx.base
-    L = top if top is not None else ctx.distinguished
-    towers = enumerate_towers(ctx, K, L, max_height)
+    towers = enumerate_towers(ctx, ctx.base, ctx.distinguished, max_height)
     n = len(towers)
     picks = range(n * n)
-    if sample is not None and n * n > sample:
+    if n * n > sample:
         picks = random.Random(SAMPLE_SEED).sample(picks, sample)
     for i in picks:
         e, f = towers[i // n], towers[i % n]

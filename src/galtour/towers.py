@@ -10,6 +10,11 @@ fragmentations with their unique recombination, towers induced into a
 larger extension, and equivalence of Galois towers (same number of
 marches, marche Galois groups isomorphic up to a permutation).
 
+Each precondition is checked in one place: two compared towers are of
+one extension in one context (``_same_extension``, also for
+:mod:`dissociation`), e refines f (``_new_field_positions``), and an
+index of res, rat or inf is in 0..m (``_index``).
+
 Towers are immutable values over a shared immutable context; everything
 here is pure.
 """
@@ -40,6 +45,15 @@ def _computed(build, *args, message: str):
         return build(*args)
     except TowerError as exc:
         raise TheoremViolation(message) from exc
+
+
+def _same_extension(t1: Tower, t2: Tower, message: str) -> None:
+    """Refuse two towers unless both are of one extension of one context;
+    ``message`` is the refusal of towers of two extensions."""
+    if t1.ctx is not t2.ctx:
+        raise TowerError("towers belong to different contexts")
+    if t1.base != t2.base or t1.top != t2.top:
+        raise TowerError(message)
 
 
 class Tower:
@@ -113,16 +127,9 @@ class Tower:
         return "".join(out)
 
 
-def make_tower(ctx: GaloisContext, fields: Sequence[FieldRef],
-               base: FieldRef | None = None,
-               top: FieldRef | None = None) -> Tower:
-    """Validated tower; endpoints checked against ``base``/``top`` if given."""
-    t = Tower(ctx, fields)
-    if base is not None and t.base != base:
-        raise TowerError(f"tower starts at {t.base.name}, expected {base.name}")
-    if top is not None and t.top != top:
-        raise TowerError(f"tower ends at {t.top.name}, expected {top.name}")
-    return t
+def make_tower(ctx: GaloisContext, fields: Sequence[FieldRef]) -> Tower:
+    """The tower of ``fields`` in ``ctx``, validated as :class:`Tower` does."""
+    return Tower(ctx, fields)
 
 
 def is_strict(t: Tower) -> bool:
@@ -159,10 +166,7 @@ def refinement_witness(e: Tower, f: Tower) -> tuple | None:
     admissible index never blocks later matches in a non-decreasing
     sequence), so failure of the greedy search is a definitive no.
     """
-    if e.ctx is not f.ctx:
-        raise TowerError("towers belong to different contexts")
-    if e.base != f.base or e.top != f.top:
-        raise TowerError("refinement requires towers of the same extension")
+    _same_extension(e, f, "refinement requires towers of the same extension")
     if f.height > e.height:  # (RAF1), a cheap preselection
         return None
     indices = []
@@ -179,15 +183,16 @@ def refinement_witness(e: Tower, f: Tower) -> tuple | None:
 
 
 def _new_field_positions(e: Tower, f: Tower) -> list:
-    """Interior indices j of e with E_j distinct from every field of f."""
+    """Interior indices j of e with E_j distinct from every field of f;
+    requires e to refine f."""
+    if refinement_witness(e, f) is None:
+        raise TowerError("not a refinement")
     fset = set(f.fields)
     return [j for j in range(1, len(e.fields) - 1) if e.fields[j] not in fset]
 
 
 def is_proper_refinement(e: Tower, f: Tower) -> bool:
     """(RAF3): some interior E_j differs from every F_i."""
-    if refinement_witness(e, f) is None:
-        raise TowerError("not a refinement")
     return bool(_new_field_positions(e, f))
 
 
@@ -203,8 +208,6 @@ def is_galois_refinement(e: Tower, f: Tower) -> bool:
     exactly as (RAFG) quantifies; so a Galois refinement of a non-Galois
     tower need not be a Galois tower.
     """
-    if refinement_witness(e, f) is None:
-        raise TowerError("not a refinement")
     return all(gal.is_galois(e.ctx, e.fields[j], e.fields[j - 1])
                for j in _new_field_positions(e, f))
 
@@ -220,33 +223,35 @@ def strict_associated(f: Tower) -> Tower:
         if x != kept[-1]:
             kept.append(x)
     s = Tower(f.ctx, kept)
-    if refinement_witness(f, s) is None or _new_field_positions(f, s):
-        raise TheoremViolation("tower does not refine its strict associate trivially")
+    message = "tower does not refine its strict associate trivially"
+    if _computed(_new_field_positions, f, s, message=message):
+        raise TheoremViolation(message)
     return s
 
 
 # res / rat / inf fragmentation ----------------------------------------------
 
 
-def res(t: Tower, r: int) -> Tower:
-    """Drop the first r fields."""
+def _index(t: Tower, r: int) -> int:
+    """r, refused unless it indexes a field of t."""
     if not 0 <= r <= t.height:
         raise TowerError(f"index {r} out of range 0..{t.height}")
-    return Tower(t.ctx, t.fields[r:])
+    return r
+
+
+def res(t: Tower, r: int) -> Tower:
+    """Drop the first r fields."""
+    return Tower(t.ctx, t.fields[_index(t, r):])
 
 
 def rat(t: Tower, r: int) -> Tower:
     """Drop the last m - r fields."""
-    if not 0 <= r <= t.height:
-        raise TowerError(f"index {r} out of range 0..{t.height}")
-    return Tower(t.ctx, t.fields[:r + 1])
+    return Tower(t.ctx, t.fields[:_index(t, r) + 1])
 
 
 def inf_to(t: Tower, r: int, upper: FieldRef) -> Tower:
     """Keep fields up to index r-1, then append ``upper``."""
-    if not 0 <= r <= t.height:
-        raise TowerError(f"index {r} out of range 0..{t.height}")
-    return Tower(t.ctx, t.fields[:r] + (upper,))
+    return Tower(t.ctx, t.fields[:_index(t, r)] + (upper,))
 
 
 def inf_top(t: Tower, r: int) -> Tower:
@@ -345,10 +350,7 @@ def equivalence_witness(t1: Tower, t2: Tower) -> EquivalenceWitness | None:
     by :meth:`GaloisContext.isomorphism`, which turns down a pair of
     different orders or element-order multisets before any search.
     """
-    if t1.ctx is not t2.ctx:
-        raise TowerError("towers belong to different contexts")
-    if t1.base != t2.base or t1.top != t2.top:
-        raise TowerError("equivalence requires towers of the same extension")
+    _same_extension(t1, t2, "equivalence requires towers of the same extension")
     if t1.height != t2.height:
         return None
     q1 = marche_groups(t1)

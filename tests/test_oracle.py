@@ -101,8 +101,8 @@ def test_bf_refinement_predicates_shipped():
 
 
 def test_bf_refinement_predicates_order_24_sample(ss4):
-    rep = orc.bf_refinement_predicates(ss4, 3, base=ss4.base,
-                                       top=ss4.top_closure,
+    # N/K of S4: a context of the same group, whose L is N
+    rep = orc.bf_refinement_predicates(gal.GaloisContext(ss4.group), 3,
                                        sample=1000, instance="ss4")
     assert rep.agreement, rep.counterexample
 

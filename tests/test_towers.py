@@ -15,7 +15,8 @@ import galtour.dissociation as dis
 import galtour.galois as gal
 import galtour.permgroup as pg
 import galtour.towers as tw
-from galtour.oracle import enumerate_towers
+from galtour import presets
+from galtour.oracle import bf_composition_towers, bf_intourability, enumerate_towers
 from conftest import contexts_up_to_120, get_ctx
 
 
@@ -24,7 +25,7 @@ from conftest import contexts_up_to_120, get_ctx
 
 
 def test_make_tower_trivial(r26):
-    t = tw.make_tower(r26, [r26.base], base=r26.base, top=r26.base)
+    t = tw.make_tower(r26, [r26.base])
     assert t.height == 0
     assert tw.is_strict(t) and tw.is_galois_tower(t) and dis.is_galtourable_tower(t)
 
@@ -52,8 +53,6 @@ def test_make_tower_rejects_non_monotone(r26):
     s2 = r26.field_by_name("Q(sqrt2)")
     with pytest.raises(tw.TowerError):
         tw.make_tower(r26, [K, L, s2])
-    with pytest.raises(tw.TowerError):
-        tw.make_tower(r26, [K, L], base=K, top=s2)
 
 
 def test_galois_tower_examples(r24, r26):
@@ -511,3 +510,61 @@ def test_equivalence_witness_rejects_a_bijection_that_is_no_hom(r24):
                 tw.EquivalenceWitness([q], [q], good.sigma, (tuple(bad),))
             rejected += 1
     assert rejected > 0
+
+
+# ---------------------------------------------------------------------------
+# the refusal of each shared precondition, one message per check
+
+
+def _equivalence_general(c1, c2):
+    return dis.equivalence_general(c1.ctx, c1, c2)
+
+
+def _inf_to_top(t, r):
+    return tw.inf_to(t, r, t.top)
+
+
+_SAME_EXTENSION = [
+    (tw.refinement_witness, "refinement requires towers of the same extension"),
+    (tw.equivalence_witness, "equivalence requires towers of the same extension"),
+    (dis.schreier_refine, "towers must share the same extension"),
+    (_equivalence_general, "towers must share the same extension"),
+]
+
+
+def _refusal(call, args, exc, message):
+    return pytest.param(call, args, exc, message,
+                        id=f"{call.__name__}-{'-'.join(map(str, args))}")
+
+
+_REFUSALS = (
+    [_refusal(f, ("KsL", "other KsL"), tw.TowerError, "towers belong to different contexts")
+     for f, _ in _SAME_EXTENSION]
+    + [_refusal(f, ("KL", "KN"), tw.TowerError, message) for f, message in _SAME_EXTENSION]
+    + [_refusal(f, ("KL", "KsL"), tw.TowerError, "not a refinement")
+       for f in (tw.is_proper_refinement, tw.is_trivial_refinement, tw.is_galois_refinement)]
+    + [_refusal(f, ("KsL", r), tw.TowerError, f"index {r} out of range 0..2")
+       for f in (tw.res, tw.rat, _inf_to_top) for r in (-1, 3)]
+    + [_refusal(bf_intourability, ("ctx", "K", "L"), gal.GaloisError,
+                "bf_intourability requires F <= E as fields"),
+       _refusal(bf_composition_towers, ("ctx", "K", "L"), gal.GaloisError,
+                "bf_composition_towers requires F <= E as fields"),
+       _refusal(enumerate_towers, ("ctx", "L", "K", 2), gal.GaloisError,
+                "enumerate_towers requires F <= E as fields")]
+)
+
+
+@pytest.mark.parametrize("call, args, exc, message", _REFUSALS)
+def test_each_precondition_refuses_with_its_message(r26, call, args, exc, message):
+    # "other" is a second context of the same instance: equal in every
+    # field, but its refs mean nothing in r26
+    other = presets.from_dict(gal.to_instance_dict(r26))
+    values = {"ctx": r26, "K": r26.base, "L": r26.distinguished}
+    for prefix, ctx in (("", r26), ("other ", other)):
+        K, L, s2 = ctx.base, ctx.distinguished, ctx.field_by_name("Q(sqrt2)")
+        values[prefix + "KsL"] = tw.make_tower(ctx, [K, s2, L])
+    values["KL"] = tw.make_tower(r26, [r26.base, r26.distinguished])
+    values["KN"] = tw.make_tower(r26, [r26.base, r26.top_closure])
+    with pytest.raises(exc) as info:
+        call(*(values.get(a, a) for a in args))
+    assert str(info.value) == message

@@ -11,10 +11,10 @@ is kept on the context, and the Galois tower witness of a galtourable
 L/K is that report's witness.  Every lattice read speaks fields, by
 position in the context's lattice index: the subnormal closure
 (:meth:`GaloisContext.subnormal_closure`) walks intervals of the index
-and returns its chain as fields, and galsimplicity and the Jordan-Holder
-descent read the minimal Galois steps of an interval
-(:meth:`GaloisContext.galois_steps`).  No subgroup is spanned anew and
-no field is converted to a subgroup and back.
+and returns its chain as fields, galsimplicity is one AND of two rows,
+and the Jordan-Holder descent reads the minimal Galois steps of an
+interval (:meth:`GaloisContext.galois_steps`).  No subgroup is spanned
+anew and no field is converted to a subgroup and back.
 
 On top of the bridge sit the executable theorems: the unique
 intourability field M(L/K) (maximal galtourable quotient, with L/M(L/K)
@@ -71,8 +71,11 @@ def is_simple_ext(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
 
 
 def is_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
-    """No proper Galois quotient: M/F Galois and F <= M <= E force M in {F, E}."""
-    return ctx.galois_steps(F, E) in ([], [E]) and E != F
+    """No proper Galois quotient: M/F Galois and F <= M <= E force M in {F, E},
+    so E's up-set AND ``nbelow[F]`` has no bit but E's and F's.  Refuses F
+    not below E as ``galois_steps`` does."""
+    ctx._nested(F, E, "galois_steps")
+    return E != F and not ctx._up[E.pos] & ctx._nbelow[F.pos] & ~(1 << E.pos | 1 << F.pos)
 
 
 # ---------------------------------------------------------------------------

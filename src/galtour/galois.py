@@ -32,6 +32,7 @@ workers.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator, Sequence
 
 from . import permgroup as pg
@@ -42,7 +43,7 @@ class GaloisError(Exception):
     """Invalid input to a Galois-correspondence operation."""
 
 
-class FieldRef:
+class FieldRef(pg._Immutable):
     """Handle for an intermediate field of the context's closure.
 
     Refs are made only by :class:`GaloisContext`, one per lattice position
@@ -58,9 +59,6 @@ class FieldRef:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "subgroup", subgroup)
         object.__setattr__(self, "pos", pos)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldRef is immutable")
 
     def __le__(self, other: "FieldRef") -> bool:
         """self is a subfield of other: its position is in other's up-set."""
@@ -89,6 +87,8 @@ class GaloisContext:
     ``names`` maps field names to the subgroups fixing them, in order; the
     first name given to a field is its display name (``self.names`` maps
     field -> display name), and every name resolves by :meth:`field_by_name`.
+    A name of the digest form ``H<order>.<hex>`` is refused, since an
+    unnamed field may display as it.
 
     Built at construction: the lattice index, i.e. per position in
     ``subgroups`` the up- and down-set bitmasks and the ``nbelow`` bitmask
@@ -104,14 +104,17 @@ class GaloisContext:
     the digest names, one order's block at a time; the checked
     M(L/K) reports, keyed by the positions of L and K, which only
     :mod:`dissociation` fills and reads; and the literal oracle's rows,
-    which only :mod:`oracle` fills and reads.  Concurrent
-    filling is safe: each entry is a deterministic value, written once
-    (a race at most rewrites it).
+    one entry that only :mod:`oracle` builds, in one pass, and reads.
+    Concurrent filling is safe: each entry is a deterministic value,
+    written once (a race at most rewrites it).
     """
 
     def __init__(self, group: Group, *, distinguished: Subgroup | None = None,
                  names: dict | None = None, notes: dict | None = None,
                  enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND):
+        for name in names or ():  # before the lattice, which may be large
+            if re.fullmatch(r"H\d+\.[0-9a-f]+", name):
+                raise GaloisError(f"field name {name!r} has the form of a digest name")
         self.group = group
         self.subgroups = pg.all_subgroups(group, bound=enumeration_bound)
         self._fields = [FieldRef(self, sg, i) for i, sg in enumerate(self.subgroups)]
@@ -403,7 +406,7 @@ def is_galois(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
 # quadrilaterals and parallelograms
 
 
-class Quadrilateral:
+class Quadrilateral(pg._Immutable):
     """(J, K, N, L) with K cap L = J and KL = N, checked at construction.
 
     Flat quadrilaterals (K = J or L = J) are accepted; every extension E/F
@@ -423,9 +426,6 @@ class Quadrilateral:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "L", L)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Quadrilateral is immutable")
 
     @property
     def ctx(self) -> GaloisContext:

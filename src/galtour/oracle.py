@@ -24,12 +24,11 @@ open interval.  ``literal_is_normal(A, B)`` is the same class test on
 two subgroups with no context.  (The quadrilateral scan is empirical
 output, not an oracle, and calls the main path.)
 
-The rows live on the context they describe, in its memo
-``ctx._literal_rows``, which only this module fills and reads: under
-``"holds"`` the element-membership rows (``holds[x]``, the positions
-whose subgroup contains x), and under ``("normal", f)`` and
-``("reach", f)`` the rows of position f.  Each is filled on first use,
-written once, and freed with the context.
+The rows live on the context they describe, as the one entry of its
+memo ``ctx._literal_rows``, which only this module fills and reads: on
+first use, one pass over the positions in ascending order builds both
+lists (``_rows``), and one assignment stores them.  They are freed with
+the context.
 
 Oracles favour clarity over speed and may be exponential; the agreement
 suite aggregates their verdicts into a machine-readable matrix.
@@ -108,50 +107,39 @@ def literal_is_normal(A: Subgroup, B: Subgroup) -> bool:
     return all(cls <= members or members.isdisjoint(cls) for cls in _classes(B))
 
 
-def _holds(ctx: GaloisContext) -> list:
-    """holds[x] marks the positions whose subgroup contains element x."""
-    holds = ctx._literal_rows.get("holds")
-    if holds is None:
-        holds = [0] * ctx.group.order
+def _rows(ctx: GaloisContext) -> tuple:
+    """``(normal, reach)``, one row per lattice position, built in one pass
+    on first use and kept on the context as its one ``_literal_rows`` entry.
+
+    ``normal[f]`` is the positions m >= f (as fields) whose subgroup is
+    literally normal in Subgroup(f): those of its subgroups that meet no
+    class of it without containing the class.  ``reach[f]`` is {f} with
+    the reach row of each other position of ``normal[f]``, a proper
+    subgroup, so earlier in canonical order and already built.
+    """
+    rows = ctx._literal_rows.get("rows")
+    if rows is None:
+        holds = [0] * ctx.group.order  # the positions whose subgroup holds x
         for i, sg in enumerate(ctx.subgroups):
             for x in sg.key:
                 holds[x] |= 1 << i
-        ctx._literal_rows["holds"] = holds
-    return holds
-
-
-def _normal_row(ctx: GaloisContext, f: int) -> int:
-    """The positions m >= f (as fields) whose subgroup is literally normal
-    in Subgroup(f): those of Subgroup(f)'s subgroups that meet no class of
-    it without containing the class."""
-    rows = ctx._literal_rows
-    row = rows.get(("normal", f))
-    if row is None:
-        holds = _holds(ctx)
-        split = 0  # the positions meeting some class they do not contain
-        for cls in _classes(ctx.subgroups[f]):
-            if len(cls) > 1:  # a class of one is never split
-                meets, within = 0, -1
-                for x in cls:
-                    meets |= holds[x]
-                    within &= holds[x]
-                split |= meets & ~within
-        row = rows["normal", f] = ctx._down[f] & ~split
-    return row
-
-
-def _reach_row(ctx: GaloisContext, f: int) -> int:
-    """The positions reached from f by literally normal steps: f, and the
-    reach of each m != f in ``_normal_row(ctx, f)``."""
-    rows = ctx._literal_rows
-    row = rows.get(("reach", f))
-    if row is None:
-        row = 1 << f
-        # the row's other positions hold smaller subgroups: all below f
-        for m in _pick(range(f), _normal_row(ctx, f) & ~row):
-            row |= _reach_row(ctx, m)
-        rows["reach", f] = row
-    return row
+        normal, reach = [], []
+        for f, sg in enumerate(ctx.subgroups):
+            split = 0  # the positions meeting some class they do not contain
+            for cls in _classes(sg):
+                if len(cls) > 1:  # a class of one is never split
+                    meets, within = 0, -1
+                    for x in cls:
+                        meets |= holds[x]
+                        within &= holds[x]
+                    split |= meets & ~within
+            normal.append(ctx._down[f] & ~split)
+            row = 1 << f
+            for r in _pick(reach, normal[f] & ~row):
+                row |= r
+            reach.append(row)
+        rows = ctx._literal_rows["rows"] = normal, reach
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +150,7 @@ def bf_galtourable(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """A chain of literally normal steps from Gal(N/F) down to Gal(N/E):
     E is in the reach row of F; requires F <= E."""
     ctx._nested(F, E, "bf_galtourable")
-    return _reach_row(ctx, F.pos) >> E.pos & 1 == 1
+    return _rows(ctx)[1][F.pos] >> E.pos & 1 == 1
 
 
 def bf_smallest_subnormal(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> FieldRef:
@@ -174,7 +162,7 @@ def bf_smallest_subnormal(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> Field
     so smallest subgroup first) that F reaches by literal Galois steps;
     F itself is reached.
     """
-    reach = _reach_row(ctx, F.pos)
+    reach = _rows(ctx)[1][F.pos]
     return next(M for M in ctx.interval_fields(F, E) if reach >> M.pos & 1)
 
 
@@ -186,7 +174,7 @@ def _literal_galsimple(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
     """E/F galsimple: E != F and no field M strictly between them has
     Gal(N/M) literally normal in Gal(N/F)."""
     inner = ctx._interval(F, E) & ~(1 << E.pos | 1 << F.pos)
-    return E != F and not _normal_row(ctx, F.pos) & inner
+    return E != F and not _rows(ctx)[0][F.pos] & inner
 
 
 def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
@@ -196,10 +184,10 @@ def bf_intourability(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
     violation and raised as such.
     """
     ctx._nested(K, L, "bf_intourability")
-    reach = _reach_row(ctx, K.pos)
-    hits = [M for M in ctx.interval_fields(K, L) if reach >> M.pos & 1
+    normal, reach = _rows(ctx)
+    hits = [M for M in ctx.interval_fields(K, L) if reach[K.pos] >> M.pos & 1
             and (L == M or (_literal_galsimple(ctx, L, M)
-                            and not _normal_row(ctx, M.pos) >> L.pos & 1))]
+                            and not normal[M.pos] >> L.pos & 1))]
     if len(hits) != 1:
         raise TheoremViolation(
             f"intourability count = {len(hits)} for {L.name}/{K.name}: "
@@ -219,21 +207,20 @@ def bf_composition_towers(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> list:
         raise pg.BoundExceeded(
             f"interval has {len(interval)} subgroups > {BF_MAX_INTERVAL}")
 
+    normal = _rows(ctx)[0]
+
     def steps(F: FieldRef) -> list:
-        normal = _normal_row(ctx, F.pos) & ~(1 << F.pos)
+        row = normal[F.pos] & ~(1 << F.pos)
         return [M for M in interval
-                if normal >> M.pos & 1 and _literal_galsimple(ctx, M, F)]
+                if row >> M.pos & 1 and _literal_galsimple(ctx, M, F)]
 
-    towers: list = []
-
-    def ascend(chain: list):
+    towers, stack = [], [[K]]  # chains still to extend, the next one last
+    while stack:
+        chain = stack.pop()
         if chain[-1] == L:
             towers.append(Tower(ctx, chain))
-            return
-        for M in steps(chain[-1]):
-            ascend(chain + [M])
-
-    ascend([K])
+        else:
+            stack.extend(chain + [M] for M in reversed(steps(chain[-1])))
     return towers
 
 
@@ -257,7 +244,7 @@ def _literal_proper(e: Tower, f: Tower) -> bool:
 def _literal_galois_refinement(e: Tower, f: Tower) -> bool:
     for j in range(1, len(e.fields) - 1):
         if all(e.fields[j] != fi for fi in f.fields):
-            if not _normal_row(e.ctx, e.fields[j - 1].pos) >> e.fields[j].pos & 1:
+            if not _rows(e.ctx)[0][e.fields[j - 1].pos] >> e.fields[j].pos & 1:
                 return False
     return True
 
@@ -269,21 +256,14 @@ def enumerate_towers(ctx: GaloisContext, K: FieldRef, L: FieldRef,
     fields, bits = ctx.all_fields(), ctx._interval(K, L)
     # the fields of the interval above each of its fields, in its order
     above = {F: _pick(fields, ctx._down[F.pos] & bits) for F in _pick(fields, bits)}
-    out: list = []
-
-    def extend(prefix: list):
-        if len(out) >= TOWER_CAP:
-            return
-        if prefix[-1] == L:
+    out, stack = [], [[K]]  # prefixes still to extend, the next one last
+    while stack and len(out) < TOWER_CAP:
+        prefix = stack.pop()
+        if prefix[-1] == L:  # and it may still grow by repeating L
             out.append(Tower(ctx, prefix))
-            # may still grow by repeating L
-        if len(prefix) == max_height + 1:
-            return
-        for nxt in above[prefix[-1]]:
-            extend(prefix + [nxt])
-
-    extend([K])
-    return out[:TOWER_CAP]
+        if len(prefix) <= max_height:
+            stack.extend(prefix + [nxt] for nxt in reversed(above[prefix[-1]]))
+    return out
 
 
 def bf_refinement_predicates(ctx: GaloisContext, max_height: int,

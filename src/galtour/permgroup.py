@@ -52,11 +52,21 @@ def factorize(n: int) -> dict:
     return out
 
 
+class _Immutable:
+    """Refuses attribute assignment: constructors and first-use caches set
+    their slots through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 # ---------------------------------------------------------------------------
 # permutations
 
 
-class Permutation:
+class Permutation(_Immutable):
     """A permutation of {0..degree-1}, stored as its image tuple."""
 
     __slots__ = ("images",)
@@ -66,9 +76,6 @@ class Permutation:
         if sorted(images) != list(range(len(images))):
             raise PermGroupError(f"not a bijection on 0..{len(images)-1}: {images}")
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("Permutation is immutable")
 
     @property
     def degree(self) -> int:
@@ -149,7 +156,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 # table groups
 
 
-class AbstractGroup:
+class AbstractGroup(_Immutable):
     """A finite group given by its full multiplication table.
 
     Labels are 0..order-1 with the identity at 0.  A table handed in by a
@@ -189,9 +196,6 @@ class AbstractGroup:
             for a, b, c in itertools.product(range(n), repeat=3):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     raise PermGroupError("table is not associative")
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AbstractGroup) and self.table == other.table
@@ -456,7 +460,7 @@ def generate(degree: int, generators: Sequence[Permutation],
 # subgroups
 
 
-class Subgroup:
+class Subgroup(_Immutable):
     """A subgroup of a :class:`Group`, identified by its canonical key.
 
     The canonical key is the sorted tuple of element indices into the
@@ -479,9 +483,6 @@ class Subgroup:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "order", len(key))
         object.__setattr__(self, "_gens", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subgroup is immutable")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and other.parent is self.parent

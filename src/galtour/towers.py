@@ -56,7 +56,7 @@ def _same_extension(t1: Tower, t2: Tower, message: str) -> None:
         raise TowerError(message)
 
 
-class Tower:
+class Tower(pg._Immutable):
     """Non-decreasing field sequence F_0 <= ... <= F_m in one context.
 
     Each containment is one bit of the context's up-sets, the bit
@@ -84,9 +84,6 @@ class Tower:
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "_marches", marches)
         object.__setattr__(self, "_galois", galois)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Tower is immutable")
 
     @property
     def base(self) -> FieldRef:
@@ -292,7 +289,7 @@ def induced(t: Tower, L: FieldRef) -> Tower:
 # equivalence of Galois towers
 
 
-class EquivalenceWitness:
+class EquivalenceWitness(pg._Immutable):
     """sigma in S_m plus, per marche, an explicit quotient isomorphism.
 
     Built over the marche groups q1, q2 of two Galois towers, as
@@ -316,9 +313,6 @@ class EquivalenceWitness:
                 raise TowerError(f"iso {i + 1} is not an isomorphism")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "isos", isos)
-
-    def __setattr__(self, *a):
-        raise AttributeError("EquivalenceWitness is immutable")
 
     def sigma_one_line(self) -> str:
         return " ".join(str(s) for s in self.sigma)

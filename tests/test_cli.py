@@ -294,6 +294,23 @@ def test_reserved_field_names(capsys, tmp_path):
         assert ctx.field_by_name("L") == ctx.distinguished, sel
 
 
+def test_given_name_of_digest_form_exits_2(capsys, tmp_path):
+    # a second unnamed field of radical:a=2,n=6 given the digest name of
+    # another would show twice as H2.a31321, and --field would reach one
+    ctx = presets.load_instance("radical:a=2,n=6")
+    taken = ctx.field_by_name("H2.a31321")
+    other = next(F for F in ctx.all_fields() if F.subgroup.order == 2
+                 and F not in ctx.names and F is not taken)
+    data = gal.to_instance_dict(ctx)
+    data["fields"]["H2.a31321"] = [ctx.group.elements[i].cycles()
+                                   for i in other.subgroup.gens()]
+    path = tmp_path / "digest.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", f"file:{path}", "--field", "H2.a31321")
+    assert (code, out) == (2, "")
+    assert err == "error: field name 'H2.a31321' has the form of a digest name\n"
+
+
 def test_exit_code_2_on_bad_input(capsys):
     code, _, err = run(capsys, "analyze", "radical:a=4,n=2")
     assert code == 2 and "hypothesis violated" in err

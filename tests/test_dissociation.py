@@ -134,6 +134,27 @@ def test_galsimple_laws_check(r26, r29):
     assert rep.ok and rep.quotient_checks == 0 and rep.transitivity_checks == 0
 
 
+def test_galsimplicity_lists_no_minimal_steps(monkeypatch):
+    # each verdict is one AND of the up-set of E and the Galois row of F;
+    # the minimal Galois steps serve the Jordan-Holder descent alone
+    contexts = [get_ctx(name) for name in ("radical:a=2,n=9", "selmer-serre:n=4")]
+    pairs = [(ctx, E, F) for ctx in contexts for F in ctx.all_fields()
+             for E in ctx.interval_fields(F, ctx.top_closure)]
+    expected = ([dis.galsimple_laws_check(ctx) for ctx in contexts],
+                [dis.is_galsimple(*pair) for pair in pairs])
+
+    def banned(*args, **kwargs):
+        raise AssertionError("galsimplicity listed minimal Galois steps")
+    for method in ("galois_steps", "_minimal"):
+        monkeypatch.setattr(gal.GaloisContext, method, banned)
+    assert ([dis.galsimple_laws_check(ctx) for ctx in contexts],
+            [dis.is_galsimple(*pair) for pair in pairs]) == expected
+    assert sum(laws.quotient_checks for laws in expected[0]) > 0
+    ctx = contexts[0]
+    with pytest.raises(gal.GaloisError, match="galois_steps requires F <= E"):
+        dis.is_galsimple(ctx, ctx.base, ctx.top_closure)
+
+
 def test_verdicts_do_not_test_normality_by_conjugation(monkeypatch):
     # normality, galsimplicity, subnormality and the towers built on them are
     # read from the lattice index; permgroup's conjugation scan is left to

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import galtour.dissociation as dis
 import galtour.galois as gal
 import galtour.permgroup as pg
+import galtour.towers as tw
 from galtour import presets
 from conftest import get_ctx, small_contexts
 from test_permgroup import random_groups
@@ -564,6 +565,36 @@ def test_names_table_gives_the_first_name_for_display():
     with pytest.raises(gal.GaloisError, match="duplicate field name 'K'"):
         gal.GaloisContext(g, names={"K": S})
     assert gal.GaloisContext(g, names={"K": g.full_subgroup()}).base.name == "K"
+    # a name an unnamed field could display as is refused; others are names
+    with pytest.raises(gal.GaloisError, match="'H2.0f' has the form of a digest name"):
+        gal.GaloisContext(g, names={"H2.0f": S})
+    for name in ("H2", "H2.0F", "H2.xyz", "H.0f", "h2.0f"):
+        assert gal.GaloisContext(g, names={name: S}).field_of(S).name == name
+
+
+@pytest.mark.parametrize("build,attr", [
+    (lambda ctx: pg.Permutation.identity(3), "images"),
+    (lambda ctx: pg.AbstractGroup([[0, 1], [1, 0]]), "order"),
+    (lambda ctx: ctx.group, "order"),
+    (lambda ctx: ctx.group.full_subgroup(), "key"),
+    (lambda ctx: ctx.base, "pos"),
+    (lambda ctx: gal.Quadrilateral(ctx.base, ctx.top_closure,
+                                   ctx.top_closure, ctx.base), "J"),
+    (lambda ctx: tw.Tower(ctx, [ctx.base, ctx.top_closure]), "fields"),
+    (lambda ctx: tw.equivalence_witness(*[tw.Tower(ctx, [ctx.base, ctx.top_closure])] * 2),
+     "sigma"),
+    (lambda ctx: ctx, "group"),
+], ids=["Permutation", "AbstractGroup", "Group", "Subgroup", "FieldRef",
+        "Quadrilateral", "Tower", "EquivalenceWitness", "GaloisContext"])
+def test_values_refuse_assignment(r24, build, attr):
+    # every value is immutable after construction, so it is safe to share
+    value = build(r24)
+    before = getattr(value, attr)
+    for name in (attr, "extra"):
+        with pytest.raises(AttributeError) as info:
+            setattr(value, name, None)
+        assert str(info.value) == f"{type(value).__name__} is immutable"
+    assert getattr(value, attr) is before
 
 
 def test_index_rejects_subgroups_of_another_group():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import inspect
 import random
@@ -180,7 +181,7 @@ def test_literal_normal_memo_ignores_freed_groups():
         ctx = gal.GaloisContext(d4)
         for E in ctx.all_fields():  # fills D4's rows at every position
             assert orc.bf_galtourable(ctx, E, ctx.base)
-        assert not orc._normal_row(ctx, ctx.base.pos) >> ctx.field_of(refl).pos & 1
+        assert not orc._rows(ctx)[0][ctx.base.pos] >> ctx.field_of(refl).pos & 1
         del d4, refl, ctx, E
         gc.collect()
         c8 = pg.generate(8, [P.from_cycles("(1 2 3 4 5 6 7 8)", 8)])
@@ -188,7 +189,7 @@ def test_literal_normal_memo_ignores_freed_groups():
         assert half.key == (0, 4)
         assert orc.literal_is_normal(half, c8.full_subgroup())
         ctx = gal.GaloisContext(c8)
-        assert orc._normal_row(ctx, ctx.base.pos) >> ctx.field_of(half).pos & 1
+        assert orc._rows(ctx)[0][ctx.base.pos] >> ctx.field_of(half).pos & 1
         del c8, half, ctx
         gc.collect()
 
@@ -209,6 +210,33 @@ def test_literal_normal_memo_drops_entries_of_freed_groups():
     assert [r for r in refs if r() is not None] == []
     assert [name for name, value in vars(orc).items() if not name.startswith("__")
             and isinstance(value, (MutableMapping, MutableSequence, MutableSet))] == []
+
+
+def test_agreement_suite_scans_each_position_once(monkeypatch):
+    # one pass builds every row: one class scan per position, kept as one
+    # entry, for the whole suite and for any later oracle call
+    classes, scanned = orc._classes, []
+
+    def counted(B):
+        scanned.append(B)
+        return classes(B)
+    monkeypatch.setattr(orc, "_classes", counted)
+    ctx = presets.from_dict(gal.to_instance_dict(get_ctx("radical:a=2,n=12")))
+    assert orc.run_agreement_suite({"r12": ctx}, sample=50)["all_agree"]
+    assert scanned == ctx.subgroups
+    assert list(ctx._literal_rows) == ["rows"]
+    assert orc.bf_galtourable(ctx, ctx.distinguished, ctx.base) is False
+    assert len(scanned) == len(ctx.subgroups) and len(ctx._literal_rows) == 1
+
+
+def test_no_oracle_function_calls_itself():
+    # the rows are built in one ordered pass and the towers enumerated from
+    # an explicit stack, so no depth limit applies
+    for fn in ast.walk(ast.parse(inspect.getsource(orc))):
+        if isinstance(fn, ast.FunctionDef):
+            calls = {node.func.id for node in ast.walk(fn)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            assert fn.name not in calls, fn.name
 
 
 def test_agreement_suite_on_one_context_shared_by_four_threads():
@@ -287,7 +315,7 @@ def test_literal_rows_agree_with_the_reference_scans():
         seen: dict = {}
         for F in ctx.all_fields():
             above = ctx.interval_fields(F, ctx.top_closure)
-            assert orc._normal_row(ctx, F.pos) == sum(
+            assert orc._rows(ctx)[0][F.pos] == sum(
                 1 << M.pos for M in above
                 if literal_normal_scan(M.subgroup, F.subgroup)), (name, F.name)
             for E in above:
@@ -296,8 +324,9 @@ def test_literal_rows_agree_with_the_reference_scans():
                     literal_normal_scan(E.subgroup, F.subgroup), where
                 assert orc.bf_galtourable(ctx, E, F) == \
                     literal_chain_search(ctx, E, F, seen), where
-                assert orc._literal_galsimple(ctx, E, F) == \
-                    literal_galsimple_scan(ctx, E, F), where
+                galsimple = literal_galsimple_scan(ctx, E, F)
+                assert orc._literal_galsimple(ctx, E, F) == galsimple, where
+                assert dis.is_galsimple(ctx, E, F) == galsimple, where
                 assert [orc.bf_intourability(ctx, E, F)[0]] == \
                     _reference_intourability(ctx, E, F, seen), where
 
@@ -331,7 +360,7 @@ def test_literal_rows_and_nbelow_agree_on_random_groups(group):
     for F in ctx.all_fields():
         scan = sum(1 << M.pos for M in ctx.interval_fields(F, ctx.top_closure)
                    if literal_normal_scan(M.subgroup, F.subgroup))
-        assert orc._normal_row(ctx, F.pos) == scan
+        assert orc._rows(ctx)[0][F.pos] == scan
         assert ctx._nbelow[F.pos] == scan
 
 

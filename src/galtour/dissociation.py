@@ -8,7 +8,8 @@ subnormal in Gal(N/F), and the subnormal closure's descent chain doubles
 as an explicit witness tower.  M(L/K) is walked, and its witness checked
 a strict Galois tower, once per (L, K) per context: the checked report
 is kept on the context, and the Galois tower witness of a galtourable
-L/K is that report's witness.  Every lattice read speaks fields, by
+L/K is that report's witness.  The checked composition tower of L/K is
+kept the same way.  Every lattice read speaks fields, by
 position in the context's lattice index: the subnormal closure
 (:meth:`GaloisContext.subnormal_closure`) walks intervals of the index
 and returns its chain as fields, galsimplicity is one AND of two rows,
@@ -38,9 +39,9 @@ from collections.abc import Sequence
 
 from . import galois as gal
 from . import towers as tw
-from .galois import FieldRef, GaloisContext
+from .galois import FieldRef, GaloisContext, TheoremViolation
 from .permgroup import Subgroup
-from .towers import TheoremViolation, Tower
+from .towers import Tower
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,14 @@ class DissociationReport(namedtuple(
         }
 
 
+def _pair_key(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
+    """The memo key of the pair (L, K), its positions; refs of another
+    context are refused before a memo is read."""
+    if L.ctx is not ctx or K.ctx is not ctx:
+        ctx._own(L, K)
+    return L.pos, K.pos
+
+
 def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> DissociationReport:
     """The unique M with M/K galtourable and L/M trivial or galsimple non-Galois.
 
@@ -113,9 +122,7 @@ def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Dissoci
     The checked report is kept on the context by the positions of L and K,
     and a repeated call returns it; a refusal is never kept.
     """
-    if L.ctx is not ctx or K.ctx is not ctx:  # before the memo is read
-        ctx._own(L, K)
-    key = (L.pos, K.pos)
+    key = _pair_key(ctx, L, K)
     rep = ctx._report_cache.get(key)
     if rep is not None:
         return rep
@@ -202,9 +209,10 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
 
     Returns ``(r1, r2, witness)``: r1 refines t1 (indices i*n), r2
     refines t2 (indices j*m), both of height m*n, and the witness carries
-    the explicit marche permutation together with a verified isomorphism
-    per marche.  The theorem guarantees each isomorphism exists; a failed
-    search is raised as :class:`TheoremViolation`.
+    the explicit marche permutation together with an isomorphism per
+    marche, each verified once, when the context stored it.  The theorem
+    guarantees each isomorphism exists; a failed search is raised as
+    :class:`TheoremViolation`.
     """
     tw._same_extension(t1, t2, "towers must share the same extension")
     for t in (t1, t2):
@@ -222,7 +230,6 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
     if not (tw.is_galois_tower(r1) and tw.is_galois_tower(r2)):
         raise TheoremViolation("refinement formulas produced a non-Galois tower")
     sigma = schreier_sigma(m, n)
-    q1, q2 = tw.marche_groups(r1), tw.marche_groups(r2)
     m1, m2 = r1.marches(), r2.marches()
     isos = []
     for l in range(1, m * n + 1):
@@ -230,8 +237,9 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
         if phi is None:
             raise TheoremViolation(f"marche {l} has no isomorphic partner")
         isos.append(phi)
-    return r1, r2, tw._computed(tw.EquivalenceWitness, q1, q2, sigma, isos,
-                                message="refinement witness does not verify")
+    witness = tw._computed(tw.EquivalenceWitness._of_context, sigma, isos, len(m2),
+                           message="refinement witness does not verify")
+    return r1, r2, witness
 
 
 def schreier_refine_strict(t1: Tower, t2: Tower) -> tuple:
@@ -381,14 +389,21 @@ def composition_tower_general(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> T
     :func:`intourability_field` has checked it a strict Galois tower from
     K to M(L/K).  It is refined by Jordan-Holder, whose output is checked
     a composition tower, and the result is then checked to be induced
-    from exactly that tower: each theorem check runs once per value.
+    from exactly that tower: each theorem check runs once per value.  The
+    checked tower is kept on the context by the positions of L and K, as
+    the report is, and a repeated call returns it; a refusal is never kept.
     """
+    key = _pair_key(ctx, L, K)
+    out = ctx._composition_cache.get(key)
+    if out is not None:
+        return out
     rep = intourability_field(ctx, L, K)
     comp = galjordanholder_refine(rep.witness_tower)
     out = tw.induced(comp, L)
     prefix = _induced_prefix(ctx, out, rep.M)
     if prefix is None or prefix.fields != comp.fields:
         raise TheoremViolation(f"induced tower {out!r} is not a composition tower")
+    ctx._composition_cache[key] = out
     return out
 
 

@@ -43,6 +43,13 @@ class GaloisError(Exception):
     """Invalid input to a Galois-correspondence operation."""
 
 
+class TheoremViolation(Exception):
+    """A check guaranteed by a theorem failed, or a value the library
+    computed was refused: a tower or witness (``towers._computed``) or a
+    marche isomorphism (:meth:`GaloisContext.isomorphism`).  Seeing this
+    is always a bug report, never a user error."""
+
+
 class FieldRef(pg._Immutable):
     """Handle for an intermediate field of the context's closure.
 
@@ -100,11 +107,13 @@ class GaloisContext:
     of an interval Galois over its bottom are an AND.
     Lazily filled, and dropped with the context: the quotient cache,
     which holds only Galois pairs; the isomorphism memo, keyed by the
-    positions of two marches and holding None for non-isomorphic ones;
-    the digest names, one order's block at a time; the checked
-    M(L/K) reports, keyed by the positions of L and K, which only
-    :mod:`dissociation` fills and reads; and the literal oracle's rows,
-    one entry that only :mod:`oracle` builds, in one pass, and reads.
+    positions of two marches, holding each isomorphism once it verified
+    and None for non-isomorphic marches; the digest names, one order's
+    block at a time; the checked M(L/K) reports and the checked
+    composition towers, both keyed by the positions of L and K, which
+    only :mod:`dissociation` fills and reads; and the literal oracle's
+    rows, one entry that only :mod:`oracle` builds, in one pass, and
+    reads.  A memo stores a value only after every check on it passed.
     Concurrent filling is safe: each entry is a deterministic value,
     written once (a race at most rewrites it).
     """
@@ -112,32 +121,37 @@ class GaloisContext:
     def __init__(self, group: Group, *, distinguished: Subgroup | None = None,
                  names: dict | None = None, notes: dict | None = None,
                  enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND):
-        for name in names or ():  # before the lattice, which may be large
+        full, trivial = group.full_subgroup(), group.trivial_subgroup()
+        # the reserved names; a caller may bind them only to the same fields
+        reserved = {"K": full, "N": trivial, "closure": trivial,
+                    "L": trivial if distinguished is None else distinguished}
+        for name, sg in (names or {}).items():  # before the lattice, which may be large
             if re.fullmatch(r"H\d+\.[0-9a-f]+", name):
                 raise GaloisError(f"field name {name!r} has the form of a digest name")
+            if name in reserved and sg.mask != reserved[name].mask:
+                raise GaloisError(f"duplicate field name {name!r}")
         self.group = group
         self.subgroups = pg.all_subgroups(group, bound=enumeration_bound)
         self._fields = [FieldRef(self, sg, i) for i, sg in enumerate(self.subgroups)]
         self._pos = {sg.mask: i for i, sg in enumerate(self.subgroups)}
-        self.base = self.field_of(group.full_subgroup())
-        self.top_closure = self.field_of(group.trivial_subgroup())
+        self.base = self.field_of(full)
+        self.top_closure = self.field_of(trivial)
         self.distinguished = (self.top_closure if distinguished is None
                               else self.field_of(distinguished))
         self.names: dict = {}
-        # the reserved names; a caller may bind them only to the same fields
         self._name_to_field: dict = {"K": self.base, "L": self.distinguished,
                                      "N": self.top_closure,
                                      "closure": self.top_closure}
         for name, sg in (names or {}).items():
             ref = self.field_of(sg)
-            if self._name_to_field.setdefault(name, ref) is not ref:
-                raise GaloisError(f"duplicate field name {name!r}")
+            self._name_to_field.setdefault(name, ref)  # a reserved name is ref already
             self.names.setdefault(ref, name)
         self.notes = dict(notes or {})
         self._quotient_cache: dict = {}
         self._iso_cache: dict = {}
         self._digest_names: dict = {}
         self._report_cache: dict = {}  # filled and read by dissociation alone
+        self._composition_cache: dict = {}  # likewise
         self._literal_rows: dict = {}  # filled and read by oracle alone
         self._up, self._down, self._nbelow = _lattice_index(
             group, self.subgroups)
@@ -298,7 +312,10 @@ class GaloisContext:
     def isomorphism(self, m1: tuple, m2: tuple) -> tuple | None:
         """An isomorphism Gal(hi1/lo1) -> Gal(hi2/lo2) of two marches
         ``(lo, hi)`` as a label map of their quotient groups, or None;
-        cached by the four positions, None included.  Refuses what
+        cached by the four positions, None included.  A found map is
+        verified with ``is_isomorphism`` before it is stored, so a memo
+        entry needs no second check; one that does not verify is a
+        :class:`TheoremViolation` and is not kept.  Refuses what
         :meth:`quotient_group` refuses.  No quotient is larger than G."""
         (lo1, hi1), (lo2, hi2) = m1, m2
         self._own(lo1, hi1, lo2, hi2)
@@ -306,9 +323,10 @@ class GaloisContext:
         try:
             return self._iso_cache[key]
         except KeyError:
-            phi = pg.are_isomorphic(self.quotient_group(hi1, lo1),
-                                    self.quotient_group(hi2, lo2),
-                                    bound=self.group.order)
+            q1, q2 = self.quotient_group(hi1, lo1), self.quotient_group(hi2, lo2)
+            phi = pg.are_isomorphic(q1, q2, bound=self.group.order)
+            if phi is not None and not q1.is_isomorphism(q2, phi):
+                raise TheoremViolation("marche isomorphism does not verify")
             self._iso_cache[key] = phi
             return phi
 
@@ -583,16 +601,20 @@ def to_dot(ctx: GaloisContext) -> str:
 
 
 def to_instance_dict(ctx: GaloisContext) -> dict:
-    """The JSON instance-file form of this context (named fields only)."""
+    """The JSON instance-file form of this context (named fields only).
+    An unnamed distinguished field is written under its reserved name
+    ``L``, so that :func:`presets.from_dict` reads the file back."""
+    named = dict(ctx.names)
+    named.setdefault(ctx.distinguished, "L")
     fields = {}
-    for ref, name in sorted(ctx.names.items(), key=lambda kv: kv[1]):
+    for ref, name in sorted(named.items(), key=lambda kv: kv[1]):
         gens = [ctx.group.elements[i].cycles() for i in ref.subgroup.gens()]
         fields[name] = gens or ["()"]
     return {
         "degree": ctx.group.degree,
         "generators": [g.cycles() for g in ctx.group.generators],
         "fields": fields,
-        "distinguished": ctx.distinguished.name,
+        "distinguished": named[ctx.distinguished],
     }
 
 

@@ -25,17 +25,11 @@ from collections.abc import Sequence
 
 from . import galois as gal
 from . import permgroup as pg
-from .galois import FieldRef, GaloisContext
+from .galois import FieldRef, GaloisContext, TheoremViolation
 
 
 class TowerError(Exception):
     """Invalid tower or refinement input."""
-
-
-class TheoremViolation(Exception):
-    """A check guaranteed by a theorem failed, or a tower or witness the
-    library computed was refused (:func:`_computed`).  Seeing this is
-    always a bug report, never a user error."""
 
 
 def _computed(build, *args, message: str):
@@ -298,7 +292,8 @@ class EquivalenceWitness(pg._Immutable):
     ``isos[i-1]`` maps element labels of q1[i-1] = Gal(F_i/F_{i-1}) to
     labels of q2[sigma[i-1]-1] = Gal(E_{sigma(i)}/E_{sigma(i)-1}).  Both
     are verified at construction, each iso once against the quotient
-    tables.
+    tables.  The library's own witnesses are built by :meth:`_of_context`
+    from isomorphisms the context verified when it stored them.
     """
 
     __slots__ = ("sigma", "isos")
@@ -313,6 +308,17 @@ class EquivalenceWitness(pg._Immutable):
                 raise TowerError(f"iso {i + 1} is not an isomorphism")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "isos", isos)
+
+    @classmethod
+    def _of_context(cls, sigma: Sequence[int], isos: Sequence[tuple],
+                    n: int) -> "EquivalenceWitness":
+        """The witness of ``isos``, each returned by
+        :meth:`GaloisContext.isomorphism` and so verified once already, for
+        towers of len(isos) and n marches: sigma is checked, no iso again."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "sigma", _permutation(sigma, len(isos), n))
+        object.__setattr__(w, "isos", tuple(isos))
+        return w
 
     def sigma_one_line(self) -> str:
         return " ".join(str(s) for s in self.sigma)
@@ -329,11 +335,16 @@ def _permutation(sigma: Sequence[int], m: int, n: int) -> tuple:
     return sigma
 
 
-def marche_groups(t: Tower) -> list:
-    """Gal(F_i / F_{i-1}) for each marche; requires a Galois tower."""
+def _galois_marches(t: Tower) -> tuple:
+    """The marches of t, refused unless t is a Galois tower."""
     if not is_galois_tower(t):
         raise TowerError("marche groups require a Galois tower")
-    return [t.ctx.quotient_group(hi, lo) for lo, hi in t.marches()]
+    return t.marches()
+
+
+def marche_groups(t: Tower) -> list:
+    """Gal(F_i / F_{i-1}) for each marche; requires a Galois tower."""
+    return [t.ctx.quotient_group(hi, lo) for lo, hi in _galois_marches(t)]
 
 
 def equivalence_witness(t1: Tower, t2: Tower) -> EquivalenceWitness | None:
@@ -342,16 +353,16 @@ def equivalence_witness(t1: Tower, t2: Tower) -> EquivalenceWitness | None:
     Deterministic: marches are matched in ascending index order to the
     first available isomorphic partner, each pair tested once per context
     by :meth:`GaloisContext.isomorphism`, which turns down a pair of
-    different orders or element-order multisets before any search.
+    different orders or element-order multisets before any search and
+    verifies each isomorphism it stores.
     """
     _same_extension(t1, t2, "equivalence requires towers of the same extension")
     if t1.height != t2.height:
         return None
-    q1 = marche_groups(t1)
-    q2 = marche_groups(t2)
+    m1, m2 = _galois_marches(t1), _galois_marches(t2)
     sigma, isos, taken = [], [], set()
-    for a in t1.marches():
-        for j, b in enumerate(t2.marches()):
+    for a in m1:
+        for j, b in enumerate(m2):
             if j not in taken and (phi := t1.ctx.isomorphism(a, b)) is not None:
                 break
         else:
@@ -359,5 +370,5 @@ def equivalence_witness(t1: Tower, t2: Tower) -> EquivalenceWitness | None:
         taken.add(j)
         sigma.append(j + 1)
         isos.append(phi)
-    return _computed(EquivalenceWitness, q1, q2, sigma, isos,
+    return _computed(EquivalenceWitness._of_context, sigma, isos, len(m2),
                      message="equivalence witness does not verify")

@@ -470,7 +470,7 @@ def test_huge_radical_n_is_refused_before_it_is_factorized(capsys):
 def test_theorem_violation_exits_3_without_traceback(capsys, monkeypatch):
     # a failed check inside towers must reach the CLI as the one
     # TheoremViolation class the CLI catches, not as a traceback
-    assert dis.TheoremViolation is tw.TheoremViolation
+    assert dis.TheoremViolation is tw.TheoremViolation is gal.TheoremViolation
     # strict_associated then finds a new field in its own trivial refinement
     monkeypatch.setattr(tw, "_new_field_positions", lambda e, f: [1])
     code, out, err = run(capsys, "refine", "radical:a=2,n=4", "--strict",
@@ -516,6 +516,7 @@ def test_subnormal_closure_outside_l_exits_3(capsys, monkeypatch, argv):
     monkeypatch.setattr(gal.GaloisContext, "subnormal_closure",
                         lambda self, E, F: (chain[-1], chain))
     ctx._report_cache.clear()  # a memoized M(L/K) would hide the forged walk
+    ctx._composition_cache.clear()  # and so would a memoized composition tower
     code, out, err = run(capsys, argv[0], "radical:a=2,n=6", *argv[1:])
     assert code == 3 and out == ""
     assert err.startswith("theorem violation (internal bug): M = Q(zeta3) is not contained in L")
@@ -537,33 +538,35 @@ def test_non_monotone_schreier_refinement_exits_3(capsys, monkeypatch):
                    "refinement formulas built a non-monotone chain\n")
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["refine", "--tower", '["Q","Q(zeta3)","N"]', "--tower", '["Q","Q(sqrt2)","N"]'],
-     "refinement witness does not verify"),
-    (["check-equiv", "--tower", '["Q","Q(zeta12)","N"]', "--tower", '["Q","Q(zeta12)","N"]'],
-     "equivalence witness does not verify"),
+@pytest.mark.parametrize("argv", [
+    ["refine", "--tower", '["Q","Q(zeta3)","N"]', "--tower", '["Q","Q(sqrt2)","N"]'],
+    ["check-equiv", "--tower", '["Q","Q(zeta12)","N"]', "--tower", '["Q","Q(zeta12)","N"]'],
 ])
-def test_forged_marche_isomorphism_exits_3(capsys, monkeypatch, argv, message):
+def test_forged_marche_isomorphism_exits_3(capsys, monkeypatch, argv):
     # the context's isomorphism, refused by EquivalenceWitness, ended as a
-    # user error, exit 2
+    # user error, exit 2; the context now refuses it when it would store it
     are_isomorphic = pg.are_isomorphic
 
     def forged(*args, **kwargs):  # swap the images of two labels
         phi = are_isomorphic(*args, **kwargs)
         return phi if phi is None or len(phi) < 2 else (phi[1], phi[0]) + phi[2:]
     monkeypatch.setattr(pg, "are_isomorphic", forged)
-    memo = presets.load_instance("radical:a=2,n=12")._iso_cache
-    memo.clear()  # the shared context may hold true isomorphisms already
-    try:
-        code, out, err = run(capsys, argv[0], "radical:a=2,n=12", *argv[1:])
-    finally:
-        memo.clear()  # and must not keep forged ones
+    ctx = presets.load_instance("radical:a=2,n=12")
+    ctx._iso_cache.clear()  # the shared context may hold true isomorphisms already
+    code, out, err = run(capsys, argv[0], "radical:a=2,n=12", *argv[1:])
     assert code == 3 and out == ""
-    assert err == f"theorem violation (internal bug): {message}\n"
+    assert err == "theorem violation (internal bug): marche isomorphism does not verify\n"
+    # and it keeps no forged one: every stored isomorphism verifies
+    for (lo1, hi1, lo2, hi2), phi in ctx._iso_cache.items():
+        q1 = ctx.quotient_group(ctx._fields[hi1], ctx._fields[lo1])
+        q2 = ctx.quotient_group(ctx._fields[hi2], ctx._fields[lo2])
+        assert phi is None or q1.is_isomorphism(q2, phi)
 
 
 def test_jordanholder_step_outside_its_marche_exits_3(capsys, monkeypatch):
     # a step above the marche's top ended as galois_steps' user error, exit 2
+    ctx = presets.load_instance("radical:a=2,n=6")
+    ctx._composition_cache.clear()  # a memoized composition tower would hide the forgery
     galois_steps = gal.GaloisContext.galois_steps
     monkeypatch.setattr(gal.GaloisContext, "galois_steps", lambda self, F, E: (
         [self.top_closure] if F == self.base else []) + galois_steps(self, F, E))

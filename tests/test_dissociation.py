@@ -706,6 +706,26 @@ def test_is_composition_tower_checks_each_prefix_marche_once(monkeypatch):
     assert calls == []
 
 
+def test_composition_tower_general_is_checked_once_per_pair(monkeypatch):
+    # a repeated composition tower is read from the context's memo: the
+    # same tower, with no Jordan-Holder step and no Galois test
+    ctx = get_ctx("radical:a=2,n=12")
+    K, L = ctx.base, ctx.distinguished
+    out = dis.composition_tower_general(ctx, L, K)
+    assert ctx._composition_cache[(L.pos, K.pos)] is out
+    steps = []
+    galois_steps = gal.GaloisContext.galois_steps
+    monkeypatch.setattr(gal.GaloisContext, "galois_steps", lambda self, F, E: (
+        steps.append((F, E)) or galois_steps(self, F, E)))
+    calls = _count_is_galois(monkeypatch)
+    assert dis.composition_tower_general(ctx, L, K) is out
+    assert steps == [] and calls == []
+    # refs of another context are refused before the memo is read
+    other = presets.from_dict(gal.to_instance_dict(ctx))
+    with pytest.raises(gal.GaloisError, match="different contexts"):
+        dis.composition_tower_general(ctx, other.distinguished, K)
+
+
 def test_composition_tower_general_refusals(monkeypatch):
     r26, r24 = get_ctx("radical:a=2,n=6"), get_ctx("radical:a=2,n=4")
     K, L = r26.base, r26.distinguished
@@ -716,9 +736,11 @@ def test_composition_tower_general_refusals(monkeypatch):
         monkeypatch.setattr(gal.GaloisContext, "subnormal_closure",
                             lambda self, E, F, w=forged: (w[-1], w))
         r26._report_cache.clear()  # the memoized report would hide the forged walk
+        r26._composition_cache.clear()  # and so would the memoized tower
         with pytest.raises(tw.TheoremViolation,
                            match="subnormal descent is not a strict Galois tower"):
             dis.composition_tower_general(r26, L, K)
+        assert (L.pos, K.pos) not in r26._composition_cache  # a refusal is never kept
     monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", subnormal_closure)
     induced_prefix = dis._induced_prefix
     for forge in (lambda p: None, lambda p: tw.make_tower(r26, (K,) + p.fields)):
@@ -726,14 +748,17 @@ def test_composition_tower_general_refusals(monkeypatch):
         monkeypatch.setattr(dis, "_induced_prefix", lambda *a, f=forge: f(induced_prefix(*a)))
         with pytest.raises(tw.TheoremViolation, match="is not a composition tower"):
             dis.composition_tower_general(r26, L, K)
+        assert (L.pos, K.pos) not in r26._composition_cache
     monkeypatch.setattr(dis, "_induced_prefix", induced_prefix)
     assert dis.composition_tower_general(r26, L, K).fields[-2:] == (rep.M, L)
     # a Jordan-Holder step that is not galsimple (L/K galtourable, so
     # intourability_field does not ask is_galsimple itself)
     monkeypatch.setattr(dis, "is_galsimple", lambda ctx, E, F: False)
+    r24._composition_cache.clear()  # the memoized tower would hide the forgery
     with pytest.raises(tw.TheoremViolation,
                        match="Jordan-Holder refinement is not a composition tower"):
         dis.composition_tower_general(r24, r24.distinguished, r24.base)
+    assert r24._composition_cache == {}
 
 
 def test_galjordanholder_refine_refuses_non_galois_towers(r26):
@@ -876,3 +901,35 @@ def test_fresh_context_is_safe_to_share_between_threads():
     assert not any(t.is_alive() for t in threads)
     for got in results:
         assert got == expected
+
+
+def test_two_threads_fill_one_composition_and_one_isomorphism_key_alike():
+    # two threads, started together on a fresh context, miss the same
+    # composition key and the same isomorphism key and store what they
+    # checked; each gets the serial answer, and the memos keep one
+    spec = gal.to_instance_dict(get_ctx("radical:a=2,n=12"))
+
+    def answers(ctx):
+        K, L = ctx.base, ctx.distinguished
+        m = (K, ctx.field_by_name("Q(zeta12)"))
+        comp = dis.composition_tower_general(ctx, L, K)
+        return [f.pos for f in comp.fields], ctx.isomorphism(m, m)
+    expected = answers(presets.from_dict(spec))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared, start, results = presets.from_dict(spec), threading.Barrier(2), [None] * 2
+
+            def work(k):
+                start.wait()
+                results[k] = answers(shared)
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert results == [expected] * 2
+            assert len(shared._composition_cache) == len(shared._iso_cache) == 1
+    finally:
+        sys.setswitchinterval(old)

@@ -572,6 +572,19 @@ def test_names_table_gives_the_first_name_for_display():
         assert gal.GaloisContext(g, names={name: S}).field_of(S).name == name
 
 
+def test_reserved_name_of_another_field_is_refused_before_the_lattice(monkeypatch):
+    g = pg.generate(4, [pg.Permutation.from_cycles("(1 2)", 4),
+                        pg.Permutation.from_cycles("(3 4)", 4)])
+    S, full, trivial = g.generated_subgroup([1]), g.full_subgroup(), g.trivial_subgroup()
+    calls = []
+    monkeypatch.setattr(pg, "all_subgroups", lambda *a, **k: calls.append(a))
+    for name, sg, distinguished in [("K", S, None), ("N", S, None), ("closure", full, None),
+                                    ("L", S, None), ("L", trivial, S)]:
+        with pytest.raises(gal.GaloisError, match=f"duplicate field name '{name}'"):
+            gal.GaloisContext(g, distinguished=distinguished, names={name: sg})
+    assert calls == []
+
+
 @pytest.mark.parametrize("build,attr", [
     (lambda ctx: pg.Permutation.identity(3), "images"),
     (lambda ctx: pg.AbstractGroup([[0, 1], [1, 0]]), "order"),
@@ -652,6 +665,25 @@ def test_field_reads_refuse_refs_of_another_context(reader, foreign):
                 continue
         answered.append(what)
     assert answered == []
+
+
+@pytest.mark.parametrize("distinguished", ["(3 4)", None])
+def test_unnamed_distinguished_field_round_trips_as_l(distinguished):
+    # the field was written under its digest name, with no "fields" entry,
+    # and from_dict refused the file
+    data = {"degree": 4, "generators": ["(1 2)", "(3 4)"]}
+    if distinguished:
+        data.update(fields={"E": [distinguished]}, distinguished="E")
+    named = presets.from_dict(data)
+    g = named.group
+    ctx = gal.GaloisContext(g, distinguished=named.distinguished.subgroup)
+    assert ctx.names == {}
+    out = gal.to_instance_dict(ctx)
+    assert out["distinguished"] == "L" and list(out["fields"]) == ["L"]
+    back = presets.from_dict(out)
+    assert back.distinguished.subgroup.key == ctx.distinguished.subgroup.key
+    assert back.distinguished.name == "L"
+    assert gal.to_instance_dict(back) == out
 
 
 def test_instance_json_round_trip(klein):

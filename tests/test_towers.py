@@ -403,6 +403,31 @@ def test_schreier_refine_and_equivalence_check_each_marche_once(r26, monkeypatch
     assert calls == []
 
 
+def test_context_stores_only_verified_isomorphisms(monkeypatch):
+    # a found map is verified before it is stored: a forged one is a
+    # TheoremViolation and leaves no entry, and a witness reads it unverified
+    ctx = presets.from_dict(gal.to_instance_dict(get_ctx("radical:a=2,n=12")))
+    m = (ctx.base, ctx.field_by_name("Q(zeta12)"))
+    key = (m[0].pos, m[1].pos) * 2
+    are_isomorphic = pg.are_isomorphic
+
+    def forged(*args, **kwargs):  # swap the images of two labels
+        phi = are_isomorphic(*args, **kwargs)
+        return (phi[1], phi[0]) + phi[2:]
+    monkeypatch.setattr(pg, "are_isomorphic", forged)
+    with pytest.raises(tw.TheoremViolation, match="marche isomorphism does not verify"):
+        ctx.isomorphism(m, m)
+    assert key not in ctx._iso_cache
+    monkeypatch.setattr(pg, "are_isomorphic", are_isomorphic)
+    phi = ctx.isomorphism(m, m)
+    assert ctx._iso_cache[key] is phi
+    monkeypatch.setattr(pg.AbstractGroup, "is_isomorphism",
+                        lambda *a: pytest.fail("a stored isomorphism was verified again"))
+    t = tw.make_tower(ctx, m)
+    assert tw.equivalence_witness(t, t).isos == (phi,)
+    assert ctx.isomorphism(m, m) is phi
+
+
 def test_witness_constructor_verifies_every_iso(r24):
     t = tw.make_tower(r24, [r24.base, r24.top_closure])
     good = tw.equivalence_witness(t, t)

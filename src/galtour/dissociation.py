@@ -9,7 +9,8 @@ as an explicit witness tower.  M(L/K) is walked, and its witness checked
 a strict Galois tower, once per (L, K) per context: the checked report
 is kept on the context, and the Galois tower witness of a galtourable
 L/K is that report's witness.  The checked composition tower of L/K is
-kept the same way.  Every lattice read speaks fields, by
+kept the same way, both through ``GaloisContext._memo`` keyed by the
+refs (L, K).  Every lattice read speaks fields, by
 position in the context's lattice index: the subnormal closure
 (:meth:`GaloisContext.subnormal_closure`) walks intervals of the index
 and returns its chain as fields, galsimplicity is one AND of two rows,
@@ -104,14 +105,6 @@ class DissociationReport(namedtuple(
         }
 
 
-def _pair_key(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> tuple:
-    """The memo key of the pair (L, K), its positions; refs of another
-    context are refused before a memo is read."""
-    if L.ctx is not ctx or K.ctx is not ctx:
-        ctx._own(L, K)
-    return L.pos, K.pos
-
-
 def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> DissociationReport:
     """The unique M with M/K galtourable and L/M trivial or galsimple non-Galois.
 
@@ -119,13 +112,13 @@ def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Dissoci
     Subgroup(K).  Its descent, checked a strict Galois tower from K to M,
     proves M/K galtourable and is the report's witness; L/M is checked
     trivial or galsimple non-Galois.  Failures raise :class:`TheoremViolation`.
-    The checked report is kept on the context by the positions of L and K,
-    and a repeated call returns it; a refusal is never kept.
+    The checked report is kept on the context by the refs (L, K), and a
+    repeated call returns it; a refusal is never kept.
     """
-    key = _pair_key(ctx, L, K)
-    rep = ctx._report_cache.get(key)
-    if rep is not None:
-        return rep
+    return ctx._memo(ctx._report_cache, (L, K), _report, ctx, L, K)
+
+
+def _report(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> DissociationReport:
     M, chain = ctx.subnormal_closure(L, K)
     message = "subnormal descent is not a strict Galois tower"
     witness = tw._computed(Tower, ctx, chain, message=message)
@@ -142,8 +135,7 @@ def intourability_field(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Dissoci
         raise TheoremViolation(
             f"L/M = {L.name}/{M.name} is neither trivial nor galsimple non-Galois")
     degrees = TourabilityDegree(gal.degree(ctx, M, K), gal.degree(ctx, L, M))
-    rep = ctx._report_cache[key] = DissociationReport(M, degrees, sub_kind, witness)
-    return rep
+    return DissociationReport(M, degrees, sub_kind, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +215,7 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
     if m < 1 or n < 1:
         raise tw.TowerError("schreier_refine requires heights >= 1")
     r1, r2 = _schreier_tower(t1, t2), _schreier_tower(t2, t1)
-    w1 = tw.refinement_witness(r1, t1)
-    w2 = tw.refinement_witness(r2, t2)
-    if w1 is None or w2 is None:
+    if r1.fields[::n] != t1.fields or r2.fields[::m] != t2.fields:
         raise TheoremViolation("refinement formulas did not refine the inputs")
     if not (tw.is_galois_tower(r1) and tw.is_galois_tower(r2)):
         raise TheoremViolation("refinement formulas produced a non-Galois tower")
@@ -390,20 +380,19 @@ def composition_tower_general(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> T
     K to M(L/K).  It is refined by Jordan-Holder, whose output is checked
     a composition tower, and the result is then checked to be induced
     from exactly that tower: each theorem check runs once per value.  The
-    checked tower is kept on the context by the positions of L and K, as
-    the report is, and a repeated call returns it; a refusal is never kept.
+    checked tower is kept on the context by the refs (L, K), as the report
+    is, and a repeated call returns it; a refusal is never kept.
     """
-    key = _pair_key(ctx, L, K)
-    out = ctx._composition_cache.get(key)
-    if out is not None:
-        return out
+    return ctx._memo(ctx._composition_cache, (L, K), _composition, ctx, L, K)
+
+
+def _composition(ctx: GaloisContext, L: FieldRef, K: FieldRef) -> Tower:
     rep = intourability_field(ctx, L, K)
     comp = galjordanholder_refine(rep.witness_tower)
     out = tw.induced(comp, L)
     prefix = _induced_prefix(ctx, out, rep.M)
     if prefix is None or prefix.fields != comp.fields:
         raise TheoremViolation(f"induced tower {out!r} is not a composition tower")
-    ctx._composition_cache[key] = out
     return out
 
 

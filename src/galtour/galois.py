@@ -13,10 +13,10 @@ Gal(N/F).  The context's lattice queries take and return fields:
 composita, field intersections, intervals, covers, Galois steps and
 subnormal closures are read by position from its lattice index (up- and
 down-sets, and the Galois relation as one more row: the positions normal
-in each), and its quotient cache and isomorphism memo are keyed by
-position.  E/F is Galois iff bit E of ``nbelow[F]`` is set; the fields
-of an interval Galois over its bottom, and a normal closure, are one AND
-of two rows, with no per-position test.  Only
+in each), and its memos are keyed by the refs themselves.  E/F is
+Galois iff bit E of ``nbelow[F]`` is set; the fields of an interval
+Galois over its bottom, and a normal closure, are one AND of two rows,
+with no per-position test.  Only
 :meth:`GaloisContext.field_of` and :meth:`GaloisContext.normal_in` take
 subgroups.  :mod:`permgroup` only builds the group, its lattice with the
 conjugacy classes and normalizers, forms quotients and tests them for
@@ -105,17 +105,17 @@ class GaloisContext:
     generators and the position of its normalizer), with no conjugation
     or span of its own.  Normality of one pair is a bit test; the fields
     of an interval Galois over its bottom are an AND.
-    Lazily filled, and dropped with the context: the quotient cache,
-    which holds only Galois pairs; the isomorphism memo, keyed by the
-    positions of two marches, holding each isomorphism once it verified
-    and None for non-isomorphic marches; the digest names, one order's
-    block at a time; the checked M(L/K) reports and the checked
-    composition towers, both keyed by the positions of L and K, which
-    only :mod:`dissociation` fills and reads; and the literal oracle's
-    rows, one entry that only :mod:`oracle` builds, in one pass, and
-    reads.  A memo stores a value only after every check on it passed.
-    Concurrent filling is safe: each entry is a deterministic value,
-    written once (a race at most rewrites it).
+    Lazily filled through the one helper :meth:`_memo`, and dropped with
+    the context: the quotient cache, which holds only Galois pairs; the
+    isomorphism memo, holding each verified isomorphism of two marches
+    and None for non-isomorphic ones; the digest names, one block per
+    subgroup order; the checked M(L/K) reports and composition towers,
+    which only :mod:`dissociation` fills; and the literal oracle's rows,
+    one entry that only :mod:`oracle` fills.  A value is stored only once
+    its computation returned, so a refusal is never kept.  Field-keyed
+    memos are keyed by the refs, not their positions, so a ref of another
+    context misses and is refused.  Concurrent filling is safe: each entry
+    is a deterministic value, written once (a race at most rewrites it).
     """
 
     def __init__(self, group: Group, *, distinguished: Subgroup | None = None,
@@ -188,25 +188,26 @@ class GaloisContext:
         self._own(ref)
         if ref in self.names:
             return self.names[ref]
-        if ref.pos not in self._digest_names:
-            self._name_order(ref.subgroup.order)
-        return self._digest_names[ref.pos]
+        order = ref.subgroup.order
+        return self._memo(self._digest_names, order, self._name_order, order)[ref]
 
-    def _name_order(self, order: int) -> None:
-        """Digest names for the unnamed fields of one order: only those
-        can share a name."""
+    def _name_order(self, order: int) -> dict:
+        """Digest names for the unnamed fields of one order, by ref: only
+        those can share a name."""
         import hashlib  # on first use: a CLI call that shows no digest name skips it
-        digests = {F.pos: hashlib.md5(repr(F.subgroup.key).encode()).hexdigest()
+        digests = {F: hashlib.md5(repr(F.subgroup.key).encode()).hexdigest()
                    for F in self._fields
                    if F.subgroup.order == order and F not in self.names}
         sharing: dict = {}
         for d in digests.values():
             sharing.setdefault(d[:6], []).append(d)
-        for j, d in digests.items():
+        block = {}
+        for F, d in digests.items():
             k = 6
             while any(e != d and e[:k] == d[:k] for e in sharing[d[:6]]):
                 k += 1
-            self._digest_names[j] = f"H{order}.{d[:k]}"
+            block[F] = f"H{order}.{d[:k]}"
+        return block
 
     def field_by_name(self, name: str) -> FieldRef:
         if name in self._name_to_field:
@@ -297,38 +298,43 @@ class GaloisContext:
             b = j
 
     def quotient_group(self, E: FieldRef, F: FieldRef) -> AbstractGroup:
-        """Gal(E/F) = Subgroup(F)/Subgroup(E), cached by position.  Refuses
-        E/F not Galois, or not an extension: bit E of ``nbelow[F]`` clear."""
+        """Gal(E/F) = Subgroup(F)/Subgroup(E), kept by (E, F).  Refuses E/F
+        not Galois, or not an extension: bit E of ``nbelow[F]`` clear."""
+        return self._memo(self._quotient_cache, (E, F), self._quotient, E, F)
+
+    def _quotient(self, E: FieldRef, F: FieldRef) -> AbstractGroup:
         self._own(E, F)
-        key = (E.pos, F.pos)
-        q = self._quotient_cache.get(key)
-        if q is None:
-            if not self._nbelow[F.pos] >> E.pos & 1:
-                raise GaloisError(
-                    f"{E.name}/{F.name} is not Galois; no quotient group")
-            q = self._quotient_cache[key] = pg.quotient(F.subgroup, E.subgroup)
-        return q
+        if not self._nbelow[F.pos] >> E.pos & 1:
+            raise GaloisError(f"{E.name}/{F.name} is not Galois; no quotient group")
+        return pg.quotient(F.subgroup, E.subgroup)
 
     def isomorphism(self, m1: tuple, m2: tuple) -> tuple | None:
         """An isomorphism Gal(hi1/lo1) -> Gal(hi2/lo2) of two marches
         ``(lo, hi)`` as a label map of their quotient groups, or None;
-        cached by the four positions, None included.  A found map is
-        verified with ``is_isomorphism`` before it is stored, so a memo
-        entry needs no second check; one that does not verify is a
+        kept by the four refs, None included.  A found map is verified
+        with ``is_isomorphism`` before it is stored, so a memo entry needs
+        no second check; one that does not verify is a
         :class:`TheoremViolation` and is not kept.  Refuses what
         :meth:`quotient_group` refuses.  No quotient is larger than G."""
+        return self._memo(self._iso_cache, (*m1, *m2), self._isomorphism, m1, m2)
+
+    def _isomorphism(self, m1: tuple, m2: tuple) -> tuple | None:
         (lo1, hi1), (lo2, hi2) = m1, m2
-        self._own(lo1, hi1, lo2, hi2)
-        key = (lo1.pos, hi1.pos, lo2.pos, hi2.pos)
+        q1, q2 = self.quotient_group(hi1, lo1), self.quotient_group(hi2, lo2)
+        phi = pg.are_isomorphic(q1, q2, bound=self.group.order)
+        if phi is not None and not q1.is_isomorphism(q2, phi):
+            raise TheoremViolation("marche isomorphism does not verify")
+        return phi
+
+    def _memo(self, table: dict, key, compute, *args):
+        """``table[key]``, else ``compute(*args)``, stored once it returned
+        (a refusal is never kept): the one reader and writer of each memo."""
         try:
-            return self._iso_cache[key]
+            return table[key]
         except KeyError:
-            q1, q2 = self.quotient_group(hi1, lo1), self.quotient_group(hi2, lo2)
-            phi = pg.are_isomorphic(q1, q2, bound=self.group.order)
-            if phi is not None and not q1.is_isomorphism(q2, phi):
-                raise TheoremViolation("marche isomorphism does not verify")
-            self._iso_cache[key] = phi
-            return phi
+            pass
+        value = table[key] = compute(*args)
+        return value
 
 
 def _lattice_index(group: Group, subgroups: Sequence[Subgroup]) -> tuple:

@@ -25,10 +25,11 @@ two subgroups with no context.  (The quadrilateral scan is empirical
 output, not an oracle, and calls the main path.)
 
 The rows live on the context they describe, as the one entry of its
-memo ``ctx._literal_rows``, which only this module fills and reads: on
-first use, one pass over the positions in ascending order builds both
-lists (``_rows``), and one assignment stores them.  They are freed with
-the context.
+memo ``ctx._literal_rows``, which only this module fills and reads,
+through the context's one memo helper ``GaloisContext._memo``: on first
+use, one pass over the positions in ascending order builds both lists
+(``_scan``), and the helper stores them once the pass returned.  They
+are freed with the context.
 
 Oracles favour clarity over speed and may be exponential; the agreement
 suite aggregates their verdicts into a machine-readable matrix.
@@ -108,38 +109,37 @@ def literal_is_normal(A: Subgroup, B: Subgroup) -> bool:
 
 
 def _rows(ctx: GaloisContext) -> tuple:
-    """``(normal, reach)``, one row per lattice position, built in one pass
-    on first use and kept on the context as its one ``_literal_rows`` entry.
+    """``(normal, reach)``, the context's one ``_literal_rows`` entry."""
+    return ctx._memo(ctx._literal_rows, "rows", _scan, ctx)
 
-    ``normal[f]`` is the positions m >= f (as fields) whose subgroup is
-    literally normal in Subgroup(f): those of its subgroups that meet no
-    class of it without containing the class.  ``reach[f]`` is {f} with
-    the reach row of each other position of ``normal[f]``, a proper
-    subgroup, so earlier in canonical order and already built.
-    """
-    rows = ctx._literal_rows.get("rows")
-    if rows is None:
-        holds = [0] * ctx.group.order  # the positions whose subgroup holds x
-        for i, sg in enumerate(ctx.subgroups):
-            for x in sg.key:
-                holds[x] |= 1 << i
-        normal, reach = [], []
-        for f, sg in enumerate(ctx.subgroups):
-            split = 0  # the positions meeting some class they do not contain
-            for cls in _classes(sg):
-                if len(cls) > 1:  # a class of one is never split
-                    meets, within = 0, -1
-                    for x in cls:
-                        meets |= holds[x]
-                        within &= holds[x]
-                    split |= meets & ~within
-            normal.append(ctx._down[f] & ~split)
-            row = 1 << f
-            for r in _pick(reach, normal[f] & ~row):
-                row |= r
-            reach.append(row)
-        rows = ctx._literal_rows["rows"] = normal, reach
-    return rows
+
+def _scan(ctx: GaloisContext) -> tuple:
+    """One row per lattice position, in one pass.  ``normal[f]`` is the
+    positions m >= f (as fields) whose subgroup is literally normal in
+    Subgroup(f): those of its subgroups that meet no class of it without
+    containing the class.  ``reach[f]`` is {f} with the reach row of each
+    other position of ``normal[f]``, a proper subgroup, so earlier in
+    canonical order and already built."""
+    holds = [0] * ctx.group.order  # the positions whose subgroup holds x
+    for i, sg in enumerate(ctx.subgroups):
+        for x in sg.key:
+            holds[x] |= 1 << i
+    normal, reach = [], []
+    for f, sg in enumerate(ctx.subgroups):
+        split = 0  # the positions meeting some class they do not contain
+        for cls in _classes(sg):
+            if len(cls) > 1:  # a class of one is never split
+                meets, within = 0, -1
+                for x in cls:
+                    meets |= holds[x]
+                    within &= holds[x]
+                split |= meets & ~within
+        normal.append(ctx._down[f] & ~split)
+        row = 1 << f
+        for r in _pick(reach, normal[f] & ~row):
+            row |= r
+        reach.append(row)
+    return normal, reach
 
 
 # ---------------------------------------------------------------------------

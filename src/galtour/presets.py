@@ -345,12 +345,14 @@ def _cycle_texts(value, source: str, what: str) -> list:
 def from_dict(data: dict, enumeration_bound: int = pg.SUBGROUP_ENUM_BOUND,
               source: str = "<instance>") -> GaloisContext:
     try:
-        degree = int(data["degree"])
+        degree = data["degree"]
         gen_texts = data["generators"]
         field_map = data.get("fields", {})
         distinguished = data.get("distinguished")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise PresetError(f"{source}: missing or malformed key: {exc}") from exc
+    if type(degree) is not int or degree < 0:  # a bool is an int, but no degree
+        raise PresetError(f"{source}: degree must be a JSON integer >= 0, not {degree!r}")
     if degree > INSTANCE_DEGREE_BOUND:
         raise pg.BoundExceeded(
             f"{source}: degree {degree} exceeds instance degree bound "

@@ -538,6 +538,28 @@ def test_non_monotone_schreier_refinement_exits_3(capsys, monkeypatch):
                    "refinement formulas built a non-monotone chain\n")
 
 
+@pytest.mark.parametrize("forgery", ["drop", "shift"])
+def test_schreier_refinement_off_its_indices_exits_3(capsys, monkeypatch, forgery):
+    # the refinement of t1 by t2 holds t1's fields at the indices i*n: one
+    # that drops an interior field of t1, or holds t1 at other indices
+    # (which a greedy refinement search accepted), is refused
+    schreier_tower = dis._schreier_tower
+
+    def forged(t1, t2):
+        fields = list(schreier_tower(t1, t2).fields)
+        if forgery == "drop":  # T1[1], at index n, becomes the field below it
+            fields[t2.height] = fields[t2.height - 1]
+        else:  # t1's fields, then its top repeated
+            fields = list(t1.fields) + [t1.top] * (len(fields) - len(t1.fields))
+        return tw.make_tower(t1.ctx, fields)
+    monkeypatch.setattr(dis, "_schreier_tower", forged)
+    code, out, err = run(capsys, "refine", "radical:a=2,n=6",
+                         "--tower", '["Q","Q(zeta3)","N"]', "--tower", '["Q","Q(sqrt2)","N"]')
+    assert code == 3 and out == ""
+    assert err == ("theorem violation (internal bug): "
+                   "refinement formulas did not refine the inputs\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["refine", "--tower", '["Q","Q(zeta3)","N"]', "--tower", '["Q","Q(sqrt2)","N"]'],
     ["check-equiv", "--tower", '["Q","Q(zeta12)","N"]', "--tower", '["Q","Q(zeta12)","N"]'],
@@ -558,8 +580,7 @@ def test_forged_marche_isomorphism_exits_3(capsys, monkeypatch, argv):
     assert err == "theorem violation (internal bug): marche isomorphism does not verify\n"
     # and it keeps no forged one: every stored isomorphism verifies
     for (lo1, hi1, lo2, hi2), phi in ctx._iso_cache.items():
-        q1 = ctx.quotient_group(ctx._fields[hi1], ctx._fields[lo1])
-        q2 = ctx.quotient_group(ctx._fields[hi2], ctx._fields[lo2])
+        q1, q2 = ctx.quotient_group(hi1, lo1), ctx.quotient_group(hi2, lo2)
         assert phi is None or q1.is_isomorphism(q2, phi)
 
 

@@ -240,7 +240,7 @@ def test_intourability_field_checks_its_walk(forgery, capsys, monkeypatch):
     with pytest.raises(tw.TheoremViolation,
                        match="subnormal descent is not a strict Galois tower"):
         dis.intourability_field(ctx, L, K)
-    assert (L.pos, K.pos) not in ctx._report_cache  # a refusal is never kept
+    assert (L, K) not in ctx._report_cache  # a refusal is never kept
     assert cli.main(["m-field", "radical:a=2,n=4"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "theorem violation" in err
@@ -268,23 +268,52 @@ def test_intourability_field_is_checked_once_per_pair(monkeypatch):
     for _ in range(2):
         with pytest.raises(gal.GaloisError, match="requires F <= E"):
             dis.intourability_field(r12, r12.base, r12.distinguished)
-    assert (r12.base.pos, r12.distinguished.pos) not in r12._report_cache
+    assert (r12.base, r12.distinguished) not in r12._report_cache
 
 
 def test_memoized_report_refuses_fields_of_another_context():
-    # the memo is keyed by positions, which mean the same fields in a
-    # second context of the same spec; its refs are refused before the read
+    # the memo is keyed by refs: those of a second context of the same
+    # spec sit at the positions of a stored key, yet miss it and are refused
     spec = gal.to_instance_dict(get_ctx("radical:a=2,n=4"))
     ctx1, ctx2 = presets.from_dict(spec), presets.from_dict(spec)
     rep = dis.intourability_field(ctx1, ctx1.distinguished, ctx1.base)
-    assert (ctx2.distinguished.pos, ctx2.base.pos) in ctx1._report_cache
+    assert [(L.pos, K.pos) for L, K in ctx1._report_cache] == \
+        [(ctx2.distinguished.pos, ctx2.base.pos)]
+    assert (ctx2.distinguished, ctx2.base) not in ctx1._report_cache
     for L, K in [(ctx2.distinguished, ctx2.base), (ctx1.distinguished, ctx2.base),
                  (ctx2.distinguished, ctx1.base)]:
         for fn in (dis.intourability_field, dis.galois_tower_witness):
             with pytest.raises(gal.GaloisError, match="different contexts"):
                 fn(ctx1, L, K)
     assert ctx2._report_cache == {}
+    assert list(ctx1._report_cache) == [(ctx1.distinguished, ctx1.base)]
     assert dis.intourability_field(ctx1, ctx1.distinguished, ctx1.base) is rep
+
+
+FIELD_MEMOS = {  # each field-keyed memo of the context, and a call that fills it
+    "_report_cache": dis.intourability_field,
+    "_composition_cache": dis.composition_tower_general,
+    "_quotient_cache": lambda ctx, E, F: ctx.quotient_group(E, F),
+    "_iso_cache": lambda ctx, E, F: ctx.isomorphism((F, E), (F, E)),
+}
+
+
+@pytest.mark.parametrize("table", sorted(FIELD_MEMOS))
+def test_field_memo_refuses_refs_of_another_context(table):
+    # a field-keyed memo is keyed by refs: a ref of a second context of the
+    # same spec misses it, its computation refuses the ref, and no entry is left
+    spec = gal.to_instance_dict(get_ctx("radical:a=2,n=4"))
+    ctx1, ctx2 = presets.from_dict(spec), presets.from_dict(spec)
+    fill, memo = FIELD_MEMOS[table], getattr(ctx1, table)
+    N, K = ctx1.top_closure, ctx1.base
+    value = fill(ctx1, N, K)
+    kept = dict(memo)
+    for E, F in [(ctx2.top_closure, ctx2.base), (N, ctx2.base), (ctx2.top_closure, K)]:
+        for _ in range(2):
+            with pytest.raises(gal.GaloisError, match="different contexts"):
+                fill(ctx1, E, F)
+    assert memo == kept and getattr(ctx2, table) == {}
+    assert fill(ctx1, N, K) is value
 
 
 def test_intourability_galtourable_case(r24):
@@ -712,7 +741,7 @@ def test_composition_tower_general_is_checked_once_per_pair(monkeypatch):
     ctx = get_ctx("radical:a=2,n=12")
     K, L = ctx.base, ctx.distinguished
     out = dis.composition_tower_general(ctx, L, K)
-    assert ctx._composition_cache[(L.pos, K.pos)] is out
+    assert ctx._composition_cache[(L, K)] is out
     steps = []
     galois_steps = gal.GaloisContext.galois_steps
     monkeypatch.setattr(gal.GaloisContext, "galois_steps", lambda self, F, E: (
@@ -720,10 +749,11 @@ def test_composition_tower_general_is_checked_once_per_pair(monkeypatch):
     calls = _count_is_galois(monkeypatch)
     assert dis.composition_tower_general(ctx, L, K) is out
     assert steps == [] and calls == []
-    # refs of another context are refused before the memo is read
+    # refs of another context miss the memo, are refused and are not kept
     other = presets.from_dict(gal.to_instance_dict(ctx))
     with pytest.raises(gal.GaloisError, match="different contexts"):
         dis.composition_tower_general(ctx, other.distinguished, K)
+    assert (other.distinguished, K) not in ctx._composition_cache
 
 
 def test_composition_tower_general_refusals(monkeypatch):
@@ -740,7 +770,7 @@ def test_composition_tower_general_refusals(monkeypatch):
         with pytest.raises(tw.TheoremViolation,
                            match="subnormal descent is not a strict Galois tower"):
             dis.composition_tower_general(r26, L, K)
-        assert (L.pos, K.pos) not in r26._composition_cache  # a refusal is never kept
+        assert (L, K) not in r26._composition_cache  # a refusal is never kept
     monkeypatch.setattr(gal.GaloisContext, "subnormal_closure", subnormal_closure)
     induced_prefix = dis._induced_prefix
     for forge in (lambda p: None, lambda p: tw.make_tower(r26, (K,) + p.fields)):
@@ -748,7 +778,7 @@ def test_composition_tower_general_refusals(monkeypatch):
         monkeypatch.setattr(dis, "_induced_prefix", lambda *a, f=forge: f(induced_prefix(*a)))
         with pytest.raises(tw.TheoremViolation, match="is not a composition tower"):
             dis.composition_tower_general(r26, L, K)
-        assert (L.pos, K.pos) not in r26._composition_cache
+        assert (L, K) not in r26._composition_cache
     monkeypatch.setattr(dis, "_induced_prefix", induced_prefix)
     assert dis.composition_tower_general(r26, L, K).fields[-2:] == (rep.M, L)
     # a Jordan-Holder step that is not galsimple (L/K galtourable, so
@@ -822,6 +852,34 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_context_tables_are_named_only_by_their_memo_calls():
+    # each lazily filled table of the context is named where __init__ makes
+    # it and otherwise only as the table a _memo call reads: no module reads,
+    # writes or aliases one except through GaloisContext._memo
+    tables = {"_quotient_cache", "_iso_cache", "_digest_names",
+              "_report_cache", "_composition_cache", "_literal_rows"}
+    made, memoized, stray = [], set(), []
+    for path in sorted(pathlib.Path(dis.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "GaloisContext":
+                init = next(f for f in node.body if getattr(f, "name", "") == "__init__")
+                for stmt in init.body:
+                    if isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "attr", "") in tables:
+                        made.append(stmt.target.attr)
+                        allowed.add(id(stmt.target))
+            elif (isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "_memo"
+                    and node.args and getattr(node.args[0], "attr", "") in tables):
+                memoized.add(node.args[0].attr)
+                allowed.add(id(node.args[0]))
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in tables
+                  and id(node) not in allowed]
+    assert sorted(made) == sorted(tables) and memoized == tables
+    assert stray == []
 
 
 def test_freed_contexts_leave_no_group_behind():

@@ -197,8 +197,7 @@ def test_galois_group_requires_galois():
                 assert str(refused.value) == \
                     f"{E.name}/{F.name} is not Galois; no quotient group"
     assert galois and not_nested
-    assert all(pg.is_normal(E.subgroup, F.subgroup)
-               for E, F in ((fields[e], fields[f]) for e, f in ctx._quotient_cache))
+    assert all(pg.is_normal(E.subgroup, F.subgroup) for E, F in ctx._quotient_cache)
     assert ctx.quotient_group(N, K) is ctx.quotient_group(N, K)
 
 

@@ -473,6 +473,11 @@ def test_from_file_missing_distinguished(tmp_path):
     ({"distinguished": ["A"]}, "distinguished must be a field name"),
     ({"generators": [5]}, "generators must be a list of cycle strings"),
     ({"generators": "(1 2 3)"}, "generators must be a list of cycle strings"),
+    ({"degree": 2.7}, "degree must be a JSON integer >= 0, not 2.7"),
+    ({"degree": True}, "degree must be a JSON integer >= 0, not True"),
+    ({"degree": -3}, "degree must be a JSON integer >= 0, not -3"),
+    ({"degree": "3"}, "degree must be a JSON integer >= 0, not '3'"),
+    ({"degree": float("inf")}, "degree must be a JSON integer >= 0, not inf"),
 ])
 def test_malformed_instance_file_is_a_preset_error(tmp_path, capsys, change, message):
     path = tmp_path / "bad.json"

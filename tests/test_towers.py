@@ -408,7 +408,7 @@ def test_context_stores_only_verified_isomorphisms(monkeypatch):
     # TheoremViolation and leaves no entry, and a witness reads it unverified
     ctx = presets.from_dict(gal.to_instance_dict(get_ctx("radical:a=2,n=12")))
     m = (ctx.base, ctx.field_by_name("Q(zeta12)"))
-    key = (m[0].pos, m[1].pos) * 2
+    key = m * 2
     are_isomorphic = pg.are_isomorphic
 
     def forged(*args, **kwargs):  # swap the images of two labels
@@ -426,6 +426,23 @@ def test_context_stores_only_verified_isomorphisms(monkeypatch):
     t = tw.make_tower(ctx, m)
     assert tw.equivalence_witness(t, t).isos == (phi,)
     assert ctx.isomorphism(m, m) is phi
+
+
+def test_non_isomorphic_marches_are_searched_once(monkeypatch):
+    # the memo keeps None for two non-isomorphic marches, so a repeat
+    # question is a hit, not a second search
+    ctx = presets.from_dict(gal.to_instance_dict(get_ctx("radical:a=2,n=4")))
+    N = ctx.top_closure
+    m1, m2 = (ctx.field_by_name("Q(sqrt2)"), N), (ctx.field_by_name("Q(zeta4)"), N)
+    are_isomorphic, searches = pg.are_isomorphic, []
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return are_isomorphic(*args, **kwargs)
+    monkeypatch.setattr(pg, "are_isomorphic", counted)
+    for _ in range(3):
+        assert ctx.isomorphism(m1, m2) is None
+    assert len(searches) == 1 and ctx._iso_cache == {m1 + m2: None}
 
 
 def test_witness_constructor_verifies_every_iso(r24):

@@ -173,13 +173,34 @@ def tower_from_series(ctx: GaloisContext, chain: Sequence[Subgroup]) -> Tower:
 # Galschreier refinement
 
 
+def _schreier_fields(t1: Tower, t2: Tower) -> tuple:
+    """The fields of the refinement of t1 by t2: field l = q*n + r
+    (0 <= r < n, n the height of t2) is T1[q+1] cap T1[q]T2[r], then the
+    common top.  Read from the lattice rows: the compositum is the top bit
+    of the two down-sets' AND, the intersection the lowest bit of the two
+    up-sets' AND.  ``Tower`` and ``_same_extension`` have tied every field
+    to the context, so no field is checked again."""
+    up, down, fields = t1.ctx._up, t1.ctx._down, t1.ctx._fields
+    rows2 = [down[c.pos] for c in t2.fields[:-1]]
+    out = []
+    for lo, hi in t1.marches():
+        down_lo, up_hi = down[lo.pos], up[hi.pos]
+        for row in rows2:
+            bits = up_hi & up[(down_lo & row).bit_length() - 1]
+            out.append(fields[(bits & -bits).bit_length() - 1])
+    out.append(t1.top)
+    return tuple(out)
+
+
 def _schreier_tower(t1: Tower, t2: Tower) -> Tower:
-    """The refinement of t1 by t2: field l = q*n + r (0 <= r < n, n the
-    height of t2) is T1[q+1] cap T1[q]T2[r], then the common top."""
-    ctx, T1, T2, n = t1.ctx, t1.fields, t2.fields, t2.height
-    out = [gal.intersect_fields(ctx, T1[q + 1], gal.compositum(ctx, T1[q], T2[r]))
-           for q, r in (divmod(l, n) for l in range(t1.height * n))]
-    return tw._computed(Tower, ctx, out + [t1.top],
+    """The refinement of t1 by t2, :func:`_schreier_fields` as a tower: t1
+    or t2 itself when its fields are those (n = 1, or m = 1), else built
+    and checked monotone."""
+    fields = _schreier_fields(t1, t2)
+    for t in (t1, t2):
+        if t.fields == fields:
+            return t
+    return tw._computed(Tower, t1.ctx, fields,
                         message="refinement formulas built a non-monotone chain")
 
 
@@ -333,11 +354,12 @@ def elevation_tower(ctx: GaloisContext, f: Tower) -> tuple:
 
     First output: M_i = M(F_i/K), a galtourable tower ending at M(L/K);
     second output: the induced tower of L/K (first output itself when L/K
-    is galtourable).
+    is galtourable).  The first output is f itself when the M_i are f's
+    fields: f was checked when it was built and is immutable.
     """
-    mfields = [intourability_field(ctx, Fi, f.base).M for Fi in f.fields]
-    mtower = tw._computed(Tower, ctx, mfields,
-                          message="elevation fields are not non-decreasing")
+    mfields = tuple(intourability_field(ctx, Fi, f.base).M for Fi in f.fields)
+    mtower = f if mfields == f.fields else tw._computed(
+        Tower, ctx, mfields, message="elevation fields are not non-decreasing")
     if not is_galtourable_tower(mtower):
         raise TheoremViolation("elevation marche is not galtourable")
     return mtower, tw.induced(mtower, f.top)

@@ -525,12 +525,11 @@ def test_subnormal_closure_outside_l_exits_3(capsys, monkeypatch, argv):
 
 def test_non_monotone_schreier_refinement_exits_3(capsys, monkeypatch):
     # a non-monotone refinement ended as the Tower's user error, exit 2
-    intersect_fields, calls = gal.intersect_fields, []
+    schreier_fields = dis._schreier_fields
 
-    def forged(ctx, E, F):
-        calls.append(1)
-        return ctx.top_closure if len(calls) == 1 else intersect_fields(ctx, E, F)
-    monkeypatch.setattr(gal, "intersect_fields", forged)
+    def forged(t1, t2):
+        return (t1.ctx.top_closure,) + schreier_fields(t1, t2)[1:]
+    monkeypatch.setattr(dis, "_schreier_fields", forged)
     code, out, err = run(capsys, "refine", "radical:a=2,n=6",
                          "--tower", '["Q","Q(zeta3)","N"]', "--tower", '["Q","Q(sqrt2)","N"]')
     assert code == 3 and out == ""

@@ -467,6 +467,65 @@ def test_schreier_random_pairs():
     assert checked >= 30
 
 
+def _literal_schreier_fields(ctx, t1, t2):
+    """T1[q+1] cap T1[q]T2[r] at l = q*n + r, then the top, through gal."""
+    T1, T2, n = t1.fields, t2.fields, t2.height
+    return tuple(gal.intersect_fields(ctx, T1[q + 1], gal.compositum(ctx, T1[q], T2[r]))
+                 for q, r in (divmod(l, n) for l in range(t1.height * n))) + (t1.top,)
+
+
+def test_schreier_row_kernel_matches_the_literal_formula():
+    # the kernel reads compositum and intersection off the lattice rows;
+    # schreier_refine hands back an input tower exactly when the refined
+    # fields are that input's, and elevation_tower hands back a
+    # galtourable tower as its own M-tower
+    rng = random.Random(39)
+    contexts = dict(contexts_up_to_120())
+    contexts["radical:a=2,n=24"] = get_ctx("radical:a=2,n=24")
+    checked, reused = 0, 0
+    for name, ctx in contexts.items():
+        fields = ctx.all_fields()
+        pairs = [(F, E) for F in fields for E in fields
+                 if F < E and dis.is_galtourable(ctx, E, F)]
+        rng.shuffle(pairs)
+        for F, E in pairs[:3]:
+            t1 = random_galois_tower(ctx, F, E, rng)
+            t2 = random_galois_tower(ctx, F, E, rng)
+            seconds = [t2]
+            if gal.is_galois(ctx, E, F):
+                seconds.append(tw.make_tower(ctx, [F, E]))
+            for t2 in seconds:
+                r1, r2, _ = dis.schreier_refine(t1, t2)
+                for r, a, b in ((r1, t1, t2), (r2, t2, t1)):
+                    out = dis._schreier_fields(a, b)
+                    assert out == _literal_schreier_fields(ctx, a, b), name
+                    assert r.fields == out
+                    same = next((t for t in (a, b) if t.fields == out), None)
+                    if same is None:
+                        assert r is not a and r is not b
+                    else:
+                        assert r is same
+                        reused += 1
+                    checked += 1
+            assert dis.elevation_tower(ctx, t1)[0] is t1
+    assert checked >= 100 and reused > 0 and checked - reused >= 10
+
+
+def test_reused_schreier_tower_still_refines_its_input(monkeypatch):
+    # the refinement of this pair is neither input; a kernel that yields
+    # the second input's fields makes _schreier_tower reuse that tower,
+    # which must still be refused by the index check
+    ctx = get_ctx("radical:a=2,n=12")
+    t1, t2 = (tw.make_tower(ctx, [ctx.field_by_name(n) for n in names])
+              for names in (["Q", "Q(zeta3)", "N"], ["Q", "Q(sqrt2)", "N"]))
+    r1, r2, _ = dis.schreier_refine(t1, t2)
+    assert r1 not in (t1, t2) and r2 not in (t1, t2)
+    monkeypatch.setattr(dis, "_schreier_fields", lambda a, b: b.fields)
+    with pytest.raises(gal.TheoremViolation,
+                       match="^refinement formulas did not refine the inputs$"):
+        dis.schreier_refine(t1, t2)
+
+
 def test_butterfly_parallelograms(r24):
     K, N = r24.base, r24.top_closure
     s2 = r24.field_by_name("Q(sqrt2)")

@@ -4,16 +4,19 @@ Galtourability of E/F (existence of a Galois tower) is decided through
 the group bridge: inside the closure, a Galois tower from F to E is the
 same thing as a chain Gal(N/F) |> ... |> Gal(N/E) with each step normal
 in the previous one, so E/F is galtourable exactly when Gal(N/E) is
-subnormal in Gal(N/F), and the subnormal closure's descent chain doubles
-as an explicit witness tower.  M(L/K) is walked, and its witness checked
-a strict Galois tower, once per (L, K) per context: the checked report
-is kept on the context, and the Galois tower witness of a galtourable
-L/K is that report's witness.  The checked composition tower of L/K is
-kept the same way, both through ``GaloisContext._memo`` keyed by the
-refs (L, K).  Every lattice read speaks fields, by
-position in the context's lattice index: the subnormal closure
-(:meth:`GaloisContext.subnormal_closure`) walks intervals of the index
-and returns its chain as fields, galsimplicity is one AND of two rows,
+subnormal in Gal(N/F): bit E of F's reach row, the closure of
+``nbelow`` from F (:meth:`GaloisContext._reach_row`), built on first
+use and kept on the context by the ref F.  The subnormal closure's
+descent chain doubles as an explicit witness tower.  M(L/K) is walked,
+and its witness checked a strict Galois tower, once per (L, K) per
+context: the checked report is kept on the context, and the Galois
+tower witness of a galtourable L/K is that report's witness.  The
+checked composition tower of L/K is kept the same way, both through
+``GaloisContext._memo`` keyed by the refs (L, K).  Every lattice read
+speaks fields, by position in the context's lattice index: the
+subnormal closure (:meth:`GaloisContext.subnormal_closure`) walks
+intervals of the index and returns its chain as fields, galtourability
+is one bit of a reach row, galsimplicity is one AND of two rows,
 and the Jordan-Holder descent reads the minimal Galois steps of an
 interval (:meth:`GaloisContext.galois_steps`).  No subgroup is spanned
 anew and no field is converted to a subgroup and back.
@@ -50,8 +53,11 @@ from .towers import Tower
 
 
 def is_galtourable(ctx: GaloisContext, E: FieldRef, F: FieldRef) -> bool:
-    """E/F admits a Galois tower iff Subgroup(E) is subnormal in Subgroup(F)."""
-    return ctx.subnormal_closure(E, F)[0] == E
+    """E/F admits a Galois tower iff Subgroup(E) is subnormal in Subgroup(F):
+    bit E of F's reach row, built on first use and kept on the context by
+    the ref F.  Refuses F not below E as ``subnormal_closure`` does."""
+    ctx._nested(F, E, "subnormal_closure")
+    return ctx._memo(ctx._reach_rows, F, ctx._reach_row, F) >> E.pos & 1 == 1
 
 
 def is_galtourable_tower(t: Tower) -> bool:
@@ -194,8 +200,11 @@ def _schreier_fields(t1: Tower, t2: Tower) -> tuple:
 
 def _schreier_tower(t1: Tower, t2: Tower) -> Tower:
     """The refinement of t1 by t2, :func:`_schreier_fields` as a tower: t1
-    or t2 itself when its fields are those (n = 1, or m = 1), else built
-    and checked monotone."""
+    or t2 itself when its fields are those, else built and checked
+    monotone.  With a height of 1 on either side they always are (t1 when
+    n = 1; t2 when m = 1, as L cap K*T2[r] = T2[r]), and
+    :func:`schreier_refine` then picks the input tower without calling
+    this."""
     fields = _schreier_fields(t1, t2)
     for t in (t1, t2):
         if t.fields == fields:
@@ -223,9 +232,12 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
     Returns ``(r1, r2, witness)``: r1 refines t1 (indices i*n), r2
     refines t2 (indices j*m), both of height m*n, and the witness carries
     the explicit marche permutation together with an isomorphism per
-    marche, each verified once, when the context stored it.  The theorem
-    guarantees each isomorphism exists; a failed search is raised as
-    :class:`TheoremViolation`.
+    marche, each verified once, when the context stored it.  When m = 1
+    or n = 1 the refinements are input towers, the ones
+    :func:`_schreier_tower` would return, and no formula field is
+    evaluated; the index, Galois and isomorphism checks run either way.
+    The theorem guarantees each isomorphism exists; a failed search is
+    raised as :class:`TheoremViolation`.
     """
     tw._same_extension(t1, t2, "towers must share the same extension")
     for t in (t1, t2):
@@ -235,7 +247,10 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
     m, n = t1.height, t2.height
     if m < 1 or n < 1:
         raise tw.TowerError("schreier_refine requires heights >= 1")
-    r1, r2 = _schreier_tower(t1, t2), _schreier_tower(t2, t1)
+    if m == 1 or n == 1:  # the formula's fields are an input's: L cap K*T2[r] = T2[r]
+        r1, r2 = (t1 if n == 1 else t2), (t2 if m == 1 else t1)
+    else:
+        r1, r2 = _schreier_tower(t1, t2), _schreier_tower(t2, t1)
     if r1.fields[::n] != t1.fields or r2.fields[::m] != t2.fields:
         raise TheoremViolation("refinement formulas did not refine the inputs")
     if not (tw.is_galois_tower(r1) and tw.is_galois_tower(r2)):

@@ -10,8 +10,9 @@ under study.
 Compositum corresponds to subgroup intersection, field intersection to
 subgroup join, and E/F is Galois exactly when Gal(N/E) is normal in
 Gal(N/F).  The context's lattice queries take and return fields:
-composita, field intersections, intervals, covers, Galois steps and
-subnormal closures are read by position from its lattice index (up- and
+composita, field intersections, intervals, covers, Galois steps,
+subnormal closures and reach rows (the positions subnormal in a field's
+subgroup) are read by position from its lattice index (up- and
 down-sets, and the Galois relation as one more row: the positions normal
 in each), and its memos are keyed by the refs themselves.  E/F is
 Galois iff bit E of ``nbelow[F]`` is set; the fields of an interval
@@ -110,7 +111,9 @@ class GaloisContext:
     isomorphism memo, holding each verified isomorphism of two marches
     and None for non-isomorphic ones; the digest names, one block per
     subgroup order; the checked M(L/K) reports and composition towers,
-    which only :mod:`dissociation` fills; and the literal oracle's rows,
+    which only :mod:`dissociation` fills; the reach rows of
+    :meth:`_reach_row`, one per field asked, which only
+    :mod:`dissociation` fills as well; and the literal oracle's rows,
     one entry that only :mod:`oracle` fills.  A value is stored only once
     its computation returned, so a refusal is never kept.  Field-keyed
     memos are keyed by the refs, not their positions, so a ref of another
@@ -152,6 +155,7 @@ class GaloisContext:
         self._digest_names: dict = {}
         self._report_cache: dict = {}  # filled and read by dissociation alone
         self._composition_cache: dict = {}  # likewise
+        self._reach_rows: dict = {}  # likewise
         self._literal_rows: dict = {}  # filled and read by oracle alone
         self._up, self._down, self._nbelow = _lattice_index(
             group, self.subgroups)
@@ -279,11 +283,13 @@ class GaloisContext:
         Returns ``(M, chain)``, chain the fields F = M_0 < ... < M_k = M
         with Subgroup(M_{i+1}) the normal closure of Subgroup(E) in
         Subgroup(M_i): M is the largest field of [F, E] galtourable over
-        F.  Each normal closure is the lowest set bit of E's up-set AND
-        ``nbelow[b]``, the positions normal in the current term b: those
-        are closed under intersection and canonical order is by order
-        first (Holt-Eick-O'Brien, *Handbook of Computational Group
-        Theory*, 8.1).
+        F, and the chain is the witness of an M(L/K) report (a yes/no
+        verdict reads :meth:`_reach_row` instead).  Each normal closure
+        is the lowest set bit of E's up-set AND ``nbelow[b]``, the
+        positions normal in the current term b: those are closed under
+        intersection and canonical order is by order first
+        (Holt-Eick-O'Brien, *Handbook of Computational Group Theory*,
+        8.1).
         """
         self._nested(F, E, "subnormal_closure")
         up_e, b = self._up[E.pos], F.pos
@@ -296,6 +302,20 @@ class GaloisContext:
                 return fields[b], chain
             chain.append(fields[j])
             b = j
+
+    def _reach_row(self, F: FieldRef) -> int:
+        """The positions whose subgroup is subnormal in Subgroup(F): the
+        closure of ``nbelow`` from F, each reached position's row ORed in
+        once.  E/F is galtourable iff bit E is set."""
+        self._own(F)
+        nbelow = self._nbelow
+        row = todo = 1 << F.pos
+        while todo:
+            j = todo.bit_length() - 1
+            new = nbelow[j] & ~row
+            row |= new
+            todo = (todo ^ 1 << j) | new
+        return row
 
     def quotient_group(self, E: FieldRef, F: FieldRef) -> AbstractGroup:
         """Gal(E/F) = Subgroup(F)/Subgroup(E), kept by (E, F).  Refuses E/F

@@ -615,6 +615,26 @@ def test_forged_elevation_exits_3(capsys, monkeypatch, forgery, message):
     assert err == f"theorem violation (internal bug): {message}\n"
 
 
+def test_forged_reach_row_exits_3(capsys, monkeypatch):
+    # a reach row that lost the bit of Q(sqrt2) reads Q(sqrt2)/Q as not
+    # galtourable, and the M-tower Q <= Q <= Q(sqrt2) is refused
+    ctx = presets.load_instance("radical:a=2,n=6")
+    S = ctx.field_by_name("Q(sqrt2)")
+    reach_row = gal.GaloisContext._reach_row
+    monkeypatch.setattr(gal.GaloisContext, "_reach_row",
+                        lambda self, F: reach_row(self, F) & ~(1 << S.pos))
+    ctx._reach_rows.clear()  # a memoized row would hide the forgery
+    argv = ("elevate", "radical:a=2,n=6", "--tower", '["K","Q(3rt2)","Q(6rt2)"]')
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        ctx._reach_rows.clear()  # the shared context keeps no forged row
+    assert code == 3 and out == ""
+    assert err == "theorem violation (internal bug): elevation marche is not galtourable\n"
+    monkeypatch.undo()
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_refine_large_marche_not_capped(capsys):
     # |G| = 220: the marche groups are quotients of a context that already
     # passed the enumeration bound, so no isomorphism cap applies

@@ -33,6 +33,48 @@ def test_is_galtourable_examples(r24, r26):
         dis.is_galtourable(r26, r26.base, r26.distinguished)
 
 
+def test_reach_rows_agree_with_the_subnormal_walk():
+    # galtourability is one bit of F's reach row, the nbelow closure from
+    # F; it must agree with the subnormal closure walk on every comparable
+    # pair, and the lowest bit of reach[K] AND up[L] is the walk's M(L/K)
+    rng = random.Random(40)
+    contexts = dict(contexts_up_to_120())  # S5 included
+    contexts["radical:a=2,n=24"] = get_ctx("radical:a=2,n=24")
+    pairs = 0
+    for name, ctx in contexts.items():
+        fields, N = ctx.all_fields(), ctx.top_closure
+        for F in fields:
+            for E in ctx.interval_fields(F, N):
+                assert dis.is_galtourable(ctx, E, F) == \
+                    (ctx.subnormal_closure(E, F)[0] == E), (name, E, F)
+                pairs += 1
+        for K in [ctx.base] + rng.sample(fields, min(8, len(fields))):
+            row = ctx._reach_rows[K]
+            for L in ctx.interval_fields(K, N):
+                bits = row & ctx._up[L.pos]
+                M = ctx._fields[(bits & -bits).bit_length() - 1]
+                assert M == dis.intourability_field(ctx, L, K).M, (name, L, K)
+        # one row per field asked, of at most one bit per position
+        assert set(ctx._reach_rows) <= set(fields)
+        assert all(row >> len(fields) == 0 for row in ctx._reach_rows.values())
+    assert pairs > 10000
+
+
+def test_reach_row_is_kept_only_for_the_fields_asked():
+    # rows are built on first use, never by the constructor, and a
+    # refused pair leaves no row
+    ctx = presets.from_dict(gal.to_instance_dict(get_ctx("radical:a=2,n=6")))
+    K, L, N = ctx.base, ctx.distinguished, ctx.top_closure
+    assert ctx._reach_rows == {}
+    with pytest.raises(gal.GaloisError, match="subnormal_closure requires F <= E as fields"):
+        dis.is_galtourable(ctx, K, L)
+    assert ctx._reach_rows == {}
+    assert not dis.is_galtourable(ctx, L, K) and dis.is_galtourable(ctx, N, L)
+    assert list(ctx._reach_rows) == [K, L]
+    row = ctx._reach_rows[K]
+    assert dis.is_galtourable(ctx, N, K) and ctx._reach_rows[K] is row
+
+
 def test_galois_tower_witness(r24, r26):
     s2 = r26.field_by_name("Q(sqrt2)")
     t = dis.galois_tower_witness(r26, s2, r26.base)
@@ -295,6 +337,7 @@ FIELD_MEMOS = {  # each field-keyed memo of the context, and a call that fills i
     "_composition_cache": dis.composition_tower_general,
     "_quotient_cache": lambda ctx, E, F: ctx.quotient_group(E, F),
     "_iso_cache": lambda ctx, E, F: ctx.isomorphism((F, E), (F, E)),
+    "_reach_rows": dis.is_galtourable,
 }
 
 
@@ -509,6 +552,42 @@ def test_schreier_row_kernel_matches_the_literal_formula():
                     checked += 1
             assert dis.elevation_tower(ctx, t1)[0] is t1
     assert checked >= 100 and reused > 0 and checked - reused >= 10
+
+
+def test_height_one_schreier_refinement_is_the_formulas_input_tower(monkeypatch):
+    # with a tower of height 1 on either side, or a repeated field on the
+    # other, schreier_refine hands back the towers _schreier_tower builds
+    # from the formula, the same objects, with the same sigma and isos,
+    # and evaluates no formula field
+    rng = random.Random(40)
+    cases = []
+    for ctx in contexts_up_to_120().values():
+        fields = ctx.all_fields()
+        pairs = [(F, E) for F in fields for E in fields
+                 if F < E and gal.is_galois(ctx, E, F)]
+        rng.shuffle(pairs)
+        for F, E in pairs[:4]:
+            h = tw.make_tower(ctx, [F, E])
+            t = random_galois_tower(ctx, F, E, rng)
+            cases += [(h, t), (t, h), (h, tw.make_tower(ctx, [F, E, E])),
+                      (tw.make_tower(ctx, [F, F, E]), h), (h, h)]
+    expected = []
+    for t1, t2 in cases:
+        r1, r2 = dis._schreier_tower(t1, t2), dis._schreier_tower(t2, t1)
+        sigma = dis.schreier_sigma(t1.height, t2.height)
+        isos = tuple(t1.ctx.isomorphism(a, r2.marches()[s - 1])
+                     for a, s in zip(r1.marches(), sigma))
+        expected.append((r1, r2, sigma, isos))
+    formula = []
+    schreier_fields = dis._schreier_fields
+    monkeypatch.setattr(dis, "_schreier_fields",
+                        lambda a, b: formula.append(1) or schreier_fields(a, b))
+    for (t1, t2), (e1, e2, sigma, isos) in zip(cases, expected):
+        r1, r2, w = dis.schreier_refine(t1, t2)
+        assert r1 is e1 and r2 is e2 and r1 in (t1, t2) and r2 in (t1, t2)
+        assert w.sigma == sigma == tuple(range(1, len(sigma) + 1))
+        assert w.isos == isos
+    assert formula == [] and len(cases) >= 150
 
 
 def test_reused_schreier_tower_still_refines_its_input(monkeypatch):
@@ -918,7 +997,7 @@ def test_context_tables_are_named_only_by_their_memo_calls():
     # it and otherwise only as the table a _memo call reads: no module reads,
     # writes or aliases one except through GaloisContext._memo
     tables = {"_quotient_cache", "_iso_cache", "_digest_names",
-              "_report_cache", "_composition_cache", "_literal_rows"}
+              "_report_cache", "_composition_cache", "_reach_rows", "_literal_rows"}
     made, memoized, stray = [], set(), []
     for path in sorted(pathlib.Path(dis.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -1022,15 +1101,18 @@ def test_fresh_context_is_safe_to_share_between_threads():
 
 def test_two_threads_fill_one_composition_and_one_isomorphism_key_alike():
     # two threads, started together on a fresh context, miss the same
-    # composition key and the same isomorphism key and store what they
-    # checked; each gets the serial answer, and the memos keep one
+    # composition key, the same isomorphism key and the same reach row
+    # and store what they checked; each gets the serial answer, and the
+    # memos keep one
     spec = gal.to_instance_dict(get_ctx("radical:a=2,n=12"))
 
     def answers(ctx):
         K, L = ctx.base, ctx.distinguished
         m = (K, ctx.field_by_name("Q(zeta12)"))
         comp = dis.composition_tower_general(ctx, L, K)
-        return [f.pos for f in comp.fields], ctx.isomorphism(m, m)
+        galtourable = [dis.is_galtourable(ctx, E, K) for E in ctx.all_fields()]
+        return ([f.pos for f in comp.fields], ctx.isomorphism(m, m), galtourable,
+                ctx._reach_rows[K])
     expected = answers(presets.from_dict(spec))
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1048,5 +1130,6 @@ def test_two_threads_fill_one_composition_and_one_isomorphism_key_alike():
                 t.join(timeout=60)
             assert results == [expected] * 2
             assert len(shared._composition_cache) == len(shared._iso_cache) == 1
+            assert list(shared._reach_rows) == [shared.base]
     finally:
         sys.setswitchinterval(old)

@@ -199,17 +199,16 @@ def _schreier_fields(t1: Tower, t2: Tower) -> tuple:
 
 
 def _schreier_tower(t1: Tower, t2: Tower) -> Tower:
-    """The refinement of t1 by t2, :func:`_schreier_fields` as a tower: t1
-    or t2 itself when its fields are those, else built and checked
-    monotone.  With a height of 1 on either side they always are (t1 when
-    n = 1; t2 when m = 1, as L cap K*T2[r] = T2[r]), and
-    :func:`schreier_refine` then picks the input tower without calling
-    this."""
-    fields = _schreier_fields(t1, t2)
-    for t in (t1, t2):
-        if t.fields == fields:
-            return t
-    return tw._computed(Tower, t1.ctx, fields,
+    """The refinement of t1 by t2.  With a height of 1 on either side it is
+    an input tower, returned without evaluating the formula: t1 when n = 1,
+    t2 when m = 1 (L cap K*T2[r] = T2[r]).  Otherwise it has m*n + 1
+    fields, more than either input, and :func:`_schreier_fields` is built
+    into a tower checked monotone."""
+    if t2.height == 1:
+        return t1
+    if t1.height == 1:
+        return t2
+    return tw._computed(Tower, t1.ctx, _schreier_fields(t1, t2),
                         message="refinement formulas built a non-monotone chain")
 
 
@@ -233,9 +232,9 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
     refines t2 (indices j*m), both of height m*n, and the witness carries
     the explicit marche permutation together with an isomorphism per
     marche, each verified once, when the context stored it.  When m = 1
-    or n = 1 the refinements are input towers, the ones
-    :func:`_schreier_tower` would return, and no formula field is
-    evaluated; the index, Galois and isomorphism checks run either way.
+    or n = 1 the refinements are input towers and no formula field is
+    evaluated (:func:`_schreier_tower`); the index, Galois and isomorphism
+    checks run either way.
     The theorem guarantees each isomorphism exists; a failed search is
     raised as :class:`TheoremViolation`.
     """
@@ -247,10 +246,7 @@ def schreier_refine(t1: Tower, t2: Tower) -> tuple:
     m, n = t1.height, t2.height
     if m < 1 or n < 1:
         raise tw.TowerError("schreier_refine requires heights >= 1")
-    if m == 1 or n == 1:  # the formula's fields are an input's: L cap K*T2[r] = T2[r]
-        r1, r2 = (t1 if n == 1 else t2), (t2 if m == 1 else t1)
-    else:
-        r1, r2 = _schreier_tower(t1, t2), _schreier_tower(t2, t1)
+    r1, r2 = _schreier_tower(t1, t2), _schreier_tower(t2, t1)
     if r1.fields[::n] != t1.fields or r2.fields[::m] != t2.fields:
         raise TheoremViolation("refinement formulas did not refine the inputs")
     if not (tw.is_galois_tower(r1) and tw.is_galois_tower(r2)):

@@ -556,9 +556,10 @@ def test_schreier_row_kernel_matches_the_literal_formula():
 
 def test_height_one_schreier_refinement_is_the_formulas_input_tower(monkeypatch):
     # with a tower of height 1 on either side, or a repeated field on the
-    # other, schreier_refine hands back the towers _schreier_tower builds
-    # from the formula, the same objects, with the same sigma and isos,
-    # and evaluates no formula field
+    # other, schreier_refine hands back the literal formula's fields as the
+    # first input tower that holds them (t1 before t2 for r1, t2 before t1
+    # for r2), with the sigma and isos of those towers, and evaluates no
+    # formula field
     rng = random.Random(40)
     cases = []
     for ctx in contexts_up_to_120().values():
@@ -573,7 +574,9 @@ def test_height_one_schreier_refinement_is_the_formulas_input_tower(monkeypatch)
                       (tw.make_tower(ctx, [F, F, E]), h), (h, h)]
     expected = []
     for t1, t2 in cases:
-        r1, r2 = dis._schreier_tower(t1, t2), dis._schreier_tower(t2, t1)
+        ctx = t1.ctx
+        r1, r2 = (next(t for t in (a, b) if t.fields == _literal_schreier_fields(ctx, a, b))
+                  for a, b in ((t1, t2), (t2, t1)))
         sigma = dis.schreier_sigma(t1.height, t2.height)
         isos = tuple(t1.ctx.isomorphism(a, r2.marches()[s - 1])
                      for a, s in zip(r1.marches(), sigma))
@@ -592,8 +595,8 @@ def test_height_one_schreier_refinement_is_the_formulas_input_tower(monkeypatch)
 
 def test_reused_schreier_tower_still_refines_its_input(monkeypatch):
     # the refinement of this pair is neither input; a kernel that yields
-    # the second input's fields makes _schreier_tower reuse that tower,
-    # which must still be refused by the index check
+    # the second input's fields builds a tower equal to that input, which
+    # must still be refused by the index check
     ctx = get_ctx("radical:a=2,n=12")
     t1, t2 = (tw.make_tower(ctx, [ctx.field_by_name(n) for n in names])
               for names in (["Q", "Q(zeta3)", "N"], ["Q", "Q(sqrt2)", "N"]))
